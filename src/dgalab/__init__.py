@@ -16,9 +16,8 @@ from .domains import (DEFAULT_TOKENS, DomainSequence, SeedSpace, TokenDict,
 from .evaluation import (GameConfig, MatrixConfig, anti_detection,
                          bench_inference, detection_auc, game_loop, roc_auc,
                          run_matrix, split_dataset)
-from .policy import PolicyParams, forward_step, init_params, select_action
-from .training import (TrainConfig, generate_domains, generate_episode,
-                       grid_search, mc_rollouts, train)
+from .policy import PolicyParams, init_params
+from .training import TrainConfig, generate_domains, grid_search, train
 
 __version__ = "0.1.0"
 
@@ -27,10 +26,9 @@ __all__ = [
     "LabeledCorpus", "MatrixConfig", "PolicyParams", "SeedSpace",
     "TokenDict", "TrainConfig", "anti_detection", "assemble_fqdn",
     "bench_inference", "bundled_benign", "detection_auc", "encode_seed",
-    "fluxing_round", "forward_step", "game_loop", "generate_domains",
-    "generate_episode", "gozi_generate", "grid_search", "init_params",
-    "kraken_generate", "load_detector", "load_domains", "mc_rollouts",
-    "roc_auc", "run_matrix", "select_action", "split_dataset",
+    "fluxing_round", "game_loop", "generate_domains", "gozi_generate",
+    "grid_search", "init_params", "kraken_generate", "load_detector",
+    "load_domains", "roc_auc", "run_matrix", "split_dataset",
     "suppobox_generate", "synthesize_benign", "train", "train_detector",
     "validate_domain",
 ]

@@ -17,13 +17,21 @@ from . import checkpoint, corpora, evaluation, training
 from .baselines import gozi_generate, kraken_generate, suppobox_generate
 from .config import (cfg_date, cfg_get, parse_config, resolve_data_path,
                      write_manifest)
-from .detectors import load_detector, train_detector
+from .detectors import KINDS, load_detector, train_detector
 from .dnsenv import FeedbackEnv
 from .domains import SeedSpace
 from .errors import ContractError, DataError, DgaLabError, NumericError
 from .rng import stream_key
 
-DGA_NAMES = ("kraken", "gozi", "suppobox", "pkdga")
+# family -> generate(words, seed, count); entries look their generator up by
+# module-level name at call time, so a wrapper installed there sees each call
+BASELINES = {
+    "kraken": lambda words, seed, count: kraken_generate(seed, count),
+    "gozi": lambda words, seed, count: gozi_generate(words[0], seed, count),
+    "suppobox": lambda words, seed, count: suppobox_generate(*words, seed,
+                                                             count),
+}
+DGA_NAMES = (*BASELINES, "pkdga")
 
 
 class UsageError(Exception):
@@ -51,12 +59,11 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--benign", type=int, default=5000)
     p.add_argument("--agd", type=int, default=5000)
-    p.add_argument("--dga", choices=DGA_NAMES[:3], default="kraken")
+    p.add_argument("--dga", choices=tuple(BASELINES), default="kraken")
 
     p = sub.add_parser("detector-train", help="train one detector kind")
     common(p)
-    p.add_argument("--kind", required=True,
-                   choices=("statistics", "fanci", "wordgraph", "neural"))
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--benign", required=True, help="benign corpus file")
     p.add_argument("--agd", required=True, help="AGD corpus file")
 
@@ -143,6 +150,15 @@ def _auto(value: str):
     return value
 
 
+def _wordlists():
+    return (corpora.load_wordlist(bundled="words_a.txt"),
+            corpora.load_wordlist(bundled="words_b.txt"))
+
+
+def _baseline_names(family, words, seed, count, tld) -> list[str]:
+    return [f"{d.core}.{tld}" for d in BASELINES[family](words, seed, count)]
+
+
 def _emit(path: Path, text: str) -> None:
     path.write_text(text, "utf-8")
     print(f"wrote {path}", file=sys.stderr)
@@ -158,18 +174,10 @@ def _cmd_prep(args, cfg):
                    args.seed)
     benign = corpora.synthesize_benign(args.benign, rng_seed=args.seed)
     corpora.save_domains(out / "benign.txt", benign)
-    words_a = corpora.load_wordlist(bundled="words_a.txt")
-    words_b = corpora.load_wordlist(bundled="words_b.txt")
-    tld = cfg_get(cfg, "data.tld", "com")
     gen_seed = stream_key("prep", args.seed) % (2 ** 31)
-    if args.dga == "kraken":
-        doms = kraken_generate(gen_seed, args.agd)
-    elif args.dga == "gozi":
-        doms = gozi_generate(words_a, gen_seed, args.agd)
-    else:
-        doms = suppobox_generate(words_a, words_b, gen_seed, args.agd)
-    corpora.save_domains(out / f"{args.dga}.txt",
-                         [f"{d.core}.{tld}" for d in doms])
+    names = _baseline_names(args.dga, _wordlists(), gen_seed, args.agd,
+                            cfg_get(cfg, "data.tld", "com"))
+    corpora.save_domains(out / f"{args.dga}.txt", names)
     return 0
 
 
@@ -239,15 +247,7 @@ def _cmd_generate(args, cfg):
             params, count, start, T=cfg_get(cfg, "train.length", 10, int),
             tld=tld, mode=args.mode)
     else:
-        words_a = corpora.load_wordlist(bundled="words_a.txt")
-        words_b = corpora.load_wordlist(bundled="words_b.txt")
-        if args.dga == "kraken":
-            doms = kraken_generate(args.seed, count)
-        elif args.dga == "gozi":
-            doms = gozi_generate(words_a, args.seed, count)
-        else:
-            doms = suppobox_generate(words_a, words_b, args.seed, count)
-        names = [f"{d.core}.{tld}" for d in doms]
+        names = _baseline_names(args.dga, _wordlists(), args.seed, count, tld)
     sys.stdout.write("\n".join(names) + "\n")
     return 0
 
@@ -272,29 +272,18 @@ def _cmd_eval(args, cfg):
     return 0
 
 
-def _matrix_dgas(cfg, words_a, words_b, tld):
-    def kraken(count, key):
-        return [f"{d.core}.{tld}"
-                for d in kraken_generate(stream_key(key) % 2 ** 31, count)]
+def _matrix_dgas(cfg, words, tld):
+    """matrix.dgas as {family: generator(count, rng_key) -> names}."""
+    def generator(family):
+        return lambda count, key: _baseline_names(
+            family, words, stream_key(key) % 2 ** 31, count, tld)
 
-    def gozi(count, key):
-        return [f"{d.core}.{tld}"
-                for d in gozi_generate(words_a, stream_key(key) % 2 ** 31,
-                                       count)]
-
-    def suppobox(count, key):
-        return [f"{d.core}.{tld}"
-                for d in suppobox_generate(words_a, words_b,
-                                           stream_key(key) % 2 ** 31, count)]
-
-    chosen = cfg_get(cfg, "matrix.dgas", "kraken,gozi,suppobox")
-    table = {"kraken": kraken, "gozi": gozi, "suppobox": suppobox}
     out = {}
-    for name in chosen.split(","):
+    for name in cfg_get(cfg, "matrix.dgas", "kraken,gozi,suppobox").split(","):
         name = name.strip()
-        if name not in table:
+        if name not in BASELINES:
             raise DataError(f"matrix.dgas: unknown generator {name!r}")
-        out[name] = table[name]
+        out[name] = generator(name)
     return out
 
 
@@ -304,8 +293,6 @@ def _cmd_matrix(args, cfg):
     write_manifest(out, "matrix", cfg, args.seed, inputs=[benign_path])
     benign = corpora.load_domains(benign_path)
     tld = cfg_get(cfg, "data.tld", "com")
-    words_a = corpora.load_wordlist(bundled="words_a.txt")
-    words_b = corpora.load_wordlist(bundled="words_b.txt")
     detectors = tuple(s.strip() for s in
                       cfg_get(cfg, "matrix.detectors", "statistics,neural").split(","))
     pkdga_cfg = _train_config(cfg) if cfg_get(cfg, "matrix.pkdga", True, bool) \
@@ -321,7 +308,7 @@ def _cmd_matrix(args, cfg):
         pkdga_budget=cfg_get(cfg, "matrix.pkdga_budget", 150_000, int),
         threads=args.threads,
         tld=tld)
-    matrix = evaluation.run_matrix(_matrix_dgas(cfg, words_a, words_b, tld),
+    matrix = evaluation.run_matrix(_matrix_dgas(cfg, _wordlists(), tld),
                                    benign, mc, master_seed=args.seed)
     for det in detectors:
         _emit(out / f"matrix_{det}.tsv", matrix.fig_tsv(det))

@@ -7,13 +7,26 @@ default, calibrated into the score during training).
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 
 from ..corpora import LabeledCorpus
 from ..domains import validate_domain
 from ..errors import DataError, ScoringError
 
-KINDS = ("statistics", "fanci", "wordgraph", "neural")
+# kind -> detector class, defined in the module named after the kind; the
+# modules are imported on first use
+_CLASS_NAMES = {"statistics": "StatisticsDetector", "fanci": "FanciDetector",
+                "wordgraph": "WordGraphDetector", "neural": "NeuralDetector"}
+KINDS = tuple(_CLASS_NAMES)
+
+
+def _detector_class(kind: str) -> type:
+    if kind not in _CLASS_NAMES:
+        raise DataError(f"unknown detector kind {kind!r}")
+    module = importlib.import_module(f"{__package__}.{kind}")
+    return getattr(module, _CLASS_NAMES[kind])
 
 
 class DetectorModel:
@@ -49,36 +62,13 @@ def train_detector(kind: str, corpus: LabeledCorpus, hp: dict | None = None,
                    rng_seed: int = 0) -> DetectorModel:
     """Train one detector kind on a labeled corpus; deterministic per seed."""
     corpus.require_both()
-    hp = dict(hp or {})
-    if kind == "statistics":
-        from .statistics import StatisticsDetector
-        return StatisticsDetector.train(corpus, hp, rng_seed)
-    if kind == "fanci":
-        from .fanci import FanciDetector
-        return FanciDetector.train(corpus, hp, rng_seed)
-    if kind == "wordgraph":
-        from .wordgraph import WordGraphDetector
-        return WordGraphDetector.train(corpus, hp, rng_seed)
-    if kind == "neural":
-        from .neural import NeuralDetector
-        return NeuralDetector.train(corpus, hp, rng_seed)
-    raise DataError(f"unknown detector kind {kind!r}")
+    return _detector_class(kind).train(corpus, dict(hp or {}), rng_seed)
 
 
 def load_detector(path) -> DetectorModel:
     from ..checkpoint import load_blobs
     kind, blobs = load_blobs(path)
-    if kind == "statistics":
-        from .statistics import StatisticsDetector
-        return StatisticsDetector.from_blobs(blobs)
-    if kind == "fanci":
-        from .fanci import FanciDetector
-        return FanciDetector.from_blobs(blobs)
-    if kind == "wordgraph":
-        from .wordgraph import WordGraphDetector
-        return WordGraphDetector.from_blobs(blobs)
-    from .neural import NeuralDetector
-    return NeuralDetector.from_blobs(blobs)
+    return _detector_class(kind).from_blobs(blobs)
 
 
 def fit_logistic(features, labels, iters=800, lr=0.5):

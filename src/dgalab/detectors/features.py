@@ -146,7 +146,7 @@ def extract_features(domain: str) -> np.ndarray:
         float(_max_run(core, _DIGITS)),
         float(_max_run(core, set("bcdfghjklmnpqrstvwxyz"))),
         float(unique),
-        _entropy([core.count(c) for c in set(core)]),
+        _entropy(_ngram_counts(core, 1)),
         _entropy(_ngram_counts(core, 2)),
         _entropy(_ngram_counts(core, 3)),
         bscore,

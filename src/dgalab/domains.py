@@ -1,4 +1,4 @@
-"""Tokens, seeds, states, and domain-name assembly/validation.
+"""Tokens, seeds, and domain-name assembly/validation.
 
 The token alphabet is fixed to the characters that may legally appear in a
 DNS label: lowercase a-z, digits, and the hyphen.  An internal start marker
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,28 +115,6 @@ def encode_seed(date: _dt.date, dct: TokenDict = DEFAULT_TOKENS,
     vec = np.zeros(dct.n)
     vec[days % dct.n] = 1.0
     return vec, days
-
-
-@dataclass(frozen=True)
-class State:
-    """Generator state: the emitted prefix plus the encoded seed."""
-
-    prefix: tuple[int, ...]
-    seed_vec: np.ndarray
-    n: int = field(default=DEFAULT_TOKENS.n)
-
-    def __post_init__(self):
-        if any(not 0 <= int(i) < self.n for i in self.prefix):
-            raise ContractError("prefix token index out of range")
-        if len(self.seed_vec) != self.n:
-            raise ContractError("seed vector dimension must equal n")
-
-    @property
-    def t(self) -> int:
-        return len(self.prefix)
-
-    def advanced(self, token: int) -> "State":
-        return State(self.prefix + (int(token),), self.seed_vec, self.n)
 
 
 @dataclass(frozen=True)

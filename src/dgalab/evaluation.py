@@ -21,6 +21,7 @@ from . import training
 from .corpora import LabeledCorpus
 from .detectors import train_detector
 from .dnsenv import FeedbackEnv
+from .domains import DEFAULT_TOKENS
 from .errors import ContractError, DataError, UnsupportedDetectorError
 from .rng import stream
 
@@ -299,7 +300,7 @@ def game_loop(detector, benign_train, benign_eval, stages: int,
         raise UnsupportedDetectorError(
             f"{type(detector).__name__} cannot learn incrementally")
     tc = cfg.train_cfg
-    params = P.init_params(tc.n_layers, tc.d_e, tc.d_h, 37,
+    params = P.init_params(tc.n_layers, tc.d_e, tc.d_h, DEFAULT_TOKENS.n,
                            rng_seed=("game-init", master_seed))
     registry = list(registry_seed if registry_seed is not None else benign_train)
 
@@ -346,7 +347,6 @@ def bench_inference(params: P.PolicyParams, batch_sizes, T: int = 12,
 
     Returns rows of (batch, total ms, ms per domain).
     """
-    from .domains import DEFAULT_TOKENS
     dct = dct or DEFAULT_TOKENS
     rows = []
     for batch in batch_sizes:

@@ -145,48 +145,8 @@ def masked_index_at(dct: TokenDict, pos: int, total: int) -> int | None:
     return None
 
 
-# ---------------------------------------------------------------------------
-# spec-level single step
-
 def zero_hidden(params: PolicyParams, batch: int = 1):
     return recurrent.zero_hidden(params.n_layers, batch, params.d_h, params.dtype)
-
-
-def forward_step(params: PolicyParams, inp, hidden=None):
-    """One unbatched step: token index / seed vector -> (probs, new hidden).
-
-    The returned distribution is the raw softmax (no positional masking).
-    """
-    if hidden is None:
-        hidden = zero_hidden(params)
-    if np.isscalar(inp) or isinstance(inp, (int, np.integer)):
-        if not 0 <= int(inp) <= params.d_y:
-            raise ContractError(f"input index {inp} out of range")
-        x = embed_tokens(params, [int(inp)])
-    else:
-        x = embed_seed(params, np.asarray(inp)[None, :])
-    top, new_hidden, _ = recurrent.stack_step(params.w_x, params.w_h, params.b,
-                                              x, hidden)
-    probs = action_probs(params, top)[0]
-    if not np.all(np.isfinite(probs)):
-        raise NumericError("non-finite action distribution")
-    return probs, new_hidden
-
-
-def select_action(probs: np.ndarray, mode: str = "argmax", rng=None) -> int:
-    """Pick a token: lowest-index argmax, or an inverse-CDF draw."""
-    if mode == "argmax":
-        return int(np.argmax(probs))
-    if mode == "sample":
-        if rng is None:
-            raise ContractError("sample mode needs an rng")
-        return index_from_uniform(np.asarray(probs), float(rng.random()))
-    raise ContractError(f"unknown selection mode {mode!r}")
-
-
-def index_from_uniform(probs: np.ndarray, u: float) -> int:
-    cum = np.cumsum(probs)
-    return int(min((cum <= u).sum(), len(probs) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +191,19 @@ def run_batch(params: PolicyParams, dct: TokenDict, total_len: int, *,
         pos = start_pos + k
         top, hidden, _ = recurrent.stack_step(params.w_x, params.w_h, params.b,
                                               x, hidden)
-        probs = action_probs(params, top, masked_index_at(dct, pos, total_len))
+        masked = masked_index_at(dct, pos, total_len)
+        probs = action_probs(params, top, masked)
         if want_snapshots:
             snapshots.append([(h.copy(), c.copy()) for h, c in hidden])
         if uniforms is None:
             chosen = np.argmax(probs, axis=1)
         else:
+            # a float32 cumsum can end below u; fall back to the last token
+            # that is legal here, never to a masked one
+            last = dct.n - 2 if masked == dct.n - 1 else dct.n - 1
             cum = np.cumsum(probs, axis=1)
             chosen = np.minimum((cum <= uniforms[:, k:k + 1]).sum(axis=1),
-                                dct.n - 1)
+                                last)
         tokens[:, k] = chosen
         if want_dists:
             dists[k] = probs

@@ -1,19 +1,23 @@
-"""Episode generation, Monte-Carlo reward estimation, and policy-gradient
-training against a black-box registration environment.
+"""Monte-Carlo reward estimation and policy-gradient training against a
+black-box registration environment.
 
-The estimator is the sampled likelihood-ratio form: each generated token's
-log-probability is weighted by an estimate of the completed sequence's
-registration reward.  Intermediate steps estimate that reward by completing
-the prefix with ``m`` Monte-Carlo rollouts of the same policy and averaging
-the environment's binary feedback; the final step uses the finished name's
-feedback directly.  A literal full-enumeration mode (every action at every
-step) exists for small test dictionaries.
+The estimator is the SeqGAN-style likelihood-ratio form.  Step t of an
+episode weights log pi(a | s_t) by an estimate Q(s_t, a) of the finished
+name's registration reward: before the last step, ``m`` Monte-Carlo rollouts
+of the same policy complete the prefix plus ``a`` and their feedback is
+averaged; at the last step the candidate name's own feedback is the value.
+Sampled mode values only the action taken; full enumeration (small test
+dictionaries) values every unmasked action and weights it by pi(a | s_t).
+Both run on one batched engine, ``action_values``, which resumes every
+candidate of a step from the cached policy state in one generation pass.
 
-Registration order is canonical and single-threaded: for each epoch, rollout
-completions are registered step-major then episode-major then rollout-minor,
-followed by the finished episode names.  All sampling draws come from
-counter-based streams keyed on (master seed, epoch, slot, ...), so a run is
-a pure function of (seed, config, corpora).
+Registration order is canonical and single-threaded: for each epoch, names
+are registered step-major, then episode, then action, then rollout; the last
+step registers each candidate name once, and the taken action's value there
+is the epoch's terminal reward.  All sampling draws come from counter-based
+streams keyed on (master seed, epoch, slot, ...), and every candidate action
+of episode i reuses the rollout uniforms of (i, rollout j, step t), so a run
+is a pure function of (seed, config, corpora).
 """
 
 from __future__ import annotations
@@ -24,10 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import policy as P
-from . import recurrent
-from .domains import (DEFAULT_TOKENS, DomainSequence, SeedSpace, State,
-                      TokenDict, assemble_fqdn, encode_seed)
-from .dnsenv import DnsFeedback
+from .domains import (DEFAULT_TOKENS, SeedSpace, TokenDict, assemble_fqdn,
+                      encode_seed)
 from .errors import ContractError, NumericError, QueryBudgetError
 from .rng import stream
 
@@ -58,25 +60,6 @@ class TrainConfig:
 
 
 @dataclass
-class EpisodeTrace:
-    date: _dt.date
-    seed_vec: np.ndarray
-    tokens: tuple[int, ...]
-    dists: np.ndarray                      # (T, n) action distributions
-    domain: DomainSequence
-    rewards: np.ndarray | None = None      # (T,) estimated step weights
-    feedback: DnsFeedback | None = None
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-    def states(self, n: int) -> list[State]:
-        return [State(self.tokens[:t], self.seed_vec, n)
-                for t in range(self.length)]
-
-
-@dataclass
 class TrainResult:
     params: P.PolicyParams
     best_params: P.PolicyParams
@@ -92,85 +75,6 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# episode generation
-
-def _episode_uniforms(master_seed, epoch, slots, T):
-    return np.stack([stream("episode", master_seed, epoch, int(i)).random(T)
-                     for i in slots])
-
-
-def generate_episode(params: P.PolicyParams, date: _dt.date, mode: str,
-                     T: int = 12, dct: TokenDict = DEFAULT_TOKENS,
-                     master_seed: int = 0, tld: str = "com",
-                     space: SeedSpace | None = None) -> EpisodeTrace:
-    """One full episode from a date seed; sample or argmax token selection."""
-    seed_vec, day_seed = encode_seed(date, dct, space)
-    if mode == "sample":
-        uniforms = stream("episode", master_seed, day_seed).random(T)[None, :]
-    elif mode == "argmax":
-        uniforms = None
-    else:
-        raise ContractError(f"unknown mode {mode!r}")
-    run = P.run_batch(params, dct, T, seed_vecs=seed_vec[None, :],
-                      uniforms=uniforms, want_dists=True)
-    tokens = tuple(int(t) for t in run.tokens[0])
-    core = dct.detokenize(tokens)
-    dom = DomainSequence(core, assemble_fqdn(core, tld))
-    return EpisodeTrace(date, seed_vec, tokens, run.dists[:, 0, :], dom)
-
-
-def mc_rollouts(params: P.PolicyParams, prefix: State, action: int, m: int,
-                T: int, dct: TokenDict = DEFAULT_TOKENS,
-                master_seed: int = 0) -> list[DomainSequence]:
-    """Complete [prefix, action] m times by sampling the rollout policy.
-
-    Stream j is keyed on (master seed, prefix length, action, j), so each
-    rollout is reproducible in isolation.
-    """
-    t = prefix.t
-    if not 0 <= t <= T - 1:
-        raise ContractError("prefix must leave room for the action")
-    head = prefix.prefix + (int(action),)
-    if len(head) == T:
-        core = dct.detokenize(head)
-        return [DomainSequence(core) for _ in range(m)]
-    # replay the consumed inputs (seed, then all but the last head token) to
-    # recover the hidden state the rollouts resume from
-    x = P.embed_seed(params, np.asarray(prefix.seed_vec)[None, :])
-    hidden = P.zero_hidden(params, 1)
-    for k in range(len(head)):
-        _, hidden, _ = recurrent.stack_step(params.w_x, params.w_h, params.b,
-                                            x, hidden)
-        x = P.embed_tokens(params, [head[k]])
-    suffix_len = T - len(head)
-    out = []
-    for j in range(m):
-        u = stream("mc", master_seed, t, int(action), j).random(suffix_len)
-        tiled = [(h.copy(), c.copy()) for h, c in hidden]
-        run = P.run_batch(params, dct, T, init_hidden=tiled,
-                          first_tokens=[head[-1]], start_pos=len(head),
-                          uniforms=u[None, :])
-        core = dct.detokenize(head + tuple(int(v) for v in run.tokens[0]))
-        out.append(DomainSequence(core))
-    return out
-
-
-def estimate_action_reward(env, params: P.PolicyParams, prefix: State,
-                           action: int, cfg: TrainConfig,
-                           dct: TokenDict = DEFAULT_TOKENS,
-                           master_seed: int = 0) -> float:
-    """Mean registration feedback over m completions (direct when final)."""
-    T = cfg.length
-    rollouts = mc_rollouts(params, prefix, action, cfg.mc, T, dct, master_seed)
-    if prefix.t + 1 == T:
-        fb = env.register_many([assemble_fqdn(rollouts[0], cfg.tld)])
-        return float(fb[0].outcome)
-    names = [assemble_fqdn(r, cfg.tld) for r in rollouts]
-    out = env.register_many(names)
-    return float(np.mean([fb.outcome for fb in out]))
-
-
-# ---------------------------------------------------------------------------
 # policy-gradient updates
 
 def _update_from_batch(params, dct, seed_vecs, tokens, coeffs, lr):
@@ -181,25 +85,6 @@ def _update_from_batch(params, dct, seed_vecs, tokens, coeffs, lr):
     new = P.apply_grads(params, grads, lr)
     P.check_finite(new)
     return new
-
-
-def policy_gradient_step(params: P.PolicyParams, episodes, cfg: TrainConfig,
-                         dct: TokenDict = DEFAULT_TOKENS) -> P.PolicyParams:
-    """One ascent step from reward-weighted episodes (batch-averaged)."""
-    if not episodes:
-        raise ContractError("batch must be nonempty")
-    T = episodes[0].length
-    if any(ep.length != T for ep in episodes):
-        raise ContractError("episodes in a batch must share T")
-    B = len(episodes)
-    seed_vecs = np.stack([ep.seed_vec for ep in episodes])
-    tokens = np.array([ep.tokens for ep in episodes], dtype=np.int64)
-    coeffs = np.zeros((T, B, dct.n))
-    for i, ep in enumerate(episodes):
-        if ep.rewards is None:
-            raise ContractError("episodes need estimated rewards")
-        coeffs[np.arange(T), i, tokens[i]] = np.asarray(ep.rewards) / B
-    return _update_from_batch(params, dct, seed_vecs, tokens, coeffs, cfg.lr)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +109,6 @@ def train(env, cfg: TrainConfig, master_seed: int,
     if params is None:
         params = P.init_params(cfg.n_layers, cfg.d_e, cfg.d_h, dct.n,
                                rng_seed=master_seed, dct=dct)
-    T, B = cfg.length, cfg.batch
     curve: list[float] = []
     best_epoch = 0
     best_params = params
@@ -232,32 +116,21 @@ def train(env, cfg: TrainConfig, master_seed: int,
     registered: list[str] = []
 
     for epoch in range(cfg.epochs):
-        dates = [space.date_at(epoch * B + i) for i in range(B)]
-        encoded = [encode_seed(d, dct, space) for d in dates]
-        seed_vecs = np.stack([vec for vec, _ in encoded])
-        uniforms = _episode_uniforms(master_seed, epoch, range(B), T)
-        run = P.run_batch(params, dct, T, seed_vecs=seed_vecs,
-                          uniforms=uniforms, want_dists=True,
-                          want_snapshots=True)
-        tokens = run.tokens
+        seed_vecs, run = _epoch_run(params, cfg, dct, space, master_seed,
+                                    epoch)
         try:
-            if cfg.full_enumeration:
-                coeffs, terminal = _enumerated_coeffs(
-                    env, params, cfg, dct, master_seed, epoch, seed_vecs,
-                    tokens, run)
-            else:
-                coeffs, terminal = _sampled_coeffs(
-                    env, params, cfg, dct, master_seed, epoch, tokens, run,
-                    whitebox_tap, registered)
+            coeffs, taken = _epoch_coeffs(env, params, cfg, dct, master_seed,
+                                          epoch, run, whitebox_tap,
+                                          registered)
         except QueryBudgetError:
             stopped = "budget"
             break
-        curve.append(float(terminal.mean()))
+        curve.append(float(taken[-1].mean()))
         if curve[-1] > curve[best_epoch] or epoch == 0:
             best_epoch = epoch
             best_params = params
         try:
-            params = _update_from_batch(params, dct, seed_vecs, tokens,
+            params = _update_from_batch(params, dct, seed_vecs, run.tokens,
                                         coeffs, cfg.lr)
         except NumericError:
             stopped = "numeric"
@@ -270,67 +143,88 @@ def train(env, cfg: TrainConfig, master_seed: int,
                        stopped, registered)
 
 
-def _sampled_coeffs(env, params, cfg, dct, master_seed, epoch, tokens, run,
-                    whitebox_tap, registered=None):
-    """Per-step weights for the taken actions via MC completion estimates."""
-    T, B, m = cfg.length, cfg.batch, cfg.mc
-    weights = np.zeros((B, T))
-    mc_u = [stream("mc-train", master_seed, epoch, i).random((m, T, T))
-            for i in range(B)]
-    for t in range(T - 1):
+def _epoch_run(params, cfg, dct, space, master_seed, epoch):
+    """The epoch's B date seeds and their sampled episodes (with the dists
+    and cached states the reward estimates resume from)."""
+    T, B = cfg.length, cfg.batch
+    dates = [space.date_at(epoch * B + i) for i in range(B)]
+    seed_vecs = np.stack([encode_seed(d, dct, space)[0] for d in dates])
+    uniforms = np.stack([stream("episode", master_seed, epoch, i).random(T)
+                         for i in range(B)])
+    run = P.run_batch(params, dct, T, seed_vecs=seed_vecs, uniforms=uniforms,
+                      want_dists=True, want_snapshots=True)
+    return seed_vecs, run
+
+
+def _epoch_coeffs(env, params, cfg, dct, master_seed, epoch, run,
+                  whitebox_tap=None, registered=None):
+    """Policy-gradient coefficients (T, B, n) for one epoch's episodes, plus
+    the values Q(s_t, a_t) of the actions taken, shape (T, B).
+
+    Sampled mode puts Q/B on the taken token; full enumeration values every
+    unmasked action a and puts pi(a | s_t) * Q(s_t, a) / B on it.
+    """
+    T, B, n = cfg.length, cfg.batch, dct.n
+    tokens = run.tokens
+    mc_u = np.stack([stream("mc-train", master_seed, epoch, i)
+                     .random((cfg.mc, T, T)) for i in range(B)])
+    rows = np.arange(B)[:, None]
+    coeffs = np.zeros((T, B, n))
+    taken = np.empty((T, B))
+    for t in range(T):
+        if cfg.full_enumeration:
+            masked = P.masked_index_at(dct, t, T)
+            actions = np.tile([a for a in range(n) if a != masked], (B, 1))
+            scale = run.dists[t][rows, actions]
+        else:
+            actions = tokens[:, t:t + 1]
+            scale = 1.0
+        q = action_values(env, params, cfg, dct, tokens[:, :t],
+                          run.snapshots[t], actions, mc_u, whitebox_tap,
+                          registered)
+        coeffs[t][rows, actions] = scale * q / B
+        taken[t] = q[rows[:, 0], (actions == tokens[:, t:t + 1]).argmax(1)]
+    return coeffs, taken
+
+
+def action_values(env, params: P.PolicyParams, cfg: TrainConfig,
+                  dct: TokenDict, prefix: np.ndarray, hidden,
+                  actions: np.ndarray, mc_u: np.ndarray, whitebox_tap=None,
+                  registered: list | None = None) -> np.ndarray:
+    """Estimated reward Q(s_t, a) of K candidate actions per episode, (B, K).
+
+    ``prefix`` (B, t) holds the tokens emitted before step t and ``hidden``
+    the policy state that produced step t's distribution (a
+    ``BatchRun.snapshots`` entry); ``actions`` (B, K) are the candidates and
+    ``mc_u`` (B, m, T, T) the epoch's rollout uniforms.  Before the last
+    step, m rollouts complete each [prefix, a] in one generation pass, and
+    every candidate of episode i reuses the uniforms of (i, j, t).  At the
+    last step each candidate name is registered once.  Names are registered
+    episode-major, then action, then rollout; accepted ones are appended to
+    ``registered``.
+    """
+    (B, t), K = prefix.shape, actions.shape[1]
+    T, m = cfg.length, cfg.mc
+    heads = np.concatenate([np.repeat(prefix, K, axis=0),
+                            actions.reshape(-1, 1)], axis=1)
+    if t < T - 1:
         suffix = T - t - 1
-        hidden = [(np.repeat(h, m, axis=0), np.repeat(c, m, axis=0))
-                  for h, c in run.snapshots[t]]
-        first = np.repeat(tokens[:, t], m)
-        u = np.stack([mc_u[i][j, t, :suffix]
-                      for i in range(B) for j in range(m)])
-        ro = P.run_batch(params, dct, T, init_hidden=hidden,
-                         first_tokens=first, start_pos=t + 1, uniforms=u)
-        full = np.concatenate([np.repeat(tokens[:, :t + 1], m, axis=0),
-                               ro.tokens], axis=1)
-        names = [assemble_fqdn(dct.detokenize(row), cfg.tld) for row in full]
-        feedback = env.register_many(names)
-        if registered is not None:
-            registered.extend(nm for nm, fb in zip(names, feedback)
-                              if fb.outcome == 1)
-        vals = _reward_values(feedback, names, cfg, whitebox_tap)
-        weights[:, t] = vals.reshape(B, m).mean(axis=1)
-    names = [assemble_fqdn(dct.detokenize(row), cfg.tld) for row in tokens]
+        heads = np.repeat(heads, m, axis=0)
+        u = np.broadcast_to(mc_u[:, None, :, t, :suffix],
+                            (B, K, m, suffix)).reshape(-1, suffix)
+        init = [(np.repeat(h, K * m, axis=0), np.repeat(c, K * m, axis=0))
+                for h, c in hidden]
+        ro = P.run_batch(params, dct, T, init_hidden=init,
+                         first_tokens=heads[:, -1], start_pos=t + 1,
+                         uniforms=u)
+        heads = np.concatenate([heads, ro.tokens], axis=1)
+    names = [assemble_fqdn(dct.detokenize(row), cfg.tld) for row in heads]
     feedback = env.register_many(names)
     if registered is not None:
         registered.extend(nm for nm, fb in zip(names, feedback)
                           if fb.outcome == 1)
-    terminal = _reward_values(feedback, names, cfg, whitebox_tap)
-    weights[:, T - 1] = terminal
-    coeffs = np.zeros((T, B, dct.n))
-    rows = np.arange(T)
-    for i in range(B):
-        coeffs[rows, i, tokens[i]] = weights[i] / B
-    return coeffs, terminal
-
-
-def _enumerated_coeffs(env, params, cfg, dct, master_seed, epoch, seed_vecs,
-                       tokens, run):
-    """Literal enumeration of every action at every step (tiny dicts)."""
-    T, B, m = cfg.length, cfg.batch, cfg.mc
-    n = dct.n
-    coeffs = np.zeros((T, B, n))
-    for i in range(B):
-        state_seed = seed_vecs[i]
-        for t in range(T):
-            masked = P.masked_index_at(dct, t, T)
-            for a in range(n):
-                if a == masked:
-                    continue
-                prefix = State(tuple(int(v) for v in tokens[i, :t]),
-                               state_seed, n)
-                r = estimate_action_reward(env, params, prefix, a, cfg, dct,
-                                           master_seed=(master_seed, epoch, i))
-                coeffs[t, i, a] = run.dists[t, i, a] * r / B
-    names = [assemble_fqdn(dct.detokenize(row), cfg.tld) for row in tokens]
-    terminal = np.array([fb.outcome for fb in env.register_many(names)],
-                        dtype=np.float64)
-    return coeffs, terminal
+    vals = _reward_values(feedback, names, cfg, whitebox_tap)
+    return vals.reshape(B, K, -1).mean(axis=2)
 
 
 def _reward_values(feedback, names, cfg, whitebox_tap):

@@ -73,8 +73,8 @@ def pairwise_auc(pos_scores, neg_scores) -> float:
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def cli_subprocess(argv, hash_seed=None):
-    """Run ``python -m dgalab.cli *argv`` in a child with a scrubbed env.
+def python_subprocess(args, hash_seed=None):
+    """Run ``python *args`` in a child with a scrubbed env.
 
     The env holds only ``PATH``, ``HOME``, ``PYTHONPATH`` pointing at this
     checkout's ``src`` and, if given, ``PYTHONHASHSEED``, so the child runs
@@ -85,6 +85,10 @@ def cli_subprocess(argv, hash_seed=None):
            "PYTHONPATH": str(REPO_ROOT / "src")}
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = hash_seed
-    return subprocess.run([sys.executable, "-m", "dgalab.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          cwd=str(REPO_ROOT))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, cwd=str(REPO_ROOT))
+
+
+def cli_subprocess(argv, hash_seed=None):
+    """Run ``python -m dgalab.cli *argv`` through ``python_subprocess``."""
+    return python_subprocess(["-m", "dgalab.cli", *argv], hash_seed)

@@ -10,6 +10,7 @@ from dgalab.detectors.forest import fit_forest
 from dgalab.detectors.statistics import StatisticsDetector
 from dgalab.errors import DataError, ScoringError
 from dgalab.rng import stream
+from conftest import python_subprocess
 
 
 def small_corpus(n=120, seed=4):
@@ -50,6 +51,19 @@ class TestFeatures:
         assert np.array_equal(a, b)
         assert np.all(np.isfinite(a))
         assert len(a) == 21 == len(FEATURE_NAMES)
+
+    def test_extraction_independent_of_hash_seed(self):
+        # features must not follow set iteration order (PYTHONHASHSEED)
+        code = ("import hashlib; from dgalab.corpora import bundled_benign; "
+                "from dgalab.detectors.features import extract_many; "
+                "f = extract_many(bundled_benign(3000)); "
+                "print(hashlib.sha256(f.tobytes()).hexdigest())")
+        digests = set()
+        for hash_seed in ("1", "2"):
+            proc = python_subprocess(["-c", code], hash_seed)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
     def test_invalid_domain_rejected(self):
         with pytest.raises(ScoringError):

@@ -1,14 +1,28 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 
 from dgalab import policy
-from dgalab.domains import TokenDict
+from dgalab.domains import (DEFAULT_TOKENS, EPOCH, TokenDict, assemble_fqdn,
+                            encode_seed)
 from dgalab.errors import ContractError
 from dgalab.rng import stream
 
 
 def tiny_dict(n):
     return TokenDict("abcdefghijklmnopqrstuvwxyz0123456789-"[:n])
+
+
+def feed(params, token, hidden=None):
+    """Distribution after feeding one token from ``hidden`` (zero state by
+    default), plus the state after that step."""
+    if hidden is None:
+        hidden = policy.zero_hidden(params)
+    run = policy.run_batch(params, tiny_dict(params.d_y), 1,
+                           init_hidden=hidden, first_tokens=[token],
+                           want_dists=True, want_snapshots=True)
+    return run.dists[0, 0], run.snapshots[0]
 
 
 def naive_forward(params, xs):
@@ -97,10 +111,10 @@ class TestForward:
         p = policy.init_params(1, 4, 6, 5, rng_seed=0)
         zero = {k: np.zeros_like(v) for k, v in p.tensors().items()}
         pz = policy.params_from_tensors(zero, 1)
-        probs, hidden = policy.forward_step(pz, 2)
+        probs, hidden = feed(pz, 2)
         assert np.allclose(probs, 0.2)
         assert np.allclose(hidden[0][0], 0.0)
-        probs2, _ = policy.forward_step(pz, 4, hidden)
+        probs2, _ = feed(pz, 4, hidden)
         assert np.allclose(probs2, 0.2)
 
     def test_matches_naive_reimplementation(self):
@@ -124,8 +138,8 @@ class TestForward:
 
     def test_statefulness(self):
         p = policy.init_params(1, 8, 12, 6, rng_seed=5)
-        probs1, hidden = policy.forward_step(p, 3)
-        probs2, _ = policy.forward_step(p, 3, hidden)
+        probs1, hidden = feed(p, 3)
+        probs2, _ = feed(p, 3, hidden)
         assert not np.allclose(probs1, probs2)
 
     def test_distribution_valid(self):
@@ -133,14 +147,14 @@ class TestForward:
             p = policy.init_params(2, 6, 9, 8, rng_seed=seed)
             hidden = None
             for tok in [0, 3, 7, 1]:
-                probs, hidden = policy.forward_step(p, tok, hidden)
+                probs, hidden = feed(p, tok, hidden)
                 assert abs(probs.sum() - 1.0) < 1e-6
                 assert np.all(probs >= 0)
 
     def test_input_range_check(self):
         p = policy.init_params(1, 4, 4, 5, rng_seed=1)
         with pytest.raises(ContractError):
-            policy.forward_step(p, 9)
+            feed(p, 9)
 
     def test_stacked_layer_reads_lower_output(self):
         p = policy.cast(policy.init_params(2, 3, 4, 5, rng_seed=21), np.float64)
@@ -156,18 +170,40 @@ class TestForward:
 
 class TestSelectAction:
     def test_argmax(self):
-        assert policy.select_action(np.array([0.1, 0.7, 0.2])) == 1
+        p = policy.init_params(1, 4, 6, 5, rng_seed=4)
+        run = policy.run_batch(p, tiny_dict(5), 6,
+                               seed_vecs=np.eye(5), want_dists=True)
+        assert np.array_equal(run.tokens, run.dists.argmax(axis=2).T)
 
     def test_argmax_tie_lowest_index(self):
-        assert policy.select_action(np.array([0.25, 0.25, 0.25, 0.25])) == 0
+        p = policy.init_params(1, 4, 6, 4, rng_seed=0)
+        zero = {k: np.zeros_like(v) for k, v in p.tensors().items()}
+        pz = policy.params_from_tensors(zero, 1)
+        run = policy.run_batch(pz, tiny_dict(4), 3, seed_vecs=np.eye(4))
+        assert not run.tokens.any()
 
     def test_sample_frequencies(self):
-        rng = stream("freq-test")
-        probs = np.array([0.3, 0.7])
-        draws = np.fromiter(
-            (policy.select_action(probs, "sample", rng) for _ in range(100_000)),
-            dtype=np.int64)
-        assert abs((draws == 1).mean() - 0.7) < 0.01
+        p = policy.init_params(1, 4, 6, 2, rng_seed=3)
+        rows = 100_000
+        run = policy.run_batch(p, tiny_dict(2), 1,
+                               seed_vecs=np.tile(np.eye(2)[0], (rows, 1)),
+                               uniforms=stream("freq-test").random((rows, 1)),
+                               want_dists=True)
+        assert abs((run.tokens == 1).mean() - run.dists[0, 0, 1]) < 0.01
+
+    def test_rounded_cumsum_never_picks_masked_hyphen(self):
+        # u just below 1 lies above a float32 cumsum that rounds low; the
+        # pick must fall back to the last legal token, not the edge hyphen
+        dct = DEFAULT_TOKENS
+        p = policy.init_params(1, 32, 64, dct.n, rng_seed=0)
+        T = 10
+        seeds = np.stack([encode_seed(EPOCH + dt.timedelta(days=d), dct)[0]
+                          for d in range(4096)])
+        u = np.full((4096, T), np.nextafter(1.0, 0.0))
+        run = policy.run_batch(p, dct, T, seed_vecs=seeds, uniforms=u)
+        assert not (run.tokens[:, [0, T - 1]] == dct.hyphen_index).any()
+        for row in run.tokens:
+            assemble_fqdn(dct.detokenize(row))
 
 
 class TestGradients:

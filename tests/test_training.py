@@ -1,15 +1,18 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dgalab import policy
-from dgalab.domains import SeedSpace, State, TokenDict
+from dgalab import policy, recurrent
+from dgalab.dnsenv import FeedbackEnv
+from dgalab.domains import DEFAULT_TOKENS, SeedSpace, TokenDict, encode_seed
 from dgalab.errors import ContractError
-from dgalab.training import (TrainConfig, estimate_action_reward,
-                             generate_episode, grid_search, grid_log_tsv,
-                             mc_rollouts, policy_gradient_step, train)
-from conftest import StubEnv
+from dgalab.rng import stream
+from dgalab.training import (TrainConfig, _epoch_coeffs, _epoch_run,
+                             _update_from_batch, action_values, grid_search,
+                             grid_log_tsv, train)
+from conftest import FixedScoreDetector, StubEnv
 
 AB = TokenDict("ab")
 EPOCH_DATE = dt.date(2024, 3, 1)
@@ -26,60 +29,98 @@ def zero_params(n, d_e=4, d_h=6):
         {k: np.zeros_like(v) for k, v in p.tensors().items()}, 1)
 
 
+def sample_episodes(p, T, master_seeds, dct=AB):
+    """One episode per master seed from EPOCH_DATE's seed vector."""
+    seed_vec, day = encode_seed(EPOCH_DATE, dct)
+    uniforms = np.stack([stream("episode", s, day).random(T)
+                         for s in master_seeds])
+    seeds = np.repeat(seed_vec[None, :], len(master_seeds), axis=0)
+    return policy.run_batch(p, dct, T, seed_vecs=seeds, uniforms=uniforms,
+                            want_dists=True)
+
+
+def state_after(p, seed_vec, prefix):
+    """The policy state that yields the distribution of step len(prefix)."""
+    xs = np.concatenate([policy.embed_seed(p, seed_vec[None, :]),
+                         policy.embed_tokens(p, np.asarray(prefix, np.int64))])
+    _, hidden, _ = recurrent.stack_forward(p.w_x, p.w_h, p.b, xs[:, None, :])
+    return hidden
+
+
+def values(env, p, cfg, prefix, actions, seed_vec=np.eye(2)[0],
+           master_seed=0):
+    """Q(s_t, a) for one episode with the given prefix and actions."""
+    mc_u = stream("mc-train", master_seed).random(
+        (1, cfg.mc, cfg.length, cfg.length))
+    return action_values(env, p, cfg, AB,
+                         np.asarray([prefix], np.int64).reshape(1, -1),
+                         state_after(p, seed_vec, prefix),
+                         np.asarray([actions], np.int64), mc_u)[0]
+
+
+class RecordingEnv(StubEnv):
+    """StubEnv that keeps every batch of registered names."""
+
+    def __init__(self, rule):
+        super().__init__(rule)
+        self.calls = []
+
+    def register_many(self, fqdns):
+        self.calls.append(list(fqdns))
+        return super().register_many(fqdns)
+
+
 class TestGenerateEpisode:
     def test_single_token_episode(self):
         p = tiny_params(2)
-        ep = generate_episode(p, EPOCH_DATE, "argmax", T=1, dct=AB)
-        assert ep.length == 1
-        assert len(ep.states(AB.n)) == 1
-        assert ep.domain.core in ("a", "b")
+        seed_vec, _ = encode_seed(EPOCH_DATE, AB)
+        run = policy.run_batch(p, AB, 1, seed_vecs=seed_vec[None, :],
+                               want_snapshots=True)
+        assert run.tokens.shape == (1, 1)
+        assert len(run.snapshots) == 1
+        assert AB.detokenize(run.tokens[0]) in ("a", "b")
 
     def test_zero_weights_argmax_repeats_token_zero(self):
         p = zero_params(AB.n)
-        ep = generate_episode(p, EPOCH_DATE, "argmax", T=8, dct=AB)
-        assert ep.domain.core == "a" * 8
-        assert np.allclose(ep.dists, 0.5)
+        seed_vec, _ = encode_seed(EPOCH_DATE, AB)
+        run = policy.run_batch(p, AB, 8, seed_vecs=seed_vec[None, :],
+                               want_dists=True)
+        assert AB.detokenize(run.tokens[0]) == "a" * 8
+        assert np.allclose(run.dists, 0.5)
 
     def test_sample_mode_deterministic(self):
         p = tiny_params(2)
-        a = generate_episode(p, EPOCH_DATE, "sample", T=8, dct=AB, master_seed=5)
-        b = generate_episode(p, EPOCH_DATE, "sample", T=8, dct=AB, master_seed=5)
-        assert a.tokens == b.tokens
-        c = generate_episode(p, EPOCH_DATE, "sample", T=8, dct=AB, master_seed=6)
-        assert a.tokens != c.tokens or True  # different stream may still agree
-
-    def test_state_transition_is_prefix_append(self):
-        p = tiny_params(2)
-        ep = generate_episode(p, EPOCH_DATE, "sample", T=5, dct=AB, master_seed=1)
-        states = ep.states(AB.n)
-        for t, st in enumerate(states):
-            assert st.prefix == ep.tokens[:t]
-            assert st.t == t
+        a = sample_episodes(p, 8, [5])
+        b = sample_episodes(p, 8, [5])
+        assert np.array_equal(a.tokens, b.tokens)
+        c = sample_episodes(p, 8, [6])
+        assert not np.array_equal(a.tokens, c.tokens) or True  # may agree
 
     def test_no_edge_hyphen_in_default_dict(self):
-        from dgalab.domains import DEFAULT_TOKENS
         p = zero_params(DEFAULT_TOKENS.n)
         # with uniform distributions sampling hits hyphen often; edges never
-        for seed in range(30):
-            ep = generate_episode(p, EPOCH_DATE, "sample", T=7,
-                                  dct=DEFAULT_TOKENS, master_seed=seed)
-            assert ep.domain.core[0] != "-" and ep.domain.core[-1] != "-"
+        run = sample_episodes(p, 7, range(30), dct=DEFAULT_TOKENS)
+        for row in run.tokens:
+            core = DEFAULT_TOKENS.detokenize(row)
+            assert core[0] != "-" and core[-1] != "-"
 
 
 class TestMcRollouts:
-    def test_full_prefix_returns_identical_copies(self):
+    def test_full_prefix_registers_name_once(self):
+        env = RecordingEnv(lambda f: True)
         p = tiny_params(2)
-        prefix = State((0, 1, 0, 1), np.eye(2)[0], 2)
-        ro = mc_rollouts(p, prefix, 1, m=4, T=5, dct=AB)
-        assert len(ro) == 4
-        assert all(r.core == "ababb" for r in ro)
+        cfg = TrainConfig(length=7, mc=4, lr=1.0)
+        q = values(env, p, cfg, (0, 1, 0, 1, 0, 1), [1])
+        assert env.calls == [["abababb.com"]]
+        assert q[0] == 1.0
 
     def test_reproducible_streams(self):
         p = tiny_params(2, seed=9)
-        prefix = State((1,), np.eye(2)[1], 2)
-        a = mc_rollouts(p, prefix, 0, m=3, T=6, dct=AB, master_seed=7)
-        b = mc_rollouts(p, prefix, 0, m=3, T=6, dct=AB, master_seed=7)
-        assert [r.core for r in a] == [r.core for r in b]
+        cfg = TrainConfig(length=7, mc=3, lr=1.0)
+        a, b = RecordingEnv(lambda f: True), RecordingEnv(lambda f: True)
+        values(a, p, cfg, (1,), [0], np.eye(2)[1], master_seed=7)
+        values(b, p, cfg, (1,), [0], np.eye(2)[1], master_seed=7)
+        assert a.calls == b.calls
 
     def test_deterministic_policy_identical_rollouts(self):
         # scaling the output head makes every distribution one-hot, so all
@@ -88,18 +129,22 @@ class TestMcRollouts:
         arrays = {k: np.array(v) for k, v in p.tensors().items()}
         arrays["w_out"] = arrays["w_out"] * 5000.0
         sharp = policy.params_from_tensors(arrays, 1)
-        prefix = State((0,), np.eye(2)[0], 2)
-        ro = mc_rollouts(sharp, prefix, 0, m=5, T=6, dct=AB, master_seed=1)
-        cores = {r.core for r in ro}
-        assert len(cores) == 1
-        assert cores.pop().startswith("aa")
+        env = RecordingEnv(lambda f: True)
+        cfg = TrainConfig(length=7, mc=5, lr=1.0)
+        values(env, sharp, cfg, (0,), [0], master_seed=1)
+        (names,) = env.calls
+        assert len(names) == 5
+        assert len(set(names)) == 1
+        assert names[0].startswith("aa")
 
     def test_rollouts_share_prefix_and_action(self):
         p = tiny_params(2, seed=21)
-        prefix = State((1, 0), np.eye(2)[0], 2)
-        for r in mc_rollouts(p, prefix, 1, m=6, T=7, dct=AB, master_seed=3):
-            assert r.core.startswith("bab")
-            assert len(r.core) == 7
+        env = RecordingEnv(lambda f: True)
+        cfg = TrainConfig(length=7, mc=6, lr=1.0)
+        values(env, p, cfg, (1, 0), [1], master_seed=3)
+        for core in (name.split(".")[0] for name in env.calls[0]):
+            assert core.startswith("bab")
+            assert len(core) == 7
 
 
 class TestEstimateReward:
@@ -107,17 +152,13 @@ class TestEstimateReward:
         env = stub_env_factory(lambda f: True)
         p = tiny_params(2)
         cfg = TrainConfig(length=7, mc=4, lr=1.0)
-        got = estimate_action_reward(env, p, State((), np.eye(2)[0], 2), 1,
-                                     cfg, AB)
-        assert got == 1.0
+        assert values(env, p, cfg, (), [1])[0] == 1.0
 
     def test_env_rewards_nothing(self, stub_env_factory):
         env = stub_env_factory(lambda f: False)
         p = tiny_params(2)
         cfg = TrainConfig(length=7, mc=4, lr=1.0)
-        got = estimate_action_reward(env, p, State((), np.eye(2)[0], 2), 0,
-                                     cfg, AB)
-        assert got == 0.0
+        assert values(env, p, cfg, (), [0])[0] == 0.0
 
     def test_first_token_rule_with_deterministic_policy(self, stub_env_factory):
         env = stub_env_factory(lambda f: f.startswith("a"))
@@ -126,70 +167,63 @@ class TestEstimateReward:
         arrays["w_out"][:, 0] = 50.0   # rollouts continue with 'a' forever
         det = policy.params_from_tensors(arrays, 1)
         cfg = TrainConfig(length=7, mc=3, lr=1.0)
-        empty = State((), np.eye(2)[0], 2)
-        assert estimate_action_reward(env, det, empty, 0, cfg, AB) == 1.0
-        assert estimate_action_reward(env, det, empty, 1, cfg, AB) == 0.0
+        assert values(env, det, cfg, (), [0, 1]).tolist() == [1.0, 0.0]
 
     def test_terminal_equals_direct_env_reward(self, stub_env_factory):
         env = stub_env_factory(lambda f: f.split(".")[0].count("b") == 3)
         p = tiny_params(2)
         cfg = TrainConfig(length=7, mc=5, lr=1.0)
-        prefix = State((1, 1, 0, 0, 0, 1), np.eye(2)[0], 2)
-        got = estimate_action_reward(env, p, prefix, 0, cfg, AB)
-        assert got == 1.0  # exactly three b's in 'bbaaab' + 'a'
-        got = estimate_action_reward(env, p, prefix, 1, cfg, AB)
-        assert got == 0.0
+        got = values(env, p, cfg, (1, 1, 0, 0, 0, 1), [0, 1])
+        # exactly three b's in 'bbaaab' + 'a'
+        assert got.tolist() == [1.0, 0.0]
 
     def test_estimates_within_unit_interval(self, stub_env_factory):
         env = stub_env_factory(lambda f: hash(f) % 3 == 0)
         p = tiny_params(2, seed=17)
         cfg = TrainConfig(length=8, mc=6, lr=1.0)
         for t in range(7):
-            prefix = State(tuple([0, 1] * 4)[:t], np.eye(2)[0], 2)
-            got = estimate_action_reward(env, p, prefix, t % 2, cfg, AB)
+            got = values(env, p, cfg, tuple([0, 1] * 4)[:t], [t % 2])[0]
             assert 0.0 <= got <= 1.0
 
     def test_variance_shrinks_with_m(self, stub_env_factory):
         # paired seeds: m=20 averages the same first five streams and more
         p = tiny_params(2, seed=30)
         rule = lambda f: (sum(map(ord, f)) % 5) < 2
-        prefix = State((0,), np.eye(2)[0], 2)
         lo, hi = [], []
         for trial in range(60):
             env = stub_env_factory(rule)
             cfg5 = TrainConfig(length=9, mc=5, lr=1.0)
-            lo.append(estimate_action_reward(env, p, prefix, 1, cfg5, AB,
-                                             master_seed=trial))
+            lo.append(values(env, p, cfg5, (0,), [1], master_seed=trial)[0])
             cfg20 = TrainConfig(length=9, mc=20, lr=1.0)
-            hi.append(estimate_action_reward(env, p, prefix, 1, cfg20, AB,
-                                             master_seed=trial))
+            hi.append(values(env, p, cfg20, (0,), [1], master_seed=trial)[0])
         assert np.var(hi) <= np.var(lo)
 
 
 class TestPolicyGradientStep:
-    def _episode(self, p, rewards, T=7, seed=0):
-        ep = generate_episode(p, EPOCH_DATE, "sample", T=T, dct=AB,
-                              master_seed=seed)
-        ep.rewards = np.asarray(rewards, dtype=np.float64)
-        return ep
+    """``_update_from_batch`` on sampled-mode coefficients (weight / B on
+    each taken token)."""
+
+    def _step(self, p, rewards, lr, copies=1, T=7, seed=0):
+        run = sample_episodes(p, T, [seed] * copies)
+        coeffs = np.zeros((T, copies, AB.n))
+        for i in range(copies):
+            coeffs[np.arange(T), i, run.tokens[i]] = (
+                np.asarray(rewards, dtype=np.float64) / copies)
+        seeds = np.repeat(encode_seed(EPOCH_DATE, AB)[0][None, :], copies, 0)
+        return _update_from_batch(p, AB, seeds, run.tokens, coeffs, lr), run
 
     def test_zero_rewards_bitwise_unchanged(self):
         p = tiny_params(2)
-        ep = self._episode(p, [0.0] * 7)
-        p2 = policy_gradient_step(p, [ep], TrainConfig(lr=0.7), AB)
+        p2, _ = self._step(p, [0.0] * 7, lr=0.7)
         for a, b in zip(p.tensors().values(), p2.tensors().values()):
             assert np.array_equal(a, b)
 
-    def test_empty_batch_rejected(self):
-        p = tiny_params(2)
-        with pytest.raises(ContractError):
-            policy_gradient_step(p, [], TrainConfig(), AB)
-
     def test_update_matches_finite_difference(self):
         p = tiny_params(2, dtype=np.float64, d_e=4, d_h=5)
-        ep = self._episode(p, [0.9, 0.1, 0.5, 0.0, 1.0, 0.3, 0.7])
+        rewards = [0.9, 0.1, 0.5, 0.0, 1.0, 0.3, 0.7]
         lr = 1e-3
-        p2 = policy_gradient_step(p, [ep], TrainConfig(lr=lr), AB)
+        p2, run = self._step(p, rewards, lr)
+        seed_vec = encode_seed(EPOCH_DATE, AB)[0]
         # finite-difference gradient of the weighted log-likelihood
         eps = 1e-6
         for name, tensor in p.tensors().items():
@@ -199,20 +233,19 @@ class TestPolicyGradientStep:
             for k in range(probe):
                 orig = flat[k]
                 flat[k] = orig + eps
-                fp = policy.weighted_logprob(p, AB, ep.seed_vec, ep.tokens,
-                                             ep.rewards)
+                fp = policy.weighted_logprob(p, AB, seed_vec, run.tokens[0],
+                                             rewards)
                 flat[k] = orig - eps
-                fm = policy.weighted_logprob(p, AB, ep.seed_vec, ep.tokens,
-                                             ep.rewards)
+                fm = policy.weighted_logprob(p, AB, seed_vec, run.tokens[0],
+                                             rewards)
                 flat[k] = orig
                 fd = (fp - fm) / (2 * eps)
                 assert updated[k] == pytest.approx(orig + lr * fd, abs=1e-6)
 
     def test_batch_averaging(self):
         p = tiny_params(2, dtype=np.float64)
-        ep = self._episode(p, [1.0] * 7)
-        single = policy_gradient_step(p, [ep], TrainConfig(lr=0.1), AB)
-        doubled = policy_gradient_step(p, [ep, ep], TrainConfig(lr=0.1), AB)
+        single, _ = self._step(p, [1.0] * 7, lr=0.1)
+        doubled, _ = self._step(p, [1.0] * 7, lr=0.1, copies=2)
         for a, b in zip(single.tensors().values(), doubled.tensors().values()):
             assert np.allclose(a, b, atol=1e-12)
 
@@ -251,6 +284,50 @@ class TestTrain:
                           d_e=6, d_h=8, full_enumeration=True)
         res = train(env, cfg, master_seed=4, dct=AB)
         assert res.best_reward >= 0.5  # enumeration sees both actions per step
+
+    def test_enumerated_taken_value_equals_sampled_weight(self):
+        rule = lambda f: f.split(".")[0].count("a") >= 4
+        cfg = TrainConfig(lr=1.0, batch=4, mc=3, length=7, epochs=2,
+                          d_e=6, d_h=8)
+        enum = replace(cfg, full_enumeration=True)
+        p = tiny_params(2, seed=8)
+        for epoch in range(cfg.epochs):
+            _, run = _epoch_run(p, cfg, AB, SeedSpace(), 11, epoch)
+            coeffs, sampled = _epoch_coeffs(StubEnv(rule), p, cfg, AB, 11,
+                                            epoch, run)
+            enum_coeffs, q_taken = _epoch_coeffs(StubEnv(rule), p, enum, AB,
+                                                 11, epoch, run)
+            assert np.array_equal(q_taken, sampled)
+            t, i = np.meshgrid(range(7), range(4), indexing="ij")
+            a = run.tokens.T
+            assert np.array_equal(coeffs[t, i, a], sampled / 4)
+            assert np.allclose(enum_coeffs[t, i, a],
+                               run.dists[t, i, a] * sampled / 4)
+
+    def test_enumeration_registers_finished_names_once(self):
+        dct = TokenDict("abcdefgh")
+        cfg = TrainConfig(lr=1.0, batch=3, mc=2, length=7, epochs=1,
+                          d_e=6, d_h=8, full_enumeration=True)
+        calls = []
+
+        class Recording(FeedbackEnv):
+            def register_many(self, fqdns):
+                out = super().register_many(fqdns)
+                calls.append(list(zip(fqdns, out)))
+                return out
+
+        env = Recording(FixedScoreDetector(lambda d: 1.0), budget=10_000)
+        res = train(env, cfg, master_seed=4, dct=dct)
+        B, K, m, T = 3, dct.n, cfg.mc, cfg.length
+        assert len(calls) == T
+        assert env.query_count == B * K * (m * (T - 1) + 1)
+        last = dict(calls[-1])
+        assert len(last) == B * K
+        p0 = policy.init_params(1, 6, 8, dct.n, rng_seed=4, dct=dct)
+        _, run = _epoch_run(p0, cfg, dct, SeedSpace(), 4, 0)
+        finished = [f"{dct.detokenize(row)}.com" for row in run.tokens]
+        assert all(name in last for name in finished)
+        assert res.curve[0] == np.mean([last[n].outcome for n in finished])
 
     def test_full_enumeration_needs_small_dict(self, stub_env_factory):
         from dgalab.domains import DEFAULT_TOKENS
