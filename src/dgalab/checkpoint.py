@@ -100,6 +100,8 @@ def load_blobs(path) -> tuple[str, dict]:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: bad magic")
+    if len(blob) < 22:
+        raise DataError(f"{path}: truncated header")
     (version,) = struct.unpack_from("<H", blob, 4)
     if version != 2:
         raise DataError(f"{path}: expected detector checkpoint, got version {version}")
@@ -107,25 +109,27 @@ def load_blobs(path) -> tuple[str, dict]:
     if kind_id not in _KIND_NAMES:
         raise DataError(f"{path}: unknown detector kind id {kind_id}")
     off = 6 + 16
+
+    def take(size):
+        nonlocal off
+        if off + size > len(blob):
+            raise DataError(f"{path}: truncated record at byte {off}")
+        start, off = off, off + size
+        return start
+
     out = {}
     while off < len(blob):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        tag, count = struct.unpack_from("<BQ", blob, off)
-        off += 9
+        (nlen,) = struct.unpack_from("<I", blob, take(4))
+        name = blob[take(nlen):off].decode("utf-8", "replace")
+        tag, count = struct.unpack_from("<BQ", blob, take(9))
         if tag == 2:
-            out[name] = blob[off:off + count]
-            off += count
+            out[name] = blob[take(count):off]
         elif tag == 1:
             out[name] = np.frombuffer(blob, dtype=_I64, count=count,
-                                      offset=off).copy()
-            off += count * 8
+                                      offset=take(count * 8)).copy()
         elif tag == 0:
             out[name] = np.frombuffer(blob, dtype=_F32, count=count,
-                                      offset=off).copy()
-            off += count * 4
+                                      offset=take(count * 4)).copy()
         else:
             raise DataError(f"{path}: unknown record tag {tag}")
     return _KIND_NAMES[kind_id], out

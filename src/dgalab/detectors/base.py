@@ -35,17 +35,32 @@ class DetectorModel:
     def __init__(self, threshold: float = 0.5):
         self.threshold = float(threshold)
 
-    def _score_one(self, domain: str) -> float:
-        raise NotImplementedError
-
     def score(self, domain: str) -> float:
-        """P(benign); deterministic, in [0, 1]."""
+        """P(benign) of one name: ``score_many`` on a batch of one."""
+        # checked here too: the neural kind's score_many trusts its callers
+        # (FeedbackEnv validates every name before scoring)
         if not validate_domain(domain):
             raise ScoringError(f"invalid domain {domain!r}")
-        return float(np.clip(self._score_one(domain), 0.0, 1.0))
+        return float(self.score_many([domain])[0])
 
     def score_many(self, domains) -> np.ndarray:
-        return np.array([self.score(d) for d in domains], dtype=np.float64)
+        """P(benign) per name; deterministic, in [0, 1].
+
+        Each name is validated once, then the kind's ``_score_many`` scores
+        the whole batch.
+        """
+        domains = list(domains)
+        for domain in domains:
+            if not validate_domain(domain):
+                raise ScoringError(f"invalid domain {domain!r}")
+        return np.clip(self._score_many(domains), 0.0, 1.0)
+
+    def _score_many(self, domains) -> np.ndarray:
+        return np.array([self._score_one(d) for d in domains],
+                        dtype=np.float64)
+
+    def _score_one(self, domain: str) -> float:
+        raise NotImplementedError
 
     def is_benign(self, domain: str) -> bool:
         return self.score(domain) >= self.threshold

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import DetectorModel
-from .features import extract_features, extract_many
+from .features import extract_many
 from .forest import RandomForest, Tree, fit_forest
 
 
@@ -15,9 +15,6 @@ class FanciDetector(DetectorModel):
     def __init__(self, forest: RandomForest, threshold=0.5):
         super().__init__(threshold)
         self.forest = forest
-
-    def _score_one(self, domain: str) -> float:
-        return float(self.forest.predict(extract_features(domain)[None, :])[0])
 
     def score_many(self, domains) -> np.ndarray:
         return np.clip(self.forest.predict(extract_many(domains)), 0.0, 1.0)

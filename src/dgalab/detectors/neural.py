@@ -90,9 +90,6 @@ class NeuralDetector(DetectorModel):
             out[lo:lo + len(chunk)] = probs
         return np.clip(out, 0.0, 1.0)
 
-    def _score_one(self, domain: str) -> float:
-        return float(self.score_many([domain])[0])
-
     # -- training ----------------------------------------------------------
     def _sgd_batch(self, domains, y, lr):
         idx, lengths = encode(domains, self.max_len)

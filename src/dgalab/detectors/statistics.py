@@ -10,22 +10,40 @@ by a logistic layer fit on the training corpus:
 * minimum normalized edit distance against a second reference sample.
 
 Training entries are deduplicated first, so repeated corpus rows cannot
-shift the profile.
+shift the profile.  Scoring and training run the batched kernels of
+``distances`` on ``CHUNK`` names at a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
-from ..domains import LABEL_CHARS
+from ..domains import LABEL_CHARS, MAX_LABEL
+from ..errors import DataError
 from ..rng import stream
 from .base import DetectorModel, fit_logistic, logistic_score
 from .features import split_core
-from .distances import (add_one_smooth, bigram_set, edit_distance,
-                        jaccard_bigrams, kl_divergence)
+from .distances import (N_CHARS, add_one_smooth, bigram_bitsets, char_counts,
+                        edit_distances, encode, kl_rows, match_masks,
+                        max_jaccard)
 
-_CHAR_INDEX = {c: i for i, c in enumerate(LABEL_CHARS)}
 _EDIT_CAP = 24  # cores are compared on their first 24 characters
+CHUNK = 64      # names per kernel pass; bounds memory for any batch size
+
+
+def _checked_refs(kind: str, refs, cap: int) -> tuple[str, ...]:
+    """Nonempty refs of at most ``cap`` chars; ``encode`` rejects the ones
+    with a character outside LABEL_CHARS."""
+    refs = tuple(refs)
+    if not refs or not all(refs):
+        raise DataError(f"statistics {kind} refs must be nonempty strings")
+    for ref in refs:
+        if len(ref) > cap:
+            raise DataError(f"statistics {kind} ref {ref!r} is longer than "
+                            f"{cap} characters")
+    return refs
 
 
 class StatisticsDetector(DetectorModel):
@@ -35,36 +53,44 @@ class StatisticsDetector(DetectorModel):
                  threshold=0.5):
         super().__init__(threshold)
         self.profile = np.asarray(profile, dtype=np.float64)
-        self.jaccard_refs = tuple(jaccard_refs)
-        self.edit_refs = tuple(edit_refs)
-        self._ref_bigrams = [bigram_set(r) for r in self.jaccard_refs]
+        if self.profile.shape != (N_CHARS,) or not np.all(self.profile > 0):
+            raise DataError(f"statistics profile must hold {N_CHARS} "
+                            "positive masses")
+        self.jaccard_refs = _checked_refs("jaccard", jaccard_refs, MAX_LABEL)
+        self.edit_refs = _checked_refs("edit", edit_refs, _EDIT_CAP)
+        self._ref_bigrams = bigram_bitsets(self.jaccard_refs)
+        self._edit_masks = match_masks(self.edit_refs)
+        self._edit_lengths = np.array([len(r) for r in self.edit_refs])
         self.w = np.asarray(w, dtype=np.float64)
         self.b = float(b)
         self.mean = np.asarray(mean, dtype=np.float64)
         self.std = np.asarray(std, dtype=np.float64)
 
     # -- distances ---------------------------------------------------------
-    def distances(self, domain: str) -> np.ndarray:
-        core = split_core(domain)[0]
-        counts = np.zeros(len(LABEL_CHARS))
-        for c in core:
-            counts[_CHAR_INDEX[c]] += 1
-        p = counts / counts.sum()
-        kl = kl_divergence(p, self.profile)
-        if len(core) >= 2:
-            bg = bigram_set(core)
-            jac = max((len(bg & rb) / len(bg | rb) for rb in self._ref_bigrams),
-                      default=0.0)
-        else:
-            jac = 0.0
-        short = core[:_EDIT_CAP]
-        edit = min(edit_distance(short, r) / max(len(short), len(r))
-                   for r in self.edit_refs)
-        return np.array([kl, jac, edit])
+    def distances_many(self, domains) -> np.ndarray:
+        """(N, 3) float64 rows of (KL, max Jaccard, min normalized edit)."""
+        out = np.empty((len(domains), 3))
+        for lo in range(0, len(domains), CHUNK):
+            out[lo:lo + CHUNK] = self._chunk_distances(domains[lo:lo + CHUNK])
+        return out
 
-    def _score_one(self, domain: str) -> float:
-        return float(logistic_score(self.distances(domain)[None, :], self.w,
-                                    self.b, self.mean, self.std)[0])
+    def _chunk_distances(self, domains) -> np.ndarray:
+        codes, lengths = encode([split_core(d)[0] for d in domains])
+        kl = kl_rows(char_counts(codes), self.profile)
+        jac = max_jaccard(codes, lengths, self._ref_bigrams)
+        short = np.minimum(lengths, _EDIT_CAP)
+        edit = edit_distances(codes[:, :_EDIT_CAP], short, self._edit_masks,
+                              self._edit_lengths)
+        edit = (edit / np.maximum(short[:, None], self._edit_lengths)).min(1)
+        return np.column_stack([kl, jac, edit])
+
+    def _score_many(self, domains) -> np.ndarray:
+        x = self.distances_many(domains)
+        # one 1x3 product per row, so a score does not depend on the batch
+        # it came in: a (B, 3) @ (3,) product runs BLAS gemv, whose rounding
+        # differs from the one-row dot product
+        return logistic_score(x[:, None, :], self.w, self.b, self.mean,
+                              self.std)[:, 0]
 
     # -- training ----------------------------------------------------------
     @classmethod
@@ -75,11 +101,8 @@ class StatisticsDetector(DetectorModel):
         agd = list(dict.fromkeys(corpus.agd))
         cores = [split_core(d)[0] for d in benign]
 
-        counts = np.zeros(len(LABEL_CHARS))
-        for core in cores:
-            for c in core:
-                counts[_CHAR_INDEX[c]] += 1
-        profile = add_one_smooth(counts)
+        counts = Counter("".join(cores))
+        profile = add_one_smooth([counts[c] for c in LABEL_CHARS])
 
         rng = stream("statistics-refs", rng_seed)
         usable = [c for c in cores if len(c) >= 2] or cores
@@ -89,7 +112,7 @@ class StatisticsDetector(DetectorModel):
 
         probe = cls(profile, jac_refs, edit_refs,
                     np.zeros(3), 0.0, np.zeros(3), np.ones(3))
-        feats = np.stack([probe.distances(d) for d in benign + agd])
+        feats = probe.distances_many(benign + agd)
         labels = np.array([1.0] * len(benign) + [0.0] * len(agd))
         w, b, mean, std = fit_logistic(feats, labels)
         return cls(profile, jac_refs, edit_refs, w, b, mean, std)
@@ -107,10 +130,22 @@ class StatisticsDetector(DetectorModel):
 
     @classmethod
     def from_blobs(cls, blobs) -> "StatisticsDetector":
-        logi = blobs["logistic"]
-        stand = blobs["standardize"]
-        return cls(blobs["profile"],
-                   blobs["jaccard_refs"].decode("utf-8").split("\n"),
-                   blobs["edit_refs"].decode("utf-8").split("\n"),
+        arrays = {}
+        for name, size in (("profile", N_CHARS), ("logistic", 4),
+                           ("standardize", 6), ("threshold", 1)):
+            value = blobs.get(name)
+            if not isinstance(value, np.ndarray) or value.shape != (size,):
+                raise DataError(f"statistics checkpoint: blob {name!r} is "
+                                f"missing or not {size} numbers")
+            arrays[name] = value
+        refs = {}
+        for name in ("jaccard_refs", "edit_refs"):
+            value = blobs.get(name)
+            if not isinstance(value, bytes):
+                raise DataError(f"statistics checkpoint: blob {name!r} is "
+                                "missing or not text")
+            refs[name] = value.decode("utf-8", "replace").split("\n")
+        logi, stand = arrays["logistic"], arrays["standardize"]
+        return cls(arrays["profile"], refs["jaccard_refs"], refs["edit_refs"],
                    logi[:-1], logi[-1], stand[:3], stand[3:],
-                   float(blobs["threshold"][0]))
+                   float(arrays["threshold"][0]))

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from dgalab import checkpoint, policy
+from dgalab.baselines import kraken_generate
+from dgalab.corpora import LabeledCorpus, synthesize_benign
+from dgalab.detectors import load_detector, train_detector
 from dgalab.errors import DataError
 
 
@@ -59,3 +62,16 @@ class TestBlobContainer:
         checkpoint.save_policy(path, p)
         with pytest.raises(DataError):
             checkpoint.load_blobs(path)
+
+    def test_every_truncation_is_a_data_error(self, tmp_path):
+        corpus = LabeledCorpus(tuple(synthesize_benign(40, rng_seed=1)),
+                               tuple(d.core + ".com"
+                                     for d in kraken_generate(1, 40)))
+        path = tmp_path / "det.ckpt"
+        train_detector("statistics", corpus, rng_seed=0).save(path)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(DataError):
+                load_detector(cut)

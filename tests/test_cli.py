@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dgalab import checkpoint
 from dgalab.cli import main
 from dgalab.config import read_manifest
 from conftest import cli_subprocess
@@ -44,6 +45,26 @@ def workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def statistics_ckpt(workspace):
+    code, _ = run_cli("detector-train", "--kind", "statistics",
+                      "--benign", str(workspace / "prep" / "benign.txt"),
+                      "--agd", str(workspace / "prep" / "kraken.txt"),
+                      "--out", str(workspace / "stat"), "--seed", "3")
+    assert code == 0
+    return workspace / "stat" / "detector.ckpt"
+
+
+def eval_damaged(workspace, ckpt, capsys):
+    """Run ``eval`` on a damaged checkpoint; (exit code, stderr lines)."""
+    capsys.readouterr()
+    code, _ = run_cli("eval", "--detector", str(ckpt),
+                      "--benign", str(workspace / "prep" / "benign.txt"),
+                      "--agd", str(workspace / "prep" / "kraken.txt"),
+                      "--out", str(ckpt.parent / "eval"))
+    return code, capsys.readouterr().err.splitlines()
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         code, _ = run_cli("generate", "--nonsense")
@@ -58,6 +79,27 @@ class TestExitCodes:
                           "--benign", "nope.txt", "--agd", "nope.txt",
                           "--out", str(tmp_path / "x"))
         assert code == 2
+
+
+    def test_truncated_statistics_checkpoint(self, workspace,
+                                             statistics_ckpt, tmp_path,
+                                             capsys):
+        cut = tmp_path / "half.ckpt"
+        blob = statistics_ckpt.read_bytes()
+        cut.write_bytes(blob[:len(blob) // 2])
+        code, err = eval_damaged(workspace, cut, capsys)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("data error: ")
+
+    def test_over_long_edit_ref(self, workspace, statistics_ckpt, tmp_path,
+                                capsys):
+        kind, blobs = checkpoint.load_blobs(statistics_ckpt)
+        blobs["edit_refs"] = b"a" * 25 + b"\n" + blobs["edit_refs"]
+        bad = tmp_path / "long.ckpt"
+        checkpoint.save_blobs(bad, kind, blobs)
+        code, err = eval_damaged(workspace, bad, capsys)
+        assert code == 2
+        assert len(err) == 1 and "longer than 24" in err[0]
 
 
 class TestGenerate:

@@ -7,7 +7,7 @@ from dgalab.detectors import (FEATURE_NAMES, extract_features, load_detector,
                               train_detector)
 from dgalab.detectors.features import split_core
 from dgalab.detectors.forest import fit_forest
-from dgalab.detectors.statistics import StatisticsDetector
+from dgalab.detectors.statistics import CHUNK, StatisticsDetector
 from dgalab.errors import DataError, ScoringError
 from dgalab.rng import stream
 from conftest import python_subprocess
@@ -156,6 +156,46 @@ class TestStatisticsDetector:
         assert a.edit_refs == b.edit_refs
         probe = corpus.benign[:5] + corpus.agd[:5]
         assert np.allclose(a.score_many(probe), b.score_many(probe))
+
+    def test_chunked_batches_equal_whole_and_single(self):
+        corpus = small_corpus(CHUNK + 2)
+        model = train_detector("statistics", corpus, rng_seed=1)
+        names = list(corpus.benign) + list(corpus.agd)[:CHUNK]
+        whole = model.score_many(names)
+        for size in (1, CHUNK - 1, CHUNK, CHUNK + 1):
+            parts = [model.score_many(names[lo:lo + size])
+                     for lo in range(0, len(names), size)]
+            assert np.array_equal(np.concatenate(parts), whole), size
+        assert np.array_equal([model.score(d) for d in names], whole)
+
+    @pytest.mark.parametrize("where", [0, CHUNK, -1])
+    def test_invalid_name_anywhere_in_batch(self, where):
+        model = train_detector("statistics", small_corpus(40), rng_seed=0)
+        names = list(small_corpus(CHUNK + 2).benign)
+        names[where] = "UPPER.com"
+        with pytest.raises(ScoringError, match="invalid domain 'UPPER.com'"):
+            model.score_many(names)
+
+    @pytest.mark.parametrize("name, value", [
+        ("logistic", None),
+        ("profile", np.ones(36, dtype=np.float32)),
+        ("standardize", b"not numbers"),
+        ("edit_refs", None),
+        ("jaccard_refs", b""),
+        ("edit_refs", b"abc\n\nxyz"),
+        ("edit_refs", b"a" * 25),
+        ("jaccard_refs", b"abc\nAB"),
+        ("profile", np.zeros(37, dtype=np.float32)),
+    ])
+    def test_damaged_blobs_are_data_errors(self, name, value):
+        blobs = train_detector("statistics", small_corpus(40),
+                               rng_seed=0).to_blobs()
+        if value is None:
+            del blobs[name]
+        else:
+            blobs[name] = value
+        with pytest.raises(DataError):
+            StatisticsDetector.from_blobs(blobs)
 
     def test_profile_mode_beats_random_noise(self):
         corpus = small_corpus(200)

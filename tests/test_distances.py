@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgalab.detectors import edit_distance, jaccard_bigrams, kl_divergence
+from dgalab.baselines import kraken_generate
+from dgalab.corpora import LabeledCorpus, synthesize_benign
+from dgalab.detectors import edit_distance, train_detector
 from dgalab.detectors.distances import add_one_smooth
+from dgalab.detectors.features import split_core
+from dgalab.detectors.statistics import StatisticsDetector
+from dgalab.domains import LABEL_CHARS
 from dgalab.errors import ContractError
 from dgalab.rng import stream
+from scalar_oracles import (jaccard_bigrams, kl_divergence,
+                            statistics_distances)
 
 
 class TestKl:
@@ -91,3 +98,56 @@ class TestEdit:
         assert edit_distance(a, b) == edit_distance(b, a)
         assert (edit_distance(a, b) == 0) == (a == b)
         assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
+
+
+_EDGE = LABEL_CHARS[:-1]          # a label may not start or end with '-'
+
+
+def _label(max_size, alphabet=LABEL_CHARS):
+    edge = st.sampled_from(alphabet.replace("-", ""))
+    inner = st.builds(lambda a, mid, z: a + mid + z, edge,
+                      st.text(alphabet=alphabet, max_size=max_size - 2), edge)
+    return st.one_of(edge, inner)
+
+
+# cores over a four-character alphabet repeat bigrams often
+_cores = st.one_of(_label(63), _label(63, "ab1-"))
+_names = st.one_of(
+    _cores,
+    st.builds(lambda subs, core, tld: ".".join([*subs, core, tld]),
+              st.lists(_label(12), max_size=2), _cores,
+              st.sampled_from(["com", "net", "io"])))
+_refs = st.lists(st.text(alphabet=LABEL_CHARS, min_size=1, max_size=24),
+                 min_size=1, max_size=8)
+
+
+def _assert_matches_oracle(model, names):
+    got = model.distances_many(names)
+    want = np.stack([statistics_distances(model, d) for d in names])
+    for col in range(3):
+        assert np.array_equal(got[:, col], want[:, col]), col
+
+
+class TestBatchedStatistics:
+    """The batched KL, bigram-bitset Jaccard and bit-vector edit distance
+    equal the per-name oracle exactly."""
+
+    @given(st.lists(_names, min_size=1, max_size=40), _refs, _refs,
+           st.lists(st.integers(0, 60), min_size=len(LABEL_CHARS),
+                    max_size=len(LABEL_CHARS)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, names, jac_refs, edit_refs, counts):
+        # the leading names' own cores as refs give exact and partial overlaps
+        cores = [split_core(d)[0] for d in names[:3]]
+        model = StatisticsDetector(add_one_smooth(counts), jac_refs + cores,
+                                   edit_refs + [c[:24] for c in cores],
+                                   np.zeros(3), 0.0, np.zeros(3), np.ones(3))
+        _assert_matches_oracle(model, names)
+
+    def test_trained_detector_on_generated_names(self):
+        benign = synthesize_benign(1000, rng_seed=5)
+        agd = [d.core + ".com" for d in kraken_generate(5, 1000)]
+        model = train_detector("statistics",
+                               LabeledCorpus(tuple(benign[:500]),
+                                             tuple(agd[:500])), rng_seed=3)
+        _assert_matches_oracle(model, benign + agd)
