@@ -1,113 +1,88 @@
 """Binary checkpoint container.
 
-All checkpoints share the magic ``PKDG`` and a little-endian layout:
-
-* version 1 (policy): u16 version, header ``(N_l, d_e, d_h, d_y)`` as u32,
-  then named tensors as ``u32 name length | name | row-major f32 data``.
-  Tensor shapes are a closed form of the header dims, so no per-record shape
-  is stored and round trips are byte exact.
-* version 2 (detector): same magic, u32 kind id plus three reserved u32,
-  then self-describing named blobs ``u32 name length | name | u8 tag |
-  u64 count | payload`` with tag 0 = f32, 1 = i64, 2 = raw bytes.
+Every checkpoint, policy or detector, is one little-endian layout: the magic
+``PKDG``, u16 version 2, u32 kind id plus three reserved u32, then named
+records ``u32 name length | name | u8 tag | u64 count | payload`` with tag
+0 = f32, 1 = i64, 2 = UTF-8 text.  ``load_blobs`` bounds-checks every
+record and rejects non-finite f32 values; loaders read records through
+``record``, which checks presence, tag and element count.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .errors import DataError
+from .domains import MAX_LABEL
+from .errors import DataError, NumericError
 from .policy import PolicyParams, params_from_tensors, tensor_shapes
 
 MAGIC = b"PKDG"
+VERSION = 2
 
-DETECTOR_KIND_IDS = {"statistics": 1, "fanci": 2, "wordgraph": 3, "neural": 4}
-_KIND_NAMES = {v: k for k, v in DETECTOR_KIND_IDS.items()}
+KIND_IDS = {"statistics": 1, "fanci": 2, "wordgraph": 3, "neural": 4,
+            "policy": 5}
+_KIND_NAMES = {v: k for k, v in KIND_IDS.items()}
 
-_F32 = np.dtype("<f4")
-_I64 = np.dtype("<i8")
-
-
-def save_policy(path, params: PolicyParams) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", 1))
-        fh.write(struct.pack("<4I", params.n_layers, params.d_e,
-                             params.d_h, params.d_y))
-        for name, tensor in params.tensors().items():
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(np.ascontiguousarray(tensor, dtype=_F32).tobytes())
+F32, I64, TEXT = 0, 1, 2
+_DTYPES = {F32: np.dtype("<f4"), I64: np.dtype("<i8")}
 
 
-def load_policy(path) -> PolicyParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise DataError(f"{path}: bad magic")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != 1:
-        raise DataError(f"{path}: expected policy checkpoint, got version {version}")
-    n_layers, d_e, d_h, d_y = struct.unpack_from("<4I", blob, 6)
-    off = 6 + 16
-    arrays = {}
-    shapes = tensor_shapes(n_layers, d_e, d_h, d_y)
-    while off < len(blob):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        if name not in shapes:
-            raise DataError(f"{path}: unknown tensor {name!r}")
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype=_F32, count=count, offset=off)
-        off += count * 4
-        arrays[name] = arr.reshape(shape).astype(np.float32)
-    missing = set(shapes) - set(arrays)
-    if missing:
-        raise DataError(f"{path}: missing tensors {sorted(missing)}")
-    return params_from_tensors(arrays, n_layers)
+def save_policy(path, params: PolicyParams, length: int) -> None:
+    """Write the policy weights and the episode length they generate."""
+    dims = [params.n_layers, params.d_e, params.d_h, params.d_y, length]
+    save_blobs(path, "policy", {"dims": np.array(dims, dtype=np.int64),
+                                **params.tensors()})
+
+
+def load_policy(path) -> tuple[PolicyParams, int]:
+    """(params, episode length) of a policy checkpoint."""
+    kind, blobs = load_blobs(path)
+    if kind != "policy":
+        raise DataError(f"{path}: expected a policy checkpoint, got {kind}")
+    dims = [int(v) for v in record(blobs, "dims", I64, 5)]
+    n_layers, d_e, d_h, d_y, length = dims
+    # n_layers cannot exceed the records present, so shapes stay few
+    if min(dims) < 1 or length > MAX_LABEL or n_layers > len(blobs):
+        raise DataError(f"{path}: bad policy dims {dims}")
+    arrays = {name: record(blobs, name, F32, shape) for name, shape
+              in tensor_shapes(n_layers, d_e, d_h, d_y).items()}
+    return params_from_tensors(arrays, n_layers), length
 
 
 def save_blobs(path, kind: str, blobs: dict) -> None:
-    """Write a version-2 container of named float/int/bytes blobs."""
+    """Write named float/int arrays and text (bytes) as one container."""
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", 2))
-        fh.write(struct.pack("<4I", DETECTOR_KIND_IDS[kind], 0, 0, 0))
+        fh.write(MAGIC + struct.pack("<H4I", VERSION, KIND_IDS[kind], 0, 0, 0))
         for name, value in blobs.items():
             raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+            fh.write(struct.pack("<I", len(raw)) + raw)
             if isinstance(value, bytes):
-                fh.write(struct.pack("<BQ", 2, len(value)))
+                fh.write(struct.pack("<BQ", TEXT, len(value)))
                 fh.write(value)
             else:
                 arr = np.asarray(value)
-                if arr.dtype.kind in "iub":
-                    fh.write(struct.pack("<BQ", 1, arr.size))
-                    fh.write(np.ascontiguousarray(arr.ravel(), dtype=_I64).tobytes())
-                else:
-                    fh.write(struct.pack("<BQ", 0, arr.size))
-                    fh.write(np.ascontiguousarray(arr.ravel(), dtype=_F32).tobytes())
+                tag = I64 if arr.dtype.kind in "iub" else F32
+                fh.write(struct.pack("<BQ", tag, arr.size))
+                fh.write(np.ascontiguousarray(arr.ravel(),
+                                              dtype=_DTYPES[tag]).tobytes())
 
 
 def load_blobs(path) -> tuple[str, dict]:
+    """(kind, {name: f32 array | i64 array | bytes}) of a container."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise DataError(f"{path}: bad magic")
-    if len(blob) < 22:
-        raise DataError(f"{path}: truncated header")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != 2:
-        raise DataError(f"{path}: expected detector checkpoint, got version {version}")
-    (kind_id,) = struct.unpack_from("<I", blob, 6)
+    if blob[:4] != MAGIC or len(blob) < 22:
+        raise DataError(f"{path}: not a checkpoint (bad magic or short "
+                        "header)")
+    version, kind_id = struct.unpack_from("<HI", blob, 4)
+    if version != VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version} "
+                        f"(expected {VERSION}); retrain to rewrite it")
     if kind_id not in _KIND_NAMES:
-        raise DataError(f"{path}: unknown detector kind id {kind_id}")
+        raise DataError(f"{path}: unknown checkpoint kind id {kind_id}")
     off = 6 + 16
 
     def take(size):
@@ -122,14 +97,43 @@ def load_blobs(path) -> tuple[str, dict]:
         (nlen,) = struct.unpack_from("<I", blob, take(4))
         name = blob[take(nlen):off].decode("utf-8", "replace")
         tag, count = struct.unpack_from("<BQ", blob, take(9))
-        if tag == 2:
+        if tag == TEXT:
             out[name] = blob[take(count):off]
-        elif tag == 1:
-            out[name] = np.frombuffer(blob, dtype=_I64, count=count,
-                                      offset=take(count * 8)).copy()
-        elif tag == 0:
-            out[name] = np.frombuffer(blob, dtype=_F32, count=count,
-                                      offset=take(count * 4)).copy()
+        elif tag in _DTYPES:
+            dtype = _DTYPES[tag]
+            out[name] = np.frombuffer(blob, dtype=dtype, count=count,
+                                      offset=take(count * dtype.itemsize)
+                                      ).copy()
+            if tag == F32 and not np.isfinite(out[name]).all():
+                raise NumericError(f"{path}: non-finite values in record "
+                                   f"{name!r}")
         else:
             raise DataError(f"{path}: unknown record tag {tag}")
     return _KIND_NAMES[kind_id], out
+
+
+def record(blobs: dict, name: str, tag: int, shape=None):
+    """Record ``name`` as an f32/i64 array of ``shape`` (an int or a tuple;
+    any size when None), or as a str for ``TEXT``; ``DataError`` when it is
+    missing, of another tag or size, or not UTF-8."""
+    value = blobs.get(name)
+    if tag == TEXT:
+        if not isinstance(value, bytes):
+            raise DataError(f"checkpoint record {name!r} is missing or not "
+                            "text")
+        try:
+            return value.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"checkpoint record {name!r} is not UTF-8") from None
+    if (not isinstance(value, np.ndarray)
+            or value.dtype.kind not in ("iub" if tag == I64 else "f")):
+        raise DataError(f"checkpoint record {name!r} is missing or not "
+                        f"{'i64' if tag == I64 else 'f32'}")
+    value = value.astype(_DTYPES[tag], copy=False)
+    if shape is None:
+        return value
+    size = shape if isinstance(shape, int) else math.prod(shape)
+    if value.size != size:
+        raise DataError(f"checkpoint record {name!r} holds {value.size} "
+                        f"values, expected {size}")
+    return value.reshape(shape)

@@ -222,7 +222,8 @@ def _cmd_train(args, cfg):
     tc = _train_config(cfg)
     result = training.train(env, tc, master_seed=args.seed,
                             space=_seed_space(cfg))
-    checkpoint.save_policy(out / "policy.ckpt", result.best_params)
+    checkpoint.save_policy(out / "policy.ckpt", result.best_params,
+                           tc.length)
     curve = "\n".join(f"{i}\t{r:.6f}" for i, r in enumerate(result.curve))
     _emit(out / "reward_curve.tsv", "epoch\tmean_reward\n" + curve + "\n")
     print(f"best reward {result.best_reward:.4f} at epoch {result.best_epoch}; "
@@ -241,11 +242,10 @@ def _cmd_generate(args, cfg):
     if args.dga == "pkdga":
         if not args.ckpt:
             raise UsageError("--ckpt is required for --dga pkdga")
-        params = checkpoint.load_policy(resolve_data_path(args.ckpt))
+        params, T = checkpoint.load_policy(resolve_data_path(args.ckpt))
         start = _dt.date.fromisoformat(args.start_date)
-        names = training.generate_domains(
-            params, count, start, T=cfg_get(cfg, "train.length", 10, int),
-            tld=tld, mode=args.mode)
+        names = training.generate_domains(params, count, start, T=T,
+                                          tld=tld, mode=args.mode)
     else:
         names = _baseline_names(args.dga, _wordlists(), args.seed, count, tld)
     sys.stdout.write("\n".join(names) + "\n")
@@ -350,10 +350,9 @@ def _cmd_bench(args, cfg):
     ckpt = resolve_data_path(args.ckpt)
     out = Path(args.out)
     write_manifest(out, "bench", cfg, args.seed, inputs=[ckpt])
-    params = checkpoint.load_policy(ckpt)
+    params, T = checkpoint.load_policy(ckpt)
     batches = [int(b) for b in args.batches.split(",")]
-    rows = evaluation.bench_inference(params, batches,
-                                      T=cfg_get(cfg, "train.length", 10, int))
+    rows = evaluation.bench_inference(params, batches, T=T)
     _emit(out / "bench.tsv", evaluation.bench_tsv(rows))
     return 0
 

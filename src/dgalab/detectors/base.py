@@ -11,6 +11,7 @@ import importlib
 
 import numpy as np
 
+from ..checkpoint import load_blobs, save_blobs
 from ..corpora import LabeledCorpus
 from ..domains import validate_domain
 from ..errors import DataError, ScoringError
@@ -24,9 +25,18 @@ KINDS = tuple(_CLASS_NAMES)
 
 def _detector_class(kind: str) -> type:
     if kind not in _CLASS_NAMES:
-        raise DataError(f"unknown detector kind {kind!r}")
+        raise DataError(f"{kind!r} is not a detector kind")
     module = importlib.import_module(f"{__package__}.{kind}")
     return getattr(module, _CLASS_NAMES[kind])
+
+
+def checked_names(domains) -> list:
+    """The batch as a list; ``ScoringError`` names its first invalid name."""
+    domains = list(domains)
+    for domain in domains:
+        if not validate_domain(domain):
+            raise ScoringError(f"invalid domain {domain!r}")
+    return domains
 
 
 class DetectorModel:
@@ -37,10 +47,6 @@ class DetectorModel:
 
     def score(self, domain: str) -> float:
         """P(benign) of one name: ``score_many`` on a batch of one."""
-        # checked here too: the neural kind's score_many trusts its callers
-        # (FeedbackEnv validates every name before scoring)
-        if not validate_domain(domain):
-            raise ScoringError(f"invalid domain {domain!r}")
         return float(self.score_many([domain])[0])
 
     def score_many(self, domains) -> np.ndarray:
@@ -49,11 +55,7 @@ class DetectorModel:
         Each name is validated once, then the kind's ``_score_many`` scores
         the whole batch.
         """
-        domains = list(domains)
-        for domain in domains:
-            if not validate_domain(domain):
-                raise ScoringError(f"invalid domain {domain!r}")
-        return np.clip(self._score_many(domains), 0.0, 1.0)
+        return np.clip(self._score_many(checked_names(domains)), 0.0, 1.0)
 
     def _score_many(self, domains) -> np.ndarray:
         return np.array([self._score_one(d) for d in domains],
@@ -62,14 +64,10 @@ class DetectorModel:
     def _score_one(self, domain: str) -> float:
         raise NotImplementedError
 
-    def is_benign(self, domain: str) -> bool:
-        return self.score(domain) >= self.threshold
-
     def to_blobs(self) -> dict:
         raise NotImplementedError
 
     def save(self, path) -> None:
-        from ..checkpoint import save_blobs
         save_blobs(path, self.kind, self.to_blobs())
 
 
@@ -81,7 +79,6 @@ def train_detector(kind: str, corpus: LabeledCorpus, hp: dict | None = None,
 
 
 def load_detector(path) -> DetectorModel:
-    from ..checkpoint import load_blobs
     kind, blobs = load_blobs(path)
     return _detector_class(kind).from_blobs(blobs)
 

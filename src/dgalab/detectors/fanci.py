@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..checkpoint import F32, I64, record
+from ..errors import DataError
 from .base import DetectorModel
-from .features import extract_many
+from .features import FEATURE_NAMES, extract_many
 from .forest import RandomForest, Tree, fit_forest
 
 
@@ -44,16 +46,24 @@ class FanciDetector(DetectorModel):
 
     @classmethod
     def from_blobs(cls, blobs) -> "FanciDetector":
-        sizes = blobs["tree_sizes"]
+        sizes = record(blobs, "tree_sizes", I64).tolist()
+        if not sizes or min(sizes) < 1:
+            raise DataError("fanci checkpoint: empty forest or tree")
+        cols = [record(blobs, name, tag, sum(sizes)) for name, tag in (
+            ("feature", I64), ("threshold_arr", F32), ("left", I64),
+            ("right", I64), ("prob", F32))]
+        if cols[0].min() < -1 or cols[0].max() >= len(FEATURE_NAMES):
+            raise DataError("fanci checkpoint: feature index out of range")
         trees = []
-        off = 0
-        for size in sizes:
-            size = int(size)
-            sl = slice(off, off + size)
-            trees.append(Tree(blobs["feature"][sl].astype(np.int64),
-                              blobs["threshold_arr"][sl].astype(np.float32),
-                              blobs["left"][sl].astype(np.int64),
-                              blobs["right"][sl].astype(np.int64),
-                              blobs["prob"][sl].astype(np.float32)))
-            off += size
-        return cls(RandomForest(trees), float(blobs["threshold"][0]))
+        for end, size in zip(np.cumsum(sizes).tolist(), sizes):
+            tree = Tree(*(col[end - size:end] for col in cols))
+            # _grow_tree numbers both children after their parent, so a
+            # valid tree cannot send prediction round a cycle
+            inner = np.flatnonzero(tree.feature >= 0)
+            for child in (tree.left[inner], tree.right[inner]):
+                if np.any((child <= inner) | (child >= size)):
+                    raise DataError("fanci checkpoint: tree child index "
+                                    "out of order")
+            trees.append(tree)
+        return cls(RandomForest(trees),
+                   float(record(blobs, "threshold", F32, 1)[0]))

@@ -12,9 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .. import recurrent
+from ..checkpoint import F32, I64, record
 from ..domains import LABEL_CHARS
+from ..errors import DataError
 from ..rng import stream
-from .base import DetectorModel
+from .base import DetectorModel, checked_names
 
 VOCAB = LABEL_CHARS + "."
 PAD = len(VOCAB)
@@ -82,6 +84,7 @@ class NeuralDetector(DetectorModel):
         return probs, pool, mask, caches, seqs
 
     def score_many(self, domains) -> np.ndarray:
+        domains = checked_names(domains)
         out = np.empty(len(domains), dtype=np.float64)
         for lo in range(0, len(domains), 1024):
             chunk = domains[lo:lo + 1024]
@@ -203,17 +206,22 @@ class NeuralDetector(DetectorModel):
 
     @classmethod
     def from_blobs(cls, blobs) -> "NeuralDetector":
-        d_e, d_h, n_layers, bidir, max_len = (int(v) for v in blobs["dims"])
-        embedding = blobs["embedding"].reshape(len(VOCAB) + 1, d_e).astype(np.float32)
+        dims = [int(v) for v in record(blobs, "dims", I64, 5)]
+        d_e, d_h, n_layers, bidir, max_len = dims
+        if min(d_e, d_h, n_layers, max_len) < 1 or bidir not in (0, 1):
+            raise DataError(f"neural checkpoint: bad dims {dims}")
+        embedding = record(blobs, "embedding", F32, (len(VOCAB) + 1, d_e))
         stacks = []
-        for s in range(2 if bidir else 1):
+        for s in range(1 + bidir):
             w_x, w_h, bias = [], [], []
             for layer in range(n_layers):
                 din = d_e if layer == 0 else d_h
-                w_x.append(blobs[f"s{s}.l{layer}.w_x"].reshape(din, 4 * d_h).astype(np.float32))
-                w_h.append(blobs[f"s{s}.l{layer}.w_h"].reshape(d_h, 4 * d_h).astype(np.float32))
-                bias.append(blobs[f"s{s}.l{layer}.b"].astype(np.float32))
+                key = f"s{s}.l{layer}"
+                w_x.append(record(blobs, f"{key}.w_x", F32, (din, 4 * d_h)))
+                w_h.append(record(blobs, f"{key}.w_h", F32, (d_h, 4 * d_h)))
+                bias.append(record(blobs, f"{key}.b", F32, 4 * d_h))
             stacks.append((w_x, w_h, bias))
-        w = blobs["w"].astype(np.float32)
-        return cls(embedding, stacks, w, float(blobs["b"][0]), max_len,
-                   float(blobs["threshold"][0]))
+        return cls(embedding, stacks,
+                   record(blobs, "w", F32, d_h * len(stacks)),
+                   float(record(blobs, "b", F32, 1)[0]), max_len,
+                   float(record(blobs, "threshold", F32, 1)[0]))

@@ -20,6 +20,7 @@ from collections import Counter
 
 import numpy as np
 
+from ..checkpoint import F32, TEXT, record
 from ..domains import LABEL_CHARS, MAX_LABEL
 from ..errors import DataError
 from ..rng import stream
@@ -130,22 +131,10 @@ class StatisticsDetector(DetectorModel):
 
     @classmethod
     def from_blobs(cls, blobs) -> "StatisticsDetector":
-        arrays = {}
-        for name, size in (("profile", N_CHARS), ("logistic", 4),
-                           ("standardize", 6), ("threshold", 1)):
-            value = blobs.get(name)
-            if not isinstance(value, np.ndarray) or value.shape != (size,):
-                raise DataError(f"statistics checkpoint: blob {name!r} is "
-                                f"missing or not {size} numbers")
-            arrays[name] = value
-        refs = {}
-        for name in ("jaccard_refs", "edit_refs"):
-            value = blobs.get(name)
-            if not isinstance(value, bytes):
-                raise DataError(f"statistics checkpoint: blob {name!r} is "
-                                "missing or not text")
-            refs[name] = value.decode("utf-8", "replace").split("\n")
-        logi, stand = arrays["logistic"], arrays["standardize"]
-        return cls(arrays["profile"], refs["jaccard_refs"], refs["edit_refs"],
+        logi = record(blobs, "logistic", F32, 4)
+        stand = record(blobs, "standardize", F32, 6)
+        return cls(record(blobs, "profile", F32, N_CHARS),
+                   record(blobs, "jaccard_refs", TEXT).split("\n"),
+                   record(blobs, "edit_refs", TEXT).split("\n"),
                    logi[:-1], logi[-1], stand[:3], stand[3:],
-                   float(arrays["threshold"][0]))
+                   float(record(blobs, "threshold", F32, 1)[0]))

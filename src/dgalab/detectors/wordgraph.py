@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..checkpoint import F32, I64, TEXT, record
 from .base import DetectorModel, fit_logistic, logistic_score
 from .features import split_core
 
@@ -114,10 +115,11 @@ class WordGraphDetector(DetectorModel):
 
     @classmethod
     def from_blobs(cls, blobs) -> "WordGraphDetector":
-        raw = blobs["nodes"].decode("utf-8")
-        nodes = raw.split("\n") if raw else []
-        degrees = {s: int(d) for s, d in zip(nodes, blobs["degrees"])}
-        logi = blobs["logistic"]
-        stand = blobs["standardize"]
-        return cls(degrees, int(blobs["max_degree"][0]), logi[:-1], logi[-1],
-                   stand[:1], stand[1:], float(blobs["threshold"][0]))
+        nodes = record(blobs, "nodes", TEXT).split()  # "" -> no nodes
+        degrees = record(blobs, "degrees", I64, len(nodes))
+        logi = record(blobs, "logistic", F32, 2)
+        stand = record(blobs, "standardize", F32, 2)
+        return cls(dict(zip(nodes, degrees.tolist())),
+                   int(record(blobs, "max_degree", I64, 1)[0]),
+                   logi[:-1], logi[-1], stand[:1], stand[1:],
+                   float(record(blobs, "threshold", F32, 1)[0]))

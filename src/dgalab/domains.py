@@ -80,7 +80,6 @@ class SeedSpace:
 
     start_date: _dt.date = _dt.date(1970, 1, 1)
     end_date: _dt.date = _dt.date(2099, 12, 31)
-    encoding_dim: int = DEFAULT_TOKENS.n
 
     def __post_init__(self):
         if self.start_date > self.end_date:

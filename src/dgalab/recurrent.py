@@ -24,17 +24,6 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def init_stack(rng, n_layers, d_in, d_h, dtype=np.float32, scale=0.08):
-    """Uniform [-scale, scale] weights; layer 0 reads d_in, others read d_h."""
-    w_x, w_h, b = [], [], []
-    for layer in range(n_layers):
-        din = d_in if layer == 0 else d_h
-        w_x.append(((rng.random((din, 4 * d_h)) * 2 - 1) * scale).astype(dtype))
-        w_h.append(((rng.random((d_h, 4 * d_h)) * 2 - 1) * scale).astype(dtype))
-        b.append(((rng.random(4 * d_h) * 2 - 1) * scale).astype(dtype))
-    return w_x, w_h, b
-
-
 def zero_hidden(n_layers, batch, d_h, dtype=np.float32):
     return [(np.zeros((batch, d_h), dtype), np.zeros((batch, d_h), dtype))
             for _ in range(n_layers)]

@@ -4,8 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dgalab.dnsenv import DnsFeedback
+
+# CI selects this with --hypothesis-profile=ci: the same examples on every
+# run, and no example database carried between runs
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 class StubEnv:

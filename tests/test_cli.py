@@ -1,8 +1,10 @@
 import json
+import struct
 
+import numpy as np
 import pytest
 
-from dgalab import checkpoint
+from dgalab import checkpoint, policy
 from dgalab.cli import main
 from dgalab.config import read_manifest
 from conftest import cli_subprocess
@@ -55,6 +57,44 @@ def statistics_ckpt(workspace):
     return workspace / "stat" / "detector.ckpt"
 
 
+@pytest.fixture(scope="module")
+def fanci_ckpt(workspace):
+    cfg = workspace / "fanci.cfg"
+    cfg.write_text("detector.trees = 3\n")
+    code, _ = run_cli("detector-train", "--kind", "fanci",
+                      "--benign", str(workspace / "prep" / "benign.txt"),
+                      "--agd", str(workspace / "prep" / "kraken.txt"),
+                      "--out", str(workspace / "fanci"), "--config", str(cfg),
+                      "--seed", "3")
+    assert code == 0
+    return workspace / "fanci" / "detector.ckpt"
+
+
+def resaved(ckpt, path, damage):
+    """Copy of a checkpoint whose records went through ``damage``."""
+    kind, blobs = checkpoint.load_blobs(ckpt)
+    damage(blobs)
+    checkpoint.save_blobs(path, kind, blobs)
+    return path
+
+
+def tiny_policy(path, damage=None):
+    params = policy.init_params(1, 4, 6, 37, rng_seed=0)
+    if damage:
+        damage(params)
+    checkpoint.save_policy(path, params, 10)
+    return path
+
+
+def generate_damaged(ckpt, capsys):
+    """Run ``generate --dga pkdga`` on a damaged policy; (exit code, stderr
+    lines)."""
+    capsys.readouterr()
+    code, _ = run_cli("generate", "--dga", "pkdga", "--ckpt", str(ckpt),
+                      "--count", "3")
+    return code, capsys.readouterr().err.splitlines()
+
+
 def eval_damaged(workspace, ckpt, capsys):
     """Run ``eval`` on a damaged checkpoint; (exit code, stderr lines)."""
     capsys.readouterr()
@@ -93,13 +133,61 @@ class TestExitCodes:
 
     def test_over_long_edit_ref(self, workspace, statistics_ckpt, tmp_path,
                                 capsys):
-        kind, blobs = checkpoint.load_blobs(statistics_ckpt)
-        blobs["edit_refs"] = b"a" * 25 + b"\n" + blobs["edit_refs"]
-        bad = tmp_path / "long.ckpt"
-        checkpoint.save_blobs(bad, kind, blobs)
+        def lengthen(blobs):
+            blobs["edit_refs"] = b"a" * 25 + b"\n" + blobs["edit_refs"]
+        bad = resaved(statistics_ckpt, tmp_path / "long.ckpt", lengthen)
         code, err = eval_damaged(workspace, bad, capsys)
         assert code == 2
         assert len(err) == 1 and "longer than 24" in err[0]
+
+    def test_truncated_policy(self, tmp_path, capsys):
+        ckpt = tiny_policy(tmp_path / "p.ckpt")
+        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        code, err = generate_damaged(ckpt, capsys)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("data error: ")
+
+    def test_version_1_policy(self, tmp_path, capsys):
+        ckpt = tmp_path / "v1.ckpt"
+        ckpt.write_bytes(b"PKDG" + struct.pack("<H4I", 1, 1, 4, 6, 37)
+                         + bytes(64))
+        code, err = generate_damaged(ckpt, capsys)
+        assert code == 2
+        assert len(err) == 1 and "version 1" in err[0]
+
+    def test_policy_with_nan_weight(self, tmp_path, capsys):
+        def poison(params):
+            params.w_out[0, 0] = np.nan
+        ckpt = tiny_policy(tmp_path / "p.ckpt", poison)
+        code, err = generate_damaged(ckpt, capsys)
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("numeric abort: ")
+
+    def test_fanci_without_prob(self, workspace, fanci_ckpt, tmp_path,
+                                capsys):
+        bad = resaved(fanci_ckpt, tmp_path / "bad.ckpt",
+                      lambda b: b.pop("prob"))
+        code, err = eval_damaged(workspace, bad, capsys)
+        assert code == 2
+        assert len(err) == 1 and "'prob' is missing" in err[0]
+
+    def test_neural_with_short_weight(self, workspace, tmp_path, capsys):
+        def shorten(blobs):
+            blobs["s0.l0.w_h"] = blobs["s0.l0.w_h"][:-1]
+        bad = resaved(workspace / "det" / "detector.ckpt",
+                      tmp_path / "bad.ckpt", shorten)
+        code, err = eval_damaged(workspace, bad, capsys)
+        assert code == 2
+        assert len(err) == 1 and "'s0.l0.w_h' holds" in err[0]
+
+    def test_cyclic_fanci_tree(self, workspace, fanci_ckpt, tmp_path,
+                               capsys):
+        def cycle(blobs):
+            blobs["left"][0] = blobs["right"][0] = 0
+        bad = resaved(fanci_ckpt, tmp_path / "bad.ckpt", cycle)
+        code, err = eval_damaged(workspace, bad, capsys)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("data error: ")
 
 
 class TestGenerate:
@@ -172,6 +260,23 @@ class TestTrainCommand:
         assert len(names) == 5
         from dgalab.domains import validate_domain
         assert all(validate_domain(n) for n in names)
+
+    def test_generate_takes_length_from_checkpoint(self, workspace,
+                                                   tmp_path):
+        cfg = tmp_path / "len14.cfg"
+        cfg.write_text(RUN_CFG.replace("train.length = 10", "train.length = 14")
+                       .replace("train.epochs = 8", "train.epochs = 2"))
+        out = tmp_path / "rl14"
+        code, _ = run_cli("train", "--env", str(workspace / "det" / "detector.ckpt"),
+                          "--benign", str(workspace / "prep" / "benign.txt"),
+                          "--out", str(out), "--config", str(cfg),
+                          "--seed", "4")
+        assert code == 0
+        code, text = run_cli("generate", "--dga", "pkdga", "--ckpt",
+                             str(out / "policy.ckpt"), "--count", "20")
+        assert code == 0
+        cores = [name.split(".")[0] for name in text.split()]
+        assert len(cores) == 20 and {len(c) for c in cores} == {14}
 
 
 class TestSubprocessEntry:

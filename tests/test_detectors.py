@@ -3,8 +3,8 @@ import pytest
 
 from dgalab.baselines import kraken_generate, suppobox_generate, WordDict
 from dgalab.corpora import LabeledCorpus, synthesize_benign
-from dgalab.detectors import (FEATURE_NAMES, extract_features, load_detector,
-                              train_detector)
+from dgalab.detectors import (FEATURE_NAMES, KINDS, extract_features,
+                              load_detector, train_detector)
 from dgalab.detectors.features import split_core
 from dgalab.detectors.forest import fit_forest
 from dgalab.detectors.statistics import CHUNK, StatisticsDetector
@@ -125,10 +125,15 @@ class TestDetectorContracts:
             train_detector("fanci",
                            LabeledCorpus(("a.com",), ()), rng_seed=0)
 
-    def test_invalid_domain_scoring_error(self):
-        model = train_detector("statistics", small_corpus(40), rng_seed=0)
-        with pytest.raises(ScoringError):
-            model.score("UPPER.com")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_invalid_domain_scoring_error(self, kind):
+        hp = {"epochs": 1} if kind == "neural" else {"trees": 3}
+        model = train_detector(kind, small_corpus(40), hp=hp, rng_seed=0)
+        for name in ("UPPER.com", "-abc.com"):
+            with pytest.raises(ScoringError):
+                model.score(name)
+            with pytest.raises(ScoringError):
+                model.score_many(["example.com", name])
 
     @pytest.mark.parametrize("kind", ["statistics", "fanci", "wordgraph",
                                       "neural"])
