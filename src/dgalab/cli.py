@@ -19,7 +19,7 @@ from .config import (cfg_date, cfg_get, parse_config, resolve_data_path,
                      write_manifest)
 from .detectors import KINDS, load_detector, train_detector
 from .dnsenv import FeedbackEnv
-from .domains import SeedSpace
+from .domains import SeedSpace, check_tld
 from .errors import ContractError, DataError, DgaLabError, NumericError
 from .rng import stream_key
 
@@ -168,6 +168,7 @@ def _emit(path: Path, text: str) -> None:
 # subcommands
 
 def _cmd_prep(args, cfg):
+    tld = check_tld(cfg_get(cfg, "data.tld", "com"))
     out = Path(args.out)
     write_manifest(out, "prep", {**cfg, "benign": str(args.benign),
                                  "agd": str(args.agd), "dga": args.dga},
@@ -175,8 +176,7 @@ def _cmd_prep(args, cfg):
     benign = corpora.synthesize_benign(args.benign, rng_seed=args.seed)
     corpora.save_domains(out / "benign.txt", benign)
     gen_seed = stream_key("prep", args.seed) % (2 ** 31)
-    names = _baseline_names(args.dga, _wordlists(), gen_seed, args.agd,
-                            cfg_get(cfg, "data.tld", "com"))
+    names = _baseline_names(args.dga, _wordlists(), gen_seed, args.agd, tld)
     corpora.save_domains(out / f"{args.dga}.txt", names)
     return 0
 
@@ -235,7 +235,6 @@ def _cmd_train(args, cfg):
 
 
 def _cmd_generate(args, cfg):
-    tld = args.tld
     count = args.count
     if count < 1:
         raise UsageError("--count must be positive")
@@ -245,9 +244,10 @@ def _cmd_generate(args, cfg):
         params, T = checkpoint.load_policy(resolve_data_path(args.ckpt))
         start = _dt.date.fromisoformat(args.start_date)
         names = training.generate_domains(params, count, start, T=T,
-                                          tld=tld, mode=args.mode)
+                                          tld=args.tld, mode=args.mode)
     else:
-        names = _baseline_names(args.dga, _wordlists(), args.seed, count, tld)
+        names = _baseline_names(args.dga, _wordlists(), args.seed, count,
+                                check_tld(args.tld))
     sys.stdout.write("\n".join(names) + "\n")
     return 0
 
@@ -288,11 +288,11 @@ def _matrix_dgas(cfg, words, tld):
 
 
 def _cmd_matrix(args, cfg):
+    tld = check_tld(cfg_get(cfg, "data.tld", "com"))
     benign_path = resolve_data_path(args.benign)
     out = Path(args.out)
     write_manifest(out, "matrix", cfg, args.seed, inputs=[benign_path])
     benign = corpora.load_domains(benign_path)
-    tld = cfg_get(cfg, "data.tld", "com")
     detectors = tuple(s.strip() for s in
                       cfg_get(cfg, "matrix.detectors", "statistics,neural").split(","))
     pkdga_cfg = _train_config(cfg) if cfg_get(cfg, "matrix.pkdga", True, bool) \

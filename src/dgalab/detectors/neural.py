@@ -20,18 +20,18 @@ from .base import DetectorModel, checked_names
 
 VOCAB = LABEL_CHARS + "."
 PAD = len(VOCAB)
-_CHAR_TO_IDX = {c: i for i, c in enumerate(VOCAB)}
+# byte -> VOCAB index; NUL pads rows, other bytes fall off the embedding
+_BYTE_TO_IDX = np.full(256, PAD + 1, dtype=np.int64)
+_BYTE_TO_IDX[0] = PAD
+_BYTE_TO_IDX[np.frombuffer(VOCAB.encode(), np.uint8)] = np.arange(PAD)
 
 
 def encode(domains, max_len: int):
     """(B, L) index matrix plus true lengths; long names are truncated."""
     lengths = np.array([min(len(d), max_len) for d in domains], dtype=np.int64)
     L = int(lengths.max())
-    idx = np.full((len(domains), L), PAD, dtype=np.int64)
-    for row, d in enumerate(domains):
-        for col, ch in enumerate(d[:max_len]):
-            idx[row, col] = _CHAR_TO_IDX[ch]
-    return idx, lengths
+    rows = np.array(domains, dtype=f"S{L}").view(np.uint8)
+    return _BYTE_TO_IDX[rows.reshape(len(domains), L)], lengths
 
 
 def _reverse_within_length(idx, lengths):

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import AssemblyError, ContractError, SeedRangeError
 
 LABEL_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789-"
-_LABEL_RE = re.compile(r"^(?!-)[a-z0-9-]{1,63}(?<!-)$")
+_LABEL = r"(?!-)[a-z0-9-]{1,63}(?<!-)"
+_NAME_RE = re.compile(rf"(?:{_LABEL}\.)*{_LABEL}")
 
 EPOCH = _dt.date(1970, 1, 1)
 
@@ -69,6 +70,15 @@ class TokenDict:
                 raise ContractError(f"token index {i} out of range")
             out.append(self.tokens[int(i)])
         return "".join(out)
+
+    def fqdns(self, tokens, tld: str) -> list[str]:
+        """``<core>.<tld>`` per row of a (B, T) token-index array, unchecked:
+        indices must be below ``n`` and ``check_tld`` must accept the TLD."""
+        table = np.frombuffer(self.tokens.encode(), np.uint8)
+        cores = table[np.asarray(tokens)]
+        suffix = f".{tld}"
+        return [core.decode() + suffix
+                for core in cores.view(f"S{cores.shape[1]}")[:, 0].tolist()]
 
 
 DEFAULT_TOKENS = TokenDict()
@@ -142,9 +152,16 @@ def validate_domain(s: str) -> bool:
     Total function: every label 1-63 chars of a-z/0-9/'-' with no hyphen at
     either edge, and at most 253 characters overall.
     """
-    if not isinstance(s, str) or not s or len(s) > MAX_NAME:
-        return False
-    return all(_LABEL_RE.match(label) for label in s.split("."))
+    return (isinstance(s, str) and len(s) <= MAX_NAME
+            and _NAME_RE.fullmatch(s) is not None)
+
+
+def check_tld(tld: str, length: int = MAX_LABEL) -> str:
+    """``tld`` when ``length``-character cores under it are valid names."""
+    if not validate_domain(f"{'a' * length}.{tld}"):
+        raise AssemblyError(f"TLD {tld!r} with {length}-character cores "
+                            "violates RFC limits")
+    return tld
 
 
 def assemble_fqdn(core: DomainSequence | str, tld: str = "com",

@@ -40,9 +40,8 @@ def stack_step(w_x, w_h, b, x, hidden, want_cache=False):
     inp = x
     for layer, (h_prev, c_prev) in enumerate(hidden):
         z = inp @ w_x[layer] + h_prev @ w_h[layer] + b[layer]
-        i = sigmoid(z[:, :d_h])
-        f = sigmoid(z[:, d_h:2 * d_h])
-        o = sigmoid(z[:, 2 * d_h:3 * d_h])
+        gates = sigmoid(z[:, :3 * d_h])
+        i, f, o = gates[:, :d_h], gates[:, d_h:2 * d_h], gates[:, 2 * d_h:]
         g = np.tanh(z[:, 3 * d_h:])
         c = f * c_prev + i * g
         tc = np.tanh(c)

@@ -46,8 +46,3 @@ def stream_key(*parts) -> int:
 def stream(*parts) -> np.random.Generator:
     """Independent Philox stream identified by the given key parts."""
     return np.random.Generator(np.random.Philox(key=stream_key(*parts)))
-
-
-def uniforms(shape, *parts) -> np.ndarray:
-    """Convenience: the first `prod(shape)` uniforms of the keyed stream."""
-    return stream(*parts).random(size=shape)

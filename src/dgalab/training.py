@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import policy as P
-from .domains import (DEFAULT_TOKENS, SeedSpace, TokenDict, assemble_fqdn,
+from .domains import (DEFAULT_TOKENS, SeedSpace, TokenDict, check_tld,
                       encode_seed)
 from .errors import ContractError, NumericError, QueryBudgetError
 from .rng import stream
@@ -101,6 +101,7 @@ def train(env, cfg: TrainConfig, master_seed: int,
     terminal reward curve.  A numeric abort or an exhausted query budget
     stops the loop and leaves the last good checkpoint in place.
     """
+    check_tld(cfg.tld, cfg.length)
     if cfg.reward_mode == "shaped" and whitebox_tap is None:
         raise ContractError("shaped rewards need the white-box tap")
     if cfg.full_enumeration and dct.n > 8:
@@ -218,7 +219,7 @@ def action_values(env, params: P.PolicyParams, cfg: TrainConfig,
                          first_tokens=heads[:, -1], start_pos=t + 1,
                          uniforms=u)
         heads = np.concatenate([heads, ro.tokens], axis=1)
-    names = [assemble_fqdn(dct.detokenize(row), cfg.tld) for row in heads]
+    names = dct.fqdns(heads, cfg.tld)
     feedback = env.register_many(names)
     if registered is not None:
         registered.extend(nm for nm, fb in zip(names, feedback)
@@ -247,18 +248,23 @@ def candidate_list(params: P.PolicyParams, date: _dt.date, k: int,
     only on (date, index), so any party holding the same parameters and date
     derives the same list.
     """
-    seed_vec, day_seed = encode_seed(date, dct, space)
-    out = []
+    check_tld(tld, T)
+    seed_vec, _ = encode_seed(date, dct, space)
     run = P.run_batch(params, dct, T, seed_vecs=seed_vec[None, :])
-    out.append(assemble_fqdn(dct.detokenize(run.tokens[0]), tld))
-    if k > 1:
-        uniforms = np.stack([stream("candidate", day_seed, j).random(T)
-                             for j in range(1, k)])
-        seeds = np.repeat(seed_vec[None, :], k - 1, axis=0)
-        run = P.run_batch(params, dct, T, seed_vecs=seeds, uniforms=uniforms)
-        for row in run.tokens:
-            out.append(assemble_fqdn(dct.detokenize(row), tld))
-    return out
+    return dct.fqdns(run.tokens, tld) + _sampled_candidates(
+        params, date, k - 1, T, dct, tld, space)
+
+
+def _sampled_candidates(params, date, count, T, dct, tld, space):
+    """Candidates 1..count of ``candidate_list``, without the argmax pass."""
+    if count < 1:
+        return []
+    seed_vec, day_seed = encode_seed(date, dct, space)
+    uniforms = np.stack([stream("candidate", day_seed, j).random(T)
+                         for j in range(1, count + 1)])
+    run = P.run_batch(params, dct, T, uniforms=uniforms,
+                      seed_vecs=np.repeat(seed_vec[None, :], count, axis=0))
+    return dct.fqdns(run.tokens, tld)
 
 
 def generate_domains(params: P.PolicyParams, count: int,
@@ -270,6 +276,7 @@ def generate_domains(params: P.PolicyParams, count: int,
 
     argmax mode emits the single deterministic name per date instead.
     """
+    check_tld(tld, T)
     space = space or SeedSpace()
     out: list[str] = []
     day = 0
@@ -278,8 +285,8 @@ def generate_domains(params: P.PolicyParams, count: int,
         if mode == "argmax":
             got = candidate_list(params, date, 1, T, dct, tld, space)
         else:
-            got = candidate_list(params, date, per_date + 1, T, dct, tld,
-                                 space)[1:]
+            got = _sampled_candidates(params, date, per_date, T, dct, tld,
+                                      space)
         out.extend(got[:count - len(out)])
         day += 1
     return out

@@ -1,13 +1,18 @@
-"""Per-name reference implementations of the statistics detector's
-distances: Python sets, strings and a 1-D ``np.sum``.  The batched kernels
-in ``dgalab.detectors.distances`` must match them bit for bit."""
+"""Reference implementations the batched code must match exactly.
+
+The statistics detector's distances (Python sets, strings and a 1-D
+``np.sum``) against ``dgalab.detectors.distances``; per-row name assembly
+against ``TokenDict.fqdns``; the per-character neural ``encode``; and the
+recurrent step with one sigmoid per gate."""
 
 import numpy as np
 
 from dgalab.detectors.distances import edit_distance
 from dgalab.detectors.features import split_core
-from dgalab.domains import LABEL_CHARS
+from dgalab.detectors.neural import PAD, VOCAB
+from dgalab.domains import LABEL_CHARS, assemble_fqdn
 from dgalab.errors import ContractError
+from dgalab.recurrent import sigmoid
 
 _CHAR_INDEX = {c: i for i, c in enumerate(LABEL_CHARS)}
 EDIT_CAP = 24
@@ -54,3 +59,42 @@ def statistics_distances(model, domain: str) -> np.ndarray:
     edit = min(edit_distance(short, r) / max(len(short), len(r))
                for r in model.edit_refs)
     return np.array([kl, jac, edit])
+
+
+def token_fqdns(dct, tokens, tld) -> list[str]:
+    """One ``detokenize`` and one validated ``assemble_fqdn`` per row."""
+    return [assemble_fqdn(dct.detokenize(row), tld) for row in tokens]
+
+
+_VOCAB_INDEX = {c: i for i, c in enumerate(VOCAB)}
+
+
+def neural_encode(domains, max_len: int):
+    """(B, L) VOCAB indices, PAD-filled, plus lengths; names cut at max_len."""
+    lengths = np.array([min(len(d), max_len) for d in domains], dtype=np.int64)
+    idx = np.full((len(domains), int(lengths.max())), PAD, dtype=np.int64)
+    for row, d in enumerate(domains):
+        for col, ch in enumerate(d[:max_len]):
+            idx[row, col] = _VOCAB_INDEX[ch]
+    return idx, lengths
+
+
+def stack_step(w_x, w_h, b, x, hidden):
+    """One step of the stacked cell, a separate sigmoid per gate; returns
+    (top h, new hidden, per-layer caches)."""
+    d_h = w_h[0].shape[0]
+    new_hidden, caches = [], []
+    inp = x
+    for layer, (h_prev, c_prev) in enumerate(hidden):
+        z = inp @ w_x[layer] + h_prev @ w_h[layer] + b[layer]
+        i = sigmoid(z[:, :d_h])
+        f = sigmoid(z[:, d_h:2 * d_h])
+        o = sigmoid(z[:, 2 * d_h:3 * d_h])
+        g = np.tanh(z[:, 3 * d_h:])
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        new_hidden.append((h, c))
+        caches.append((inp, h_prev, c_prev, i, f, o, g, tc))
+        inp = h
+    return inp, new_hidden, caches

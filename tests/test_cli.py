@@ -279,6 +279,52 @@ class TestTrainCommand:
         assert len(cores) == 20 and {len(c) for c in cores} == {14}
 
 
+class TestBadTld:
+    """A TLD that cannot end a valid name fails before anything is
+    generated: exit 2, one stderr line, no result file."""
+
+    def run(self, capsys, *argv):
+        capsys.readouterr()
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and out == ""
+        assert len(err) == 1 and "violates RFC limits" in err[0], err
+        return err[0]
+
+    def test_prep(self, tmp_path, capsys):
+        cfg = tmp_path / "tld.cfg"
+        cfg.write_text("data.tld = X\n")
+        self.run(capsys, "prep", "--out", str(tmp_path / "prep"), "--benign",
+                 "50", "--agd", "50", "--config", str(cfg))
+        assert not (tmp_path / "prep" / "kraken.txt").exists()
+        assert not (tmp_path / "prep" / "benign.txt").exists()
+
+    @pytest.mark.parametrize("dga", ["kraken", "gozi", "suppobox", "pkdga"])
+    def test_generate(self, dga, tmp_path, capsys):
+        ckpt = ["--ckpt", str(tiny_policy(tmp_path / "p.ckpt"))] \
+            if dga == "pkdga" else []
+        err = self.run(capsys, "generate", "--dga", dga, "--tld", "C-",
+                       "--count", "3", *ckpt)
+        assert "'C-'" in err
+
+    def test_matrix(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "tld.cfg"
+        cfg.write_text("data.tld = X\nmatrix.pkdga = false\n")
+        self.run(capsys, "matrix", "--benign",
+                 str(workspace / "prep" / "benign.txt"), "--config",
+                 str(cfg), "--out", str(tmp_path / "mx"))
+        assert not list((tmp_path / "mx").glob("matrix_*.tsv"))
+
+    def test_train(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "tld.cfg"
+        cfg.write_text(RUN_CFG + "data.tld = X\n")
+        self.run(capsys, "train", "--env",
+                 str(workspace / "det" / "detector.ckpt"), "--benign",
+                 str(workspace / "prep" / "benign.txt"), "--config", str(cfg),
+                 "--out", str(tmp_path / "rl"))
+        assert not (tmp_path / "rl" / "policy.ckpt").exists()
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self):
         proc = cli_subprocess(["generate", "--dga", "suppobox", "--seed", "9",

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import scalar_oracles as oracle
 from dgalab.baselines import kraken_generate, suppobox_generate, WordDict
 from dgalab.corpora import LabeledCorpus, synthesize_benign
 from dgalab.detectors import (FEATURE_NAMES, KINDS, extract_features,
                               load_detector, train_detector)
+from dgalab.detectors.base import checked_names
 from dgalab.detectors.features import split_core
+from dgalab.detectors.neural import VOCAB, encode
 from dgalab.detectors.forest import fit_forest
 from dgalab.detectors.statistics import CHUNK, StatisticsDetector
 from dgalab.errors import DataError, ScoringError
@@ -135,6 +139,22 @@ class TestDetectorContracts:
             with pytest.raises(ScoringError):
                 model.score_many(["example.com", name])
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_newline_is_scoring_error(self, kind):
+        hp = {"epochs": 1} if kind == "neural" else {"trees": 3}
+        model = train_detector(kind, small_corpus(40), hp=hp, rng_seed=0)
+        for name in ("abc\n.com", "abc.com\n"):
+            with pytest.raises(ScoringError):
+                model.score_many([name])
+            with pytest.raises(ScoringError):
+                model.score(name)
+
+    def test_checked_names_rejects_newline(self):
+        assert checked_names(("abc.com",)) == ["abc.com"]
+        for name in ("abc\n.com", "abc.com\n"):
+            with pytest.raises(ScoringError):
+                checked_names(["abc.com", name])
+
     @pytest.mark.parametrize("kind", ["statistics", "fanci", "wordgraph",
                                       "neural"])
     def test_checkpoint_round_trip(self, kind, tmp_path):
@@ -238,6 +258,16 @@ class TestWordGraph:
 
 
 class TestNeuralDetector:
+    @given(st.lists(st.text(VOCAB, min_size=1, max_size=70), min_size=1,
+                    max_size=12),
+           st.integers(1, 40))
+    def test_encode_equals_per_character_oracle(self, names, max_len):
+        idx, lengths = encode(names, max_len)
+        want_idx, want_lengths = oracle.neural_encode(names, max_len)
+        assert idx.dtype == want_idx.dtype and lengths.dtype == np.int64
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(lengths, want_lengths)
+
     def test_toy_separable_by_first_char(self):
         benign = [f"a{i:04d}x.com" for i in range(40)]
         agd = [f"z{i:04d}x.com" for i in range(40)]

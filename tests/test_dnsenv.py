@@ -1,5 +1,8 @@
 import pytest
 
+from dgalab.baselines import kraken_generate
+from dgalab.corpora import LabeledCorpus, synthesize_benign
+from dgalab.detectors import train_detector
 from dgalab.dnsenv import FeedbackEnv, WhiteBoxTap, fluxing_round
 from dgalab.errors import (DataError, FluxingRoundError, QueryBudgetError)
 from dgalab.rng import stream
@@ -37,6 +40,18 @@ class TestRegister:
         with pytest.raises(DataError):
             env.register("-bad-.com")
         assert env.query_count == 0
+
+    def test_newline_name_is_data_error_before_scoring(self):
+        corpus = LabeledCorpus(tuple(synthesize_benign(40, rng_seed=4)),
+                               tuple(d.core + ".com"
+                                     for d in kraken_generate(4, 40)))
+        det = train_detector("neural", corpus, hp={"epochs": 1}, rng_seed=0)
+        env = FeedbackEnv(det)
+        for names in (["abc.com\n"], ["abc\n.com"], ["ok.com", "abc.com\n"]):
+            with pytest.raises(DataError):
+                env.register_many(names)
+        assert env.query_count == 0
+        assert env.register("abc.com").n_factor == 1
 
     def test_seeded_corpus_blocks_replay(self, fixed_detector_factory):
         env = make_env(fixed_detector_factory,

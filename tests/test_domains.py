@@ -2,11 +2,12 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from dgalab.domains import (DEFAULT_TOKENS, DomainSequence, SeedSpace,
-                            TokenDict, assemble_fqdn, encode_seed,
-                            validate_domain)
+import scalar_oracles as oracle
+from dgalab.domains import (DEFAULT_TOKENS, LABEL_CHARS, DomainSequence,
+                            SeedSpace, TokenDict, assemble_fqdn, check_tld,
+                            encode_seed, validate_domain)
 from dgalab.errors import AssemblyError, ContractError, SeedRangeError
 
 
@@ -113,6 +114,66 @@ class TestValidate:
 
     def test_total_function(self):
         assert validate_domain(None) is False  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("name", ["abc\n.co.uk", "abc.co\n.uk",
+                                      "abc.co.uk\n", "\nabc.co.uk"])
+    def test_newline_rejected(self, name):
+        assert validate_domain(name) is False
+
+
+class TestCheckTld:
+    @pytest.mark.parametrize("tld", ["com", "co.uk", "x", "xn--p1ai"])
+    def test_valid(self, tld):
+        assert check_tld(tld) == tld
+        assert check_tld(tld, 1) == tld
+
+    @pytest.mark.parametrize("tld", ["C-", "X", "-com", "com-", "co..uk",
+                                     "", ".com", "com.", "com\n", "c_m"])
+    def test_invalid(self, tld):
+        with pytest.raises(AssemblyError, match="violates RFC limits"):
+            check_tld(tld, 10)
+
+    def test_name_length_limit(self):
+        tld = ".".join(["abcdefghi"] * 24)           # 239 characters
+        assert check_tld(tld, 13) == tld             # 13 + 1 + 239 = 253
+        with pytest.raises(AssemblyError):
+            check_tld(tld, 14)
+        with pytest.raises(AssemblyError):
+            check_tld("com", 64)
+
+
+def _dictionaries():
+    """Random token dictionaries, with and without a hyphen."""
+    return st.permutations(LABEL_CHARS).flatmap(
+        lambda chars: st.integers(2, len(chars)).map(
+            lambda n: TokenDict("".join(chars[:n]))))
+
+
+@st.composite
+def _token_rows(draw):
+    """(dictionary, (B, T) tokens with no hyphen at either edge, tld)."""
+    dct = draw(_dictionaries())
+    T = draw(st.integers(1, 63))
+    B = draw(st.integers(1, 6))
+    inner = list(range(dct.n))
+    edge = [i for i in inner if i != dct.hyphen_index]
+    rows = [[draw(st.sampled_from(edge if t in (0, T - 1) else inner))
+             for t in range(T)] for _ in range(B)]
+    return dct, np.array(rows, dtype=np.int64), draw(
+        st.sampled_from(["com", "co.uk", "x"]))
+
+
+class TestTokenNames:
+    @given(_token_rows())
+    @example((TokenDict("ab"), np.array([[0, 1, 1], [1, 0, 0]]), "com"))
+    @example((TokenDict("a-"), np.array([[0] * 63, [0, 1] * 31 + [0]]),
+              "co.uk"))
+    @example((TokenDict("q7z0"), np.array([[1, 3, 2]]), "x"))
+    def test_equals_detokenize_and_assemble(self, case):
+        dct, tokens, tld = case
+        got = dct.fqdns(tokens, tld)
+        assert got == oracle.token_fqdns(dct, tokens, tld)
+        assert all(type(name) is str for name in got)
 
 
 class TestDomainSequence:

@@ -9,8 +9,10 @@ from dgalab.dnsenv import FeedbackEnv
 from dgalab.domains import DEFAULT_TOKENS, SeedSpace, TokenDict, encode_seed
 from dgalab.errors import ContractError
 from dgalab.rng import stream
+from dgalab.errors import AssemblyError
 from dgalab.training import (TrainConfig, _epoch_coeffs, _epoch_run,
-                             _update_from_batch, action_values, grid_search,
+                             _update_from_batch, action_values,
+                             candidate_list, generate_domains, grid_search,
                              grid_log_tsv, train)
 from conftest import FixedScoreDetector, StubEnv
 
@@ -340,6 +342,48 @@ class TestTrain:
         cfg = TrainConfig(reward_mode="shaped", lr=1.0)
         with pytest.raises(ContractError):
             train(stub_env_factory(lambda f: True), cfg, master_seed=0, dct=AB)
+
+
+class TestGeneration:
+    def test_sampled_names_skip_the_argmax_pass(self, monkeypatch):
+        p = tiny_params(37)
+        start = dt.date(2031, 5, 6)
+        want = [name for day in range(3) for name in candidate_list(
+            p, start + dt.timedelta(days=day), 9, T=10, tld="co.uk",
+            space=SeedSpace())[1:]]
+        calls = []
+        run_batch = policy.run_batch
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("uniforms") is not None)
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(policy, "run_batch", counted)
+        got = generate_domains(p, 20, start, T=10, tld="co.uk", per_date=8)
+        assert got == want[:20]
+        assert calls == [True] * 3          # one sampled pass per date
+
+    def test_argmax_mode_is_candidate_zero(self):
+        p = tiny_params(37)
+        start = dt.date(2031, 5, 6)
+        got = generate_domains(p, 3, start, T=9, mode="argmax")
+        assert got == [candidate_list(p, start + dt.timedelta(days=d), 1,
+                                      T=9, space=SeedSpace())[0]
+                       for d in range(3)]
+
+    @pytest.mark.parametrize("tld", ["C-", "X", "com\n"])
+    def test_bad_tld_fails_before_generating(self, tld, monkeypatch):
+        def no_generation(*a, **k):
+            raise AssertionError("generated before the TLD check")
+        monkeypatch.setattr(policy, "run_batch", no_generation)
+        p = tiny_params(37)
+        with pytest.raises(AssemblyError):
+            candidate_list(p, EPOCH_DATE, 3, T=10, tld=tld)
+        with pytest.raises(AssemblyError):
+            generate_domains(p, 5, EPOCH_DATE, T=10, tld=tld)
+        with pytest.raises(AssemblyError):
+            train(StubEnv(lambda d: True),
+                  TrainConfig(batch=2, mc=1, length=7, epochs=1, tld=tld), 0)
 
 
 class TestGridSearch:
