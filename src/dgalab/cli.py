@@ -295,6 +295,10 @@ def _cmd_matrix(args, cfg):
     benign = corpora.load_domains(benign_path)
     detectors = tuple(s.strip() for s in
                       cfg_get(cfg, "matrix.detectors", "statistics,neural").split(","))
+    for kind in detectors:
+        if kind not in KINDS:
+            raise DataError(
+                f"matrix.detectors: unknown detector kind {kind!r}")
     pkdga_cfg = _train_config(cfg) if cfg_get(cfg, "matrix.pkdga", True, bool) \
         else None
     mc = evaluation.MatrixConfig(

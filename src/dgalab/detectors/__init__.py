@@ -1,7 +1,6 @@
 from .base import DetectorModel, KINDS, load_detector, train_detector
 from .distances import edit_distance
-from .features import FEATURE_NAMES, extract_features, features_csv
+from .features import FEATURE_NAMES, extract_features
 
 __all__ = ["DetectorModel", "KINDS", "load_detector", "train_detector",
-           "edit_distance", "FEATURE_NAMES", "extract_features",
-           "features_csv"]
+           "edit_distance", "FEATURE_NAMES", "extract_features"]

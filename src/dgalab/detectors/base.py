@@ -58,10 +58,6 @@ class DetectorModel:
         return np.clip(self._score_many(checked_names(domains)), 0.0, 1.0)
 
     def _score_many(self, domains) -> np.ndarray:
-        return np.array([self._score_one(d) for d in domains],
-                        dtype=np.float64)
-
-    def _score_one(self, domain: str) -> float:
         raise NotImplementedError
 
     def to_blobs(self) -> dict:

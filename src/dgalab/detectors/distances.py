@@ -1,4 +1,5 @@
-"""String-distribution distances used by the statistics detector.
+"""String-distribution distances used by the statistics detector, and the
+packed n-gram ids the FANCI features and the word graph share.
 
 The batched kernels work on ``(B, L)`` uint8 arrays of character codes
 (indices into ``LABEL_CHARS``; positions past a string's end hold ``PAD``)
@@ -21,6 +22,17 @@ _CODES = np.full(256, 255, dtype=np.uint8)
 _CODES[np.frombuffer(LABEL_CHARS.encode("ascii"), dtype=np.uint8)] = \
     np.arange(N_CHARS)
 
+# Packed n-gram ids: base-ID_BASE numerals over character ranks 1..N_CHARS,
+# taken in str order ('-' < digits < letters), so ids of equal-length
+# strings sort as the strings do.  Rank 0 is left to PAD: no id has a
+# leading zero digit, so ids of different lengths never collide, and an
+# n-gram running into the padding holds a zero digit and equals no real id.
+ID_BASE = N_CHARS + 1
+MAX_PACKED = 10  # ID_BASE ** 10 * 256 < 2 ** 63, so a chunk row fits too
+_SORTED_CHARS = "".join(sorted(LABEL_CHARS))
+_RANKS = np.zeros(N_CHARS + 1, dtype=np.int64)
+_RANKS[:N_CHARS] = [_SORTED_CHARS.index(c) + 1 for c in LABEL_CHARS]
+
 
 def encode(strings) -> tuple[np.ndarray, np.ndarray]:
     """(B, L) uint8 codes padded with ``PAD``, and the (B,) lengths."""
@@ -34,6 +46,56 @@ def encode(strings) -> tuple[np.ndarray, np.ndarray]:
     codes = np.full((len(strings), width), PAD, dtype=np.uint8)
     codes[np.arange(width) < lengths[:, None]] = flat
     return codes, lengths
+
+
+def ngram_ids(codes, lengths, max_k: int) -> np.ndarray:
+    """(max_k, B, L) int64 packed ids of each row's k-grams for
+    k = 1..max_k (at most ``MAX_PACKED``): [k - 1, b, i] is the id of the
+    k-gram of row b starting at position i, -1 where it runs past the row's
+    end."""
+    rank = _RANKS[codes]
+    out = np.full((max_k, *codes.shape), -1, dtype=np.int64)
+    raw = rank
+    for k in range(1, max_k + 1):
+        if k > 1:
+            raw = raw[:, :-1] * ID_BASE + rank[:, k - 1:]
+        inside = np.arange(raw.shape[1]) <= lengths[:, None] - k
+        out[k - 1, :, :raw.shape[1]] = np.where(inside, raw, -1)
+    return out
+
+
+def string_ids(strings) -> np.ndarray:
+    """The packed id of each whole string of 1..``MAX_PACKED`` characters."""
+    codes, lengths = encode(strings)
+    ids = np.zeros(len(strings), dtype=np.int64)
+    for j, col in enumerate(_RANKS[codes].T):
+        ids = np.where(j < lengths, ids * ID_BASE + col, ids)
+    return ids
+
+
+_POWERS = ID_BASE ** np.arange(MAX_PACKED + 1)
+
+
+def id_lengths(ids) -> np.ndarray:
+    """The string length behind each packed id: k-character ids lie in
+    [ID_BASE ** (k - 1), ID_BASE ** k)."""
+    return np.searchsorted(_POWERS, ids, side="right")
+
+
+_RANK_BYTES = np.frombuffer(b"\0" + _SORTED_CHARS.encode("ascii"),
+                            dtype=np.uint8)
+
+
+def id_strings(ids) -> list:
+    """The strings behind packed ids; the inverse of ``string_ids``."""
+    rest = np.asarray(ids, dtype=np.int64)
+    digits = np.empty((len(rest), MAX_PACKED), dtype=np.int64)
+    for j in range(MAX_PACKED):  # least significant digit first
+        rest, digits[:, j] = np.divmod(rest, ID_BASE)
+    # each row spells its string backwards, the leading zero digits as
+    # trailing NULs, which the bytes view drops
+    spelled = _RANK_BYTES[digits].view(f"S{MAX_PACKED}").ravel()
+    return [s[::-1].decode("ascii") for s in spelled.tolist()]
 
 
 def add_one_smooth(counts) -> np.ndarray:

@@ -6,35 +6,84 @@ connected.  Dictionary-built names concentrate on few heavily reused
 fragments, so the mean normalized degree of a domain's nodes is high for
 them and low for organically varied names.  A 1-D logistic layer turns that
 statistic into a benign probability.
+
+Substrings are handled as the packed ids of ``distances.ngram_ids``, whose
+order among equal lengths is ``str`` order, and training and scoring run on
+``CHUNK`` names at a time.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from ..checkpoint import F32, I64, TEXT, record
+from ..domains import LABEL_CHARS
+from ..errors import DataError
 from .base import DetectorModel, fit_logistic, logistic_score
+from .distances import (ID_BASE, MAX_PACKED, encode, id_lengths, id_strings,
+                        ngram_ids, string_ids)
 from .features import split_core
 
 MIN_SUB = 3
-MAX_SUB = 10
+MAX_SUB = MAX_PACKED
 NODES_PER_DOMAIN = 12
 REPEAT_THRESHOLD = 3  # "common" means seen in more than this many domains
+CHUNK = 256           # names per kernel pass; keeps row * _SPAN in int64
+_SPAN = ID_BASE ** MAX_SUB  # above every packed id of up to MAX_SUB chars
+_NODE = re.compile(f"[{re.escape(LABEL_CHARS)}]{{{MIN_SUB},{MAX_SUB}}}")
 
 
-def _substrings(core: str):
-    seen = set()
-    n = len(core)
-    for length in range(MIN_SUB, min(MAX_SUB, n) + 1):
-        for i in range(n - length + 1):
-            seen.add(core[i:i + length])
-    return seen
+def _chunks(domains):
+    """(codes, lengths) of the cores of ``CHUNK`` names at a time."""
+    for lo in range(0, len(domains), CHUNK):
+        yield encode([split_core(d)[0] for d in domains[lo:lo + CHUNK]])
 
 
-def _domain_nodes(core: str, degree_of: dict) -> list[str]:
-    hits = [s for s in _substrings(core) if s in degree_of]
-    hits.sort(key=lambda s: (-len(s), s))
-    return hits[:NODES_PER_DOMAIN]
+def _distinct(keys) -> np.ndarray:
+    """The distinct values of the nonnegative ``keys``, ascending."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _row_substrings(codes, lengths, nodes=None) -> tuple:
+    """Each row's distinct substrings of MIN_SUB..MAX_SUB characters as
+    (rows, ids), ordered by row, then longest first, then in str order; only
+    those in the sorted ids ``nodes`` when it is given."""
+    grams = ngram_ids(codes, lengths, MAX_SUB)[MIN_SUB - 1:]
+    inside = grams >= 0
+    keys = (np.arange(len(codes))[:, None] * _SPAN + grams)[inside]
+    if nodes is not None:
+        ids = grams[inside]
+        at = np.minimum(np.searchsorted(nodes, ids), len(nodes) - 1)
+        keys = keys[nodes[at] == ids]
+    rows, ids = np.divmod(_distinct(keys), _SPAN)
+    # ascending ids put a row's shortest first; a stable sort on (row,
+    # -length) keeps str order within each length
+    order = np.argsort(rows * (MAX_SUB + 1) - id_lengths(ids), kind="stable")
+    return rows[order], ids[order]
+
+
+def _domain_nodes(codes, lengths, nodes) -> np.ndarray:
+    """(B, NODES_PER_DOMAIN) int64: indices into the sorted ids ``nodes``
+    of each row's first nodes in (longest, str) order, -1 after the last."""
+    slots = np.full((len(codes), NODES_PER_DOMAIN), -1, dtype=np.int64)
+    if len(nodes):
+        rows, ids = _row_substrings(codes, lengths, nodes)
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        first = rank < NODES_PER_DOMAIN
+        slots[rows[first], rank[first]] = np.searchsorted(nodes, ids[first])
+    return slots
+
+
+def _graph_stats(slots, degrees, max_degree: int) -> np.ndarray:
+    """Mean degree of each row's nodes over ``max_degree``, at most 1; 0
+    for a row without nodes."""
+    count = (slots >= 0).sum(axis=1)
+    total = np.append(degrees, 0)[slots].sum(axis=1)  # -1 reads the 0
+    mean = np.where(count > 0, total / np.maximum(count, 1), 0.0)
+    return np.minimum(1.0, mean / max_degree)
 
 
 class WordGraphDetector(DetectorModel):
@@ -45,62 +94,69 @@ class WordGraphDetector(DetectorModel):
         super().__init__(threshold)
         self.degrees = degrees
         self.max_degree = max(1, int(max_degree))
+        ids = string_ids(list(degrees))
+        order = np.argsort(ids)
+        self._nodes = ids[order]
+        self._degrees = np.fromiter(degrees.values(), dtype=np.int64,
+                                    count=len(degrees))[order]
         self.w = np.asarray(w, dtype=np.float64)
         self.b = float(b)
         self.mean = np.asarray(mean, dtype=np.float64)
         self.std = np.asarray(std, dtype=np.float64)
 
-    def graph_stat(self, domain: str) -> float:
-        """Normalized mean degree of the domain's common-substring nodes."""
-        if not self.degrees:
-            return 0.0
-        core = split_core(domain)[0]
-        nodes = _domain_nodes(core, self.degrees)
-        if not nodes:
-            return 0.0
-        mean_deg = sum(self.degrees[s] for s in nodes) / len(nodes)
-        return min(1.0, mean_deg / self.max_degree)
+    def graph_stats(self, domains) -> np.ndarray:
+        """Normalized mean degree of each domain's common-substring nodes."""
+        return np.concatenate([np.zeros(0), *(
+            _graph_stats(_domain_nodes(codes, lengths, self._nodes),
+                         self._degrees, self.max_degree)
+            for codes, lengths in _chunks(domains))])
 
-    def _score_one(self, domain: str) -> float:
-        stat = self.graph_stat(domain)
-        return float(logistic_score([[stat]], self.w, self.b,
-                                    self.mean, self.std)[0])
+    def graph_stat(self, domain: str) -> float:
+        return float(self.graph_stats([domain])[0])
+
+    def _score_many(self, domains) -> np.ndarray:
+        # one 1x1 product per row, so a score does not depend on its batch
+        return logistic_score(self.graph_stats(domains)[:, None, None],
+                              self.w, self.b, self.mean, self.std)[:, 0]
 
     @classmethod
     def train(cls, corpus, hp, rng_seed):
         repeat_threshold = int(hp.get("repeat_threshold", REPEAT_THRESHOLD))
         domains = list(corpus.benign) + list(corpus.agd)
         labels = np.array([1.0] * len(corpus.benign) + [0.0] * len(corpus.agd))
-        cores = [split_core(d)[0] for d in domains]
 
-        counts: dict[str, int] = {}
-        for core in cores:
-            for s in _substrings(core):
-                counts[s] = counts.get(s, 0) + 1
-        common = {s for s, c in counts.items() if c > repeat_threshold}
+        # a substring is common when more than repeat_threshold domains
+        # hold it; each row lists its distinct substrings once
+        subs, per_domain = np.unique(np.concatenate(
+            [_row_substrings(*chunk)[1] for chunk in _chunks(domains)]),
+            return_counts=True)
+        nodes = subs[per_domain > repeat_threshold]
+        del subs, per_domain
 
-        neighbors: dict[str, set] = {s: set() for s in common}
-        for core in cores:
-            hits = [s for s in _substrings(core) if s in common]
-            hits.sort(key=lambda s: (-len(s), s))
-            hits = hits[:NODES_PER_DOMAIN]
-            for i, u in enumerate(hits):
-                for v in hits[i + 1:]:
-                    neighbors[u].add(v)
-                    neighbors[v].add(u)
-        degrees = {s: len(nb) for s, nb in neighbors.items()}
-        max_degree = max(degrees.values(), default=1)
+        # an edge joins every two of a domain's first nodes, each pair once
+        u, v = np.triu_indices(NODES_PER_DOMAIN, 1)
+        slots, edges = [], []
+        for chunk in _chunks(domains):
+            s = _domain_nodes(*chunk, nodes)
+            pair = s[:, v] >= 0          # slots fill from the left
+            a, b = s[:, u][pair], s[:, v][pair]
+            edges.append(_distinct(np.minimum(a, b) * len(nodes)
+                                   + np.maximum(a, b)))
+            slots.append(s)
+        ends = np.divmod(_distinct(np.concatenate(edges)), max(len(nodes), 1))
+        degrees = np.bincount(np.concatenate(ends), minlength=len(nodes))
+        max_degree = int(degrees.max(initial=1))
 
-        probe = cls(degrees, max_degree, np.zeros(1), 0.0, np.zeros(1),
-                    np.ones(1))
-        stats = np.array([[probe.graph_stat(d)] for d in domains])
+        stats = _graph_stats(np.concatenate(slots), degrees,
+                             max_degree)[:, None]
         if stats.max() == stats.min():
             # degenerate graph: nothing separates, calibrate to a flat 0.5
             w, b = np.zeros(1), 0.0
             mean, std = stats.mean(axis=0), np.ones(1)
         else:
             w, b, mean, std = fit_logistic(stats, labels)
-        return cls(degrees, max_degree, w, b, mean, std)
+        return cls(dict(zip(id_strings(nodes), degrees.tolist())),
+                   max_degree, w, b, mean, std)
 
     def to_blobs(self) -> dict:
         nodes = sorted(self.degrees)
@@ -117,9 +173,22 @@ class WordGraphDetector(DetectorModel):
     def from_blobs(cls, blobs) -> "WordGraphDetector":
         nodes = record(blobs, "nodes", TEXT).split()  # "" -> no nodes
         degrees = record(blobs, "degrees", I64, len(nodes))
+        for node in nodes:
+            if not _NODE.fullmatch(node):
+                raise DataError(f"wordgraph checkpoint: node {node!r} is not "
+                                f"{MIN_SUB}-{MAX_SUB} label characters")
+        if len(set(nodes)) < len(nodes):
+            raise DataError("wordgraph checkpoint: duplicate node")
+        if np.any(degrees < 0):
+            raise DataError("wordgraph checkpoint: negative degree")
+        # training stores the largest degree, at least 1; any other value
+        # would rescale every statistic without a trace
+        max_degree = int(record(blobs, "max_degree", I64, 1)[0])
+        if max_degree != max(1, degrees.max(initial=0)):
+            raise DataError("wordgraph checkpoint: max_degree is not the "
+                            "largest degree")
         logi = record(blobs, "logistic", F32, 2)
         stand = record(blobs, "standardize", F32, 2)
-        return cls(dict(zip(nodes, degrees.tolist())),
-                   int(record(blobs, "max_degree", I64, 1)[0]),
+        return cls(dict(zip(nodes, degrees.tolist())), max_degree,
                    logi[:-1], logi[-1], stand[:1], stand[1:],
                    float(record(blobs, "threshold", F32, 1)[0]))

@@ -92,9 +92,14 @@ def anti_detection(auc: float) -> float:
 
 def detection_auc(model, benign_domains, agd_domains) -> RocCurve:
     """Detector AUC on a benign/AGD sample set (positive class = AGD)."""
-    s_benign = 1.0 - model.score_many(list(benign_domains))
-    s_agd = 1.0 - model.score_many(list(agd_domains))
-    scored = [(float(s), 1) for s in s_agd] + [(float(s), 0) for s in s_benign]
+    return _scores_auc(model.score_many(list(benign_domains)),
+                       model.score_many(list(agd_domains)))
+
+
+def _scores_auc(benign_scores, agd_scores) -> RocCurve:
+    """``detection_auc`` from the P(benign) scores of both sets."""
+    scored = ([(float(s), 1) for s in 1.0 - agd_scores]
+              + [(float(s), 0) for s in 1.0 - benign_scores])
     return roc_auc(scored)
 
 
@@ -213,9 +218,13 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
         model = train_detector(det_kind, corpus,
                                hp=cfg.detector_hp.get(det_kind),
                                rng_seed=cell_seed)
+        # every test set of the cell is ranked against one scoring of the
+        # cell's benign names
+        benign_scores = model.score_many(benign_eval)
         out = {}
         for test in names:
-            auc = detection_auc(model, benign_eval, test_samples[test]).auc
+            auc = _scores_auc(benign_scores,
+                              model.score_many(test_samples[test])).auc
             out[test] = anti_detection(auc)
         if has_pkdga:
             env = FeedbackEnv(model, seed_corpus=benign_train,
@@ -225,7 +234,7 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
                 result.best_params, cfg.eval_agd,
                 start_date=_dt.date(2030, 1, 1), T=cfg.pkdga.length,
                 tld=cfg.tld)
-            auc = detection_auc(model, benign_eval, fresh).auc
+            auc = _scores_auc(benign_scores, model.score_many(fresh)).auc
             out["pkdga"] = anti_detection(auc)
         return out
 

@@ -1,12 +1,19 @@
 """Reference implementations the batched code must match exactly.
 
 The statistics detector's distances (Python sets, strings and a 1-D
-``np.sum``) against ``dgalab.detectors.distances``; per-row name assembly
-against ``TokenDict.fqdns``; the per-character neural ``encode``; and the
-recurrent step with one sigmoid per gate."""
+``np.sum``) against ``dgalab.detectors.distances``; the per-name FANCI
+features and word-graph statistic (Python dicts, sets and string slices)
+against ``features.extract_many`` and the word-graph detector; per-row name
+assembly against ``TokenDict.fqdns``; the per-character neural ``encode``;
+and the recurrent step with one sigmoid per gate."""
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
+from dgalab.corpora import bundled_tlds, load_wordlist
+from dgalab.detectors.base import logistic_score
 from dgalab.detectors.distances import edit_distance
 from dgalab.detectors.features import split_core
 from dgalab.detectors.neural import PAD, VOCAB
@@ -98,3 +105,193 @@ def stack_step(w_x, w_h, b, x, hidden):
         caches.append((inp, h_prev, c_prev, i, f, o, g, tc))
         inp = h
     return inp, new_hidden, caches
+
+
+# ---------------------------------------------------------------------------
+# FANCI features, one name at a time
+
+_VOWELS = set("aeiou")
+_HEX = set("0123456789abcdef")
+_DIGITS = set("0123456789")
+
+
+@lru_cache(maxsize=1)
+def _fanci_reference():
+    words = (load_wordlist(bundled="words_a.txt").words
+             + load_wordlist(bundled="words_b.txt").words)
+    wordset = frozenset(w for w in words if len(w) >= 3)
+    bigrams, trigrams = {}, {}
+    for w in words:
+        for i in range(len(w) - 1):
+            bigrams[w[i:i + 2]] = bigrams.get(w[i:i + 2], 0) + 1
+        for i in range(len(w) - 2):
+            trigrams[w[i:i + 3]] = trigrams.get(w[i:i + 3], 0) + 1
+    btot = sum(bigrams.values())
+    ttot = sum(trigrams.values())
+    bfreq = {k: v / btot for k, v in bigrams.items()}
+    tfreq = {k: v / ttot for k, v in trigrams.items()}
+    max_len = max(len(w) for w in wordset)
+    return wordset, bfreq, tfreq, max_len, frozenset(bundled_tlds())
+
+
+def _entropy(counts) -> float:
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    ent = 0.0
+    for c in counts:
+        if c:
+            p = c / total
+            ent -= p * math.log2(p)
+    return ent
+
+
+def _ngram_counts(s: str, k: int) -> list[int]:
+    """Counts of the k-grams of ``s`` in first-occurrence order."""
+    seen = {}
+    for i in range(len(s) - k + 1):
+        g = s[i:i + k]
+        seen[g] = seen.get(g, 0) + 1
+    return list(seen.values())
+
+
+def _max_run(s: str, charset) -> int:
+    best = run = 0
+    for ch in s:
+        run = run + 1 if ch in charset else 0
+        best = max(best, run)
+    return best
+
+
+def _dict_coverage(core: str) -> tuple[float, float]:
+    wordset, _, _, max_len, _ = _fanci_reference()
+    n = len(core)
+    covered = 0
+    i = 0
+    while i < n:
+        match = 0
+        for length in range(min(max_len, n - i), 2, -1):
+            if core[i:i + length] in wordset:
+                match = length
+                break
+        if match:
+            covered += match
+            i += match
+        else:
+            i += 1
+    longest = 0
+    for i in range(n):
+        for length in range(min(max_len, n - i), longest, -1):
+            if core[i:i + length] in wordset:
+                longest = max(longest, length)
+                break
+    return covered / n, longest / n
+
+
+def fanci_features(domain: str) -> np.ndarray:
+    """The 21 FANCI features of one valid name, in FEATURE_NAMES order."""
+    _, bfreq, tfreq, _, tlds = _fanci_reference()
+    core, sub_count, tld = split_core(domain)
+    n = len(core)
+    digits = sum(c in _DIGITS for c in core)
+    vowels = sum(c in _VOWELS for c in core)
+    letters = sum(c.isalpha() for c in core)
+    consonants = letters - vowels
+    unique = len(set(core))
+
+    bigrams = [core[i:i + 2] for i in range(n - 1)]
+    trigrams = [core[i:i + 3] for i in range(n - 2)]
+    bscore = float(np.mean([bfreq.get(g, 0.0) for g in bigrams])) if bigrams else 0.0
+    tscore = float(np.mean([tfreq.get(g, 0.0) for g in trigrams])) if trigrams else 0.0
+
+    def char_class(c):
+        return 0 if c.isalpha() else (1 if c in _DIGITS else 2)
+
+    switches = sum(char_class(core[i]) != char_class(core[i + 1])
+                   for i in range(n - 1))
+    coverage, longest_ratio = _dict_coverage(core)
+
+    values = (
+        float(n),
+        float(sub_count),
+        digits / n,
+        vowels / n,
+        consonants / n,
+        float(core.count("-")),
+        float(_max_run(core, _DIGITS)),
+        float(_max_run(core, set("bcdfghjklmnpqrstvwxyz"))),
+        float(unique),
+        _entropy(_ngram_counts(core, 1)),
+        _entropy(_ngram_counts(core, 2)),
+        _entropy(_ngram_counts(core, 3)),
+        bscore,
+        tscore,
+        1.0 - unique / n,
+        sum(c in _HEX for c in core) / n,
+        coverage,
+        longest_ratio,
+        float(switches),
+        1.0 if core[0] in _DIGITS else 0.0,
+        1.0 if tld in tlds else 0.0,
+    )
+    return np.array(values, dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# the word graph, with Python sets and dicts
+
+WG_MIN_SUB, WG_MAX_SUB, WG_NODES_PER_DOMAIN = 3, 10, 12
+
+
+def _substrings(core: str):
+    seen = set()
+    n = len(core)
+    for length in range(WG_MIN_SUB, min(WG_MAX_SUB, n) + 1):
+        for i in range(n - length + 1):
+            seen.add(core[i:i + length])
+    return seen
+
+
+def _domain_nodes(core: str, degree_of) -> list[str]:
+    hits = [s for s in _substrings(core) if s in degree_of]
+    hits.sort(key=lambda s: (-len(s), s))
+    return hits[:WG_NODES_PER_DOMAIN]
+
+
+def wordgraph_graph(domains, repeat_threshold: int) -> tuple[dict, int]:
+    """(degree per common substring, max degree) of the training names."""
+    cores = [split_core(d)[0] for d in domains]
+    counts: dict[str, int] = {}
+    for core in cores:
+        for s in _substrings(core):
+            counts[s] = counts.get(s, 0) + 1
+    common = {s for s, c in counts.items() if c > repeat_threshold}
+
+    neighbors: dict[str, set] = {s: set() for s in common}
+    for core in cores:
+        hits = _domain_nodes(core, common)
+        for i, u in enumerate(hits):
+            for v in hits[i + 1:]:
+                neighbors[u].add(v)
+                neighbors[v].add(u)
+    degrees = {s: len(nb) for s, nb in neighbors.items()}
+    return degrees, max(degrees.values(), default=1)
+
+
+def wordgraph_stat(degrees: dict, max_degree: int, domain: str) -> float:
+    """Normalized mean degree of the domain's common-substring nodes."""
+    if not degrees:
+        return 0.0
+    nodes = _domain_nodes(split_core(domain)[0], degrees)
+    if not nodes:
+        return 0.0
+    mean_deg = sum(degrees[s] for s in nodes) / len(nodes)
+    return min(1.0, mean_deg / max(1, max_degree))
+
+
+def wordgraph_score(model, domain: str) -> float:
+    """P(benign) of one name from the oracle statistic and the model's
+    logistic layer."""
+    stat = wordgraph_stat(model.degrees, model.max_degree, domain)
+    return float(logistic_score([[stat]], model.w, model.b, model.mean,
+                                model.std)[0])

@@ -51,6 +51,16 @@ def load_and_use(kind, path):
         load_detector(path).score_many(PROBE)
 
 
+def node_edit(edit):
+    """Damage to the word-graph node list: ``edit`` changes the list of
+    node byte strings in place."""
+    def nodes(blob):
+        listed = blob.split(b"\n")
+        edit(listed)
+        return b"\n".join(listed)
+    return nodes
+
+
 class TestPolicyContainer:
     def test_round_trip_byte_exact(self, tmp_path):
         p = policy.init_params(2, 8, 16, 37, rng_seed=42)
@@ -184,6 +194,13 @@ class TestBlobContainer:
         ("fanci", "feature", lambda a: a.__setitem__(0, -2)),
         ("fanci", "left", lambda a: a.__setitem__(0, 0)),        # self loop
         ("fanci", "right", lambda a: a.__setitem__(0, 10 ** 6)),
+        ("wordgraph", "nodes", node_edit(lambda n: n.__setitem__(0, b"ab"))),
+        ("wordgraph", "nodes",
+         node_edit(lambda n: n.__setitem__(0, b"a" * 11))),
+        ("wordgraph", "nodes", node_edit(lambda n: n.__setitem__(0, b"abC"))),
+        ("wordgraph", "nodes", node_edit(lambda n: n.__setitem__(1, n[0]))),
+        ("wordgraph", "degrees", lambda a: a.__setitem__(0, -1)),
+        ("wordgraph", "max_degree", lambda a: a.__setitem__(0, a[0] + 1)),
     ])
     def test_damaged_detector_records(self, tmp_path, checkpoints, kind,
                                       name, damage):

@@ -180,6 +180,20 @@ class TestExitCodes:
         assert code == 2
         assert len(err) == 1 and "'s0.l0.w_h' holds" in err[0]
 
+    def test_unknown_matrix_detector(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("matrix.detectors = statistics,bogus\n"
+                       "matrix.pkdga = false\n")
+        capsys.readouterr()
+        code, _ = run_cli("matrix", "--benign",
+                          str(workspace / "prep" / "benign.txt"), "--config",
+                          str(cfg), "--out", str(tmp_path / "mx"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["data error: matrix.detectors: unknown detector kind "
+                       "'bogus'"]
+        assert not list((tmp_path / "mx").glob("matrix_*.tsv"))
+
     def test_cyclic_fanci_tree(self, workspace, fanci_ckpt, tmp_path,
                                capsys):
         def cycle(blobs):

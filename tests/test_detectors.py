@@ -1,17 +1,22 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scalar_oracles as oracle
 from dgalab.baselines import kraken_generate, suppobox_generate, WordDict
-from dgalab.corpora import LabeledCorpus, synthesize_benign
+from dgalab.corpora import (LabeledCorpus, bundled_tlds, load_wordlist,
+                            synthesize_benign)
 from dgalab.detectors import (FEATURE_NAMES, KINDS, extract_features,
                               load_detector, train_detector)
-from dgalab.detectors.base import checked_names
-from dgalab.detectors.features import split_core
+from dgalab.detectors import features, statistics, wordgraph
+from dgalab.detectors.base import checked_names, fit_logistic
+from dgalab.detectors.features import extract_many, split_core
 from dgalab.detectors.neural import VOCAB, encode
 from dgalab.detectors.forest import fit_forest
 from dgalab.detectors.statistics import CHUNK, StatisticsDetector
+from dgalab.domains import validate_domain
 from dgalab.errors import DataError, ScoringError
 from dgalab.rng import stream
 from conftest import python_subprocess
@@ -21,6 +26,49 @@ def small_corpus(n=120, seed=4):
     benign = synthesize_benign(n, rng_seed=seed)
     agd = [d.core + ".com" for d in kraken_generate(seed, n)]
     return LabeledCorpus(tuple(benign), tuple(agd))
+
+
+# Names for the batched-versus-scalar tests: cores of 1-63 characters built
+# from dictionary words, digits, inner hyphens and repeated n-grams, under
+# 0-2 subdomains and a TLD inside or outside the allow-list (or none).
+_WORDS = (load_wordlist(bundled="words_a.txt").words
+          + load_wordlist(bundled="words_b.txt").words)
+_ALNUM = "abcdefghijklmnopqrstuvwxyz0123456789"
+_PIECES = st.one_of(
+    st.sampled_from(_WORDS),
+    st.text(_ALNUM, min_size=1, max_size=8),
+    st.builds(lambda s, n: s * n, st.text(_ALNUM, min_size=1, max_size=3),
+              st.integers(2, 6)),
+    st.text(_ALNUM, min_size=40, max_size=63))
+
+
+@st.composite
+def cores(draw):
+    pieces = draw(st.lists(_PIECES, min_size=1, max_size=6))
+    seps = draw(st.lists(st.sampled_from(["", "", "-", "--"]),
+                         min_size=len(pieces) - 1, max_size=len(pieces) - 1))
+    core = pieces[0] + "".join(s + p for s, p in zip(seps, pieces[1:]))
+    return core[:63].rstrip("-")
+
+
+@st.composite
+def domain_names(draw):
+    labels = draw(st.lists(cores(), min_size=1, max_size=3))
+    tld = draw(st.one_of(st.none(), st.sampled_from(bundled_tlds()),
+                         st.sampled_from(["zz", "x1", "q-q", "example"])))
+    name = ".".join(labels + ([tld] if tld else []))
+    return name if validate_domain(name) else labels[-1]
+
+
+@lru_cache(maxsize=1)
+def name_pool() -> tuple:
+    """Fixed valid names, enough to push a batch past any chunk size."""
+    words_a = load_wordlist(bundled="words_a.txt")
+    words_b = load_wordlist(bundled="words_b.txt")
+    return tuple(synthesize_benign(150, rng_seed=8)
+                 + [d.core + ".net" for d in kraken_generate(8, 100)]
+                 + [d.core + ".org" for d in
+                    suppobox_generate(words_a, words_b, 8, 100)])
 
 
 class TestFeatures:
@@ -72,6 +120,19 @@ class TestFeatures:
     def test_invalid_domain_rejected(self):
         with pytest.raises(ScoringError):
             extract_features("not valid!")
+
+    @settings(deadline=None)
+    @given(st.lists(domain_names(), min_size=1, max_size=8),
+           st.one_of(st.integers(0, 4),
+                     st.integers(features.CHUNK - 8, features.CHUNK + 4)))
+    @example(["a", "ab", "abc", "0-0", "a" * 63 + ".com", "ab" * 31 + "a.io",
+              "x.sunsetgarden.co.uk", "0123456789.zz"], 0)
+    def test_extract_many_equals_scalar_oracle(self, names, pad):
+        batch = list(name_pool()[:pad]) + names
+        got = extract_many(batch)
+        want = np.stack([oracle.fanci_features(d) for d in batch])
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
 
     def test_dictionary_coverage_higher_for_words(self):
         wordy = dict(zip(FEATURE_NAMES, extract_features("sunsetgarden.com")))
@@ -169,6 +230,37 @@ class TestDetectorContracts:
                            atol=1e-6)
 
 
+@pytest.fixture(scope="module")
+def trained_kinds():
+    corpus = small_corpus(80)
+    return {kind: train_detector(kind, corpus, hp={"trees": 5}, rng_seed=3)
+            for kind in ("statistics", "fanci", "wordgraph")}
+
+
+class TestBatchInvariance:
+    """A name's score does not depend on the batch it is scored in."""
+
+    @pytest.mark.parametrize("kind, chunk", [
+        ("statistics", statistics.CHUNK), ("fanci", features.CHUNK),
+        ("wordgraph", wordgraph.CHUNK)])
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_concatenation_and_single_names(self, trained_kinds, kind, chunk,
+                                            data):
+        model = trained_kinds[kind]
+        drawn = data.draw(st.lists(domain_names(), min_size=2, max_size=6))
+        pad = data.draw(st.one_of(st.integers(0, 4),
+                                  st.integers(chunk - 6, chunk + 2)))
+        names = list(name_pool()[:pad]) + drawn
+        cut = data.draw(st.integers(1, len(names) - 1))
+        whole = model.score_many(names)
+        parts = np.concatenate([model.score_many(names[:cut]),
+                                model.score_many(names[cut:])])
+        assert np.array_equal(whole, parts)
+        for name in drawn:
+            assert model.score(name) == model.score_many([name])[0]
+
+
 class TestStatisticsDetector:
     def test_duplicates_do_not_change_model(self):
         corpus = small_corpus(50)
@@ -230,6 +322,37 @@ class TestStatisticsDetector:
 
 
 class TestWordGraph:
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(domain_names(), min_size=2, max_size=30),
+           st.integers(0, 60), st.integers(0, 3),
+           st.lists(domain_names(), min_size=1, max_size=8))
+    def test_graph_statistics_and_scores_equal_oracle(self, drawn, n_pool,
+                                                      threshold, probe):
+        pool = name_pool()
+        corpus = LabeledCorpus(tuple(pool[:n_pool]) + tuple(drawn[::2]),
+                               tuple(pool[-n_pool:] if n_pool else ())
+                               + tuple(drawn[1::2]))
+        model = train_detector("wordgraph", corpus,
+                               hp={"repeat_threshold": threshold})
+        domains = list(corpus.benign) + list(corpus.agd)
+        degrees, max_degree = oracle.wordgraph_graph(domains, threshold)
+        assert model.degrees == degrees
+        assert model.max_degree == max(1, max_degree)
+        stats = np.array([[oracle.wordgraph_stat(degrees, max_degree, d)]
+                          for d in domains])
+        assert np.array_equal(model.graph_stats(domains), stats[:, 0])
+        if stats.max() > stats.min():
+            labels = [1.0] * len(corpus.benign) + [0.0] * len(corpus.agd)
+            w, b, mean, std = fit_logistic(stats, labels)
+            assert model.b == b
+            for got, want in ((model.w, w), (model.mean, mean),
+                              (model.std, std)):
+                assert np.array_equal(got, want)
+        names = probe + domains
+        assert np.array_equal(model.score_many(names),
+                              [oracle.wordgraph_score(model, d)
+                               for d in names])
+
     def test_no_repeats_means_all_zero(self):
         # every substring unique: nothing repeats more than three times
         benign = [f"unique{i:04d}x.com" for i in range(10)]

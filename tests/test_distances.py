@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dgalab.baselines import kraken_generate
 from dgalab.corpora import LabeledCorpus, synthesize_benign
 from dgalab.detectors import edit_distance, train_detector
-from dgalab.detectors.distances import add_one_smooth
+from dgalab.detectors.distances import (MAX_PACKED, add_one_smooth, encode,
+                                        id_strings, ngram_ids, string_ids)
 from dgalab.detectors.features import split_core
 from dgalab.detectors.statistics import StatisticsDetector
 from dgalab.domains import LABEL_CHARS
@@ -151,3 +152,32 @@ class TestBatchedStatistics:
                                LabeledCorpus(tuple(benign[:500]),
                                              tuple(agd[:500])), rng_seed=3)
         _assert_matches_oracle(model, benign + agd)
+
+
+class TestPackedIds:
+    @given(st.lists(st.text(LABEL_CHARS, min_size=1, max_size=MAX_PACKED),
+                    min_size=1, max_size=30))
+    def test_order_distinctness_and_inverse(self, strings):
+        ids = string_ids(strings)
+        assert id_strings(ids) == strings
+        # equal ids exactly for equal strings, of any lengths
+        assert len(set(ids.tolist())) == len(set(strings))
+        for a, ia in zip(strings, ids.tolist()):
+            for b, ib in zip(strings, ids.tolist()):
+                if len(a) == len(b):
+                    assert (ia < ib) == (a < b)
+
+    @given(st.lists(st.text(LABEL_CHARS, min_size=1, max_size=63),
+                    min_size=1, max_size=8),
+           st.integers(1, MAX_PACKED))
+    def test_ngram_ids_are_the_ids_of_the_slices(self, strings, max_k):
+        codes, lengths = encode(strings)
+        grams = ngram_ids(codes, lengths, max_k)
+        assert grams.shape == (max_k, *codes.shape)
+        for k in range(1, max_k + 1):
+            for row, s in enumerate(strings):
+                want = [-1] * codes.shape[1]
+                slices = [s[i:i + k] for i in range(len(s) - k + 1)]
+                if slices:
+                    want[:len(slices)] = string_ids(slices).tolist()
+                assert grams[k - 1, row].tolist() == want

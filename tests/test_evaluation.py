@@ -156,6 +156,30 @@ class TestMatrix:
         assert 0.0 <= val <= 1.0
         assert not matrix.failures
 
+    def test_benign_names_scored_once_per_cell(self, monkeypatch):
+        from dgalab import evaluation
+        scored = []
+
+        def recording(*args, **kwargs):
+            model = train_detector(*args, **kwargs)
+            score_many = model.score_many
+
+            def recorded(names):
+                scored.append(list(names))
+                return score_many(names)
+            model.score_many = recorded
+            return model
+
+        monkeypatch.setattr(evaluation, "train_detector", recording)
+        benign = synthesize_benign(260, rng_seed=3)
+        cfg = MatrixConfig(detectors=("statistics",), train_per_class=160,
+                           eval_benign=80, eval_agd=80, include_mixed=False,
+                           pkdga=None)
+        run_matrix(_dga_map(), benign, cfg, master_seed=0)
+        # two cells, each scoring its benign names and two test sets
+        assert len(scored) == 6
+        assert sum(names == benign[160:240] for names in scored) == 2
+
     def test_diagonal_present_and_layouts(self):
         benign = synthesize_benign(400, rng_seed=3)
         cfg = MatrixConfig(detectors=("statistics", "fanci"),
