@@ -17,7 +17,7 @@ from .evaluation import (GameConfig, MatrixConfig, anti_detection,
                          bench_inference, detection_auc, game_loop, roc_auc,
                          run_matrix, split_dataset)
 from .policy import PolicyParams, init_params
-from .training import TrainConfig, generate_domains, grid_search, train
+from .training import TrainConfig, generate_domains, train
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "TokenDict", "TrainConfig", "anti_detection", "assemble_fqdn",
     "bench_inference", "bundled_benign", "detection_auc", "encode_seed",
     "fluxing_round", "game_loop", "generate_domains", "gozi_generate",
-    "grid_search", "init_params", "kraken_generate", "load_detector",
+    "init_params", "kraken_generate", "load_detector",
     "load_domains", "roc_auc", "run_matrix", "split_dataset",
     "suppobox_generate", "synthesize_benign", "train", "train_detector",
     "validate_domain",

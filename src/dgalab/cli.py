@@ -40,7 +40,31 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        self.print_usage(sys.stderr)
         raise UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _batch_sizes(text: str) -> list[int]:
+    return [_positive_int(b) for b in text.split(",")]
+
+
+def _iso_date(text: str) -> _dt.date:
+    try:
+        return _dt.date.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a YYYY-MM-DD date, got {text!r}") from None
 
 
 def _build_parser() -> _Parser:
@@ -53,12 +77,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker-pool cap; results are identical at any value")
+                       help="accepted for existing scripts and ignored: "
+                            "every command runs in one thread")
 
     p = sub.add_parser("prep", help="write benign and baseline-DGA corpora")
     common(p)
-    p.add_argument("--benign", type=int, default=5000)
-    p.add_argument("--agd", type=int, default=5000)
+    p.add_argument("--benign", type=_positive_int, default=5000)
+    p.add_argument("--agd", type=_positive_int, default=5000)
     p.add_argument("--dga", choices=tuple(BASELINES), default="kraken")
 
     p = sub.add_parser("detector-train", help="train one detector kind")
@@ -76,9 +101,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", help="emit domains to stdout")
     common(p, out_required=False)
     p.add_argument("--dga", required=True, choices=DGA_NAMES)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_positive_int, default=10)
     p.add_argument("--ckpt", help="policy checkpoint (pkdga only)")
-    p.add_argument("--start-date", default="2030-01-01")
+    p.add_argument("--start-date", type=_iso_date, default="2030-01-01")
     p.add_argument("--tld", default="com")
     p.add_argument("--mode", choices=("sample", "argmax"), default="sample")
 
@@ -101,12 +126,32 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="inference throughput")
     common(p)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--batches", default="8,32,128")
+    p.add_argument("--batches", type=_batch_sizes, default="8,32,128")
     return parser
 
 
+# every key of these sections that some command reads; any other key there
+# ends the run (detector.* keys are forwarded as hyperparameters, so that
+# section stays open)
+_CONFIG_KEYS = {
+    "train": ("lr", "batch", "mc", "length", "epochs", "n_layers", "d_e",
+              "d_h"),
+    "env": ("threshold", "budget", "audit"),
+    "seeds": ("start_date", "end_date"),
+    "data": ("tld",),
+    "matrix": ("dgas", "detectors", "pkdga", "train_per_class",
+               "eval_benign", "eval_agd", "include_mixed", "pkdga_budget"),
+    "game": ("stage_budget", "fresh", "incr_epochs", "incr_lr"),
+}
+
+
 def _load_cfg(args) -> dict:
-    return parse_config(args.config) if args.config else {}
+    cfg = parse_config(args.config) if args.config else {}
+    for key in cfg:
+        section, _, name = key.partition(".")
+        if section in _CONFIG_KEYS and name not in _CONFIG_KEYS[section]:
+            raise UsageError(f"config key {key!r} is not read by any command")
+    return cfg
 
 
 def _train_config(cfg: dict) -> training.TrainConfig:
@@ -116,7 +161,6 @@ def _train_config(cfg: dict) -> training.TrainConfig:
         mc=cfg_get(cfg, "train.mc", 4, int),
         length=cfg_get(cfg, "train.length", 10, int),
         epochs=cfg_get(cfg, "train.epochs", 300, int),
-        reward_mode=cfg_get(cfg, "train.reward_mode", "binary"),
         n_layers=cfg_get(cfg, "train.n_layers", 1, int),
         d_e=cfg_get(cfg, "train.d_e", 32, int),
         d_h=cfg_get(cfg, "train.d_h", 64, int),
@@ -192,9 +236,8 @@ def _cmd_detector_train(args, cfg):
                                    tuple(corpora.load_domains(agd_path)))
     ratio = cfg_get(cfg, "detector.split", 0.8, float)
     train_part, test_part = evaluation.split_dataset(corpus, ratio, args.seed)
-    hp = _detector_hp(cfg, args.kind)
-    hp.setdefault("threads", args.threads)
-    model = train_detector(args.kind, train_part, hp=hp, rng_seed=args.seed)
+    model = train_detector(args.kind, train_part,
+                           hp=_detector_hp(cfg, args.kind), rng_seed=args.seed)
     model.save(out / "detector.ckpt")
     roc = evaluation.detection_auc(model, train_part.benign, train_part.agd)
     roc_test = evaluation.detection_auc(model, test_part.benign, test_part.agd)
@@ -235,19 +278,15 @@ def _cmd_train(args, cfg):
 
 
 def _cmd_generate(args, cfg):
-    count = args.count
-    if count < 1:
-        raise UsageError("--count must be positive")
     if args.dga == "pkdga":
         if not args.ckpt:
             raise UsageError("--ckpt is required for --dga pkdga")
         params, T = checkpoint.load_policy(resolve_data_path(args.ckpt))
-        start = _dt.date.fromisoformat(args.start_date)
-        names = training.generate_domains(params, count, start, T=T,
-                                          tld=args.tld, mode=args.mode)
+        names = training.generate_domains(params, args.count, args.start_date,
+                                          T=T, tld=args.tld, mode=args.mode)
     else:
-        names = _baseline_names(args.dga, _wordlists(), args.seed, count,
-                                check_tld(args.tld))
+        names = _baseline_names(args.dga, _wordlists(), args.seed,
+                                args.count, check_tld(args.tld))
     sys.stdout.write("\n".join(names) + "\n")
     return 0
 
@@ -310,7 +349,6 @@ def _cmd_matrix(args, cfg):
         detector_hp={k: _detector_hp(cfg, k) for k in detectors},
         pkdga=pkdga_cfg,
         pkdga_budget=cfg_get(cfg, "matrix.pkdga_budget", 150_000, int),
-        threads=args.threads,
         tld=tld)
     matrix = evaluation.run_matrix(_matrix_dgas(cfg, _wordlists(), tld),
                                    benign, mc, master_seed=args.seed)
@@ -355,8 +393,7 @@ def _cmd_bench(args, cfg):
     out = Path(args.out)
     write_manifest(out, "bench", cfg, args.seed, inputs=[ckpt])
     params, T = checkpoint.load_policy(ckpt)
-    batches = [int(b) for b in args.batches.split(",")]
-    rows = evaluation.bench_inference(params, batches, T=T)
+    rows = evaluation.bench_inference(params, args.batches, T=T)
     _emit(out / "bench.tsv", evaluation.bench_tsv(rows))
     return 0
 
@@ -378,14 +415,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if not args.command:
-            raise UsageError("a subcommand is required")
+            parser.error("a subcommand is required")
         cfg = _load_cfg(args)
         return _COMMANDS[args.command](args, cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
-    except ContractError as exc:
+    except (UsageError, ContractError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

@@ -93,7 +93,3 @@ def write_manifest(out_dir, command: str, config: dict, master_seed,
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     "utf-8")
     return path
-
-
-def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text("utf-8"))

@@ -44,10 +44,6 @@ def bundled_tlds() -> tuple[str, ...]:
     return tuple(_data_text("tlds.txt").split())
 
 
-def bundled_third_levels() -> tuple[str, ...]:
-    return tuple(_data_text("third_level.txt").split())
-
-
 def bundled_benign(count: int | None = None) -> list[str]:
     """The bundled 50k-name popular-domain stand-in (optionally truncated).
 
@@ -87,12 +83,6 @@ class LabeledCorpus:
         if not self.benign or not self.agd:
             raise DataError("corpus must contain both classes")
         return self
-
-    def entries(self):
-        for d in self.benign:
-            yield d, "benign"
-        for d in self.agd:
-            yield d, "agd"
 
     @property
     def size(self) -> int:

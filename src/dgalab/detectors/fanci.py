@@ -28,8 +28,7 @@ class FanciDetector(DetectorModel):
         forest = fit_forest(X, y, rng_seed,
                             n_trees=int(hp.get("trees", 25)),
                             max_depth=int(hp.get("max_depth", 12)),
-                            min_leaf=int(hp.get("min_leaf", 2)),
-                            threads=int(hp.get("threads", 1)))
+                            min_leaf=int(hp.get("min_leaf", 2)))
         return cls(forest)
 
     def to_blobs(self) -> dict:

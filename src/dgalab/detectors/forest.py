@@ -1,12 +1,11 @@
 """Random forest of CART trees: Gini impurity, bagging, sqrt-F feature
-subsampling.  Trees may build in parallel; reduction is in tree order, so
-results are independent of scheduling.
+subsampling.  Each tree draws from its own stream keyed on (seed, tree
+index).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,22 +114,16 @@ class RandomForest:
         return acc / len(self.trees)
 
 
-def fit_forest(X, y, rng_seed, n_trees=25, max_depth=12, min_leaf=2,
-               threads=1) -> RandomForest:
-    """Deterministic per seed regardless of thread count."""
+def fit_forest(X, y, rng_seed, n_trees=25, max_depth=12,
+               min_leaf=2) -> RandomForest:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, n_features = X.shape
     n_sub = max(1, int(round(math.sqrt(n_features))))
-
-    def one(tree_idx):
+    trees = []
+    for tree_idx in range(n_trees):
         rng = stream("forest", rng_seed, tree_idx)
         boot = rng.integers(0, n, size=n)
-        return _grow_tree(X[boot], y[boot], rng, max_depth, min_leaf, n_sub)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(one, range(n_trees)))
-    else:
-        trees = [one(i) for i in range(n_trees)]
+        trees.append(_grow_tree(X[boot], y[boot], rng, max_depth, min_leaf,
+                                n_sub))
     return RandomForest(trees)

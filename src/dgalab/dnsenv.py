@@ -5,9 +5,6 @@ Registration feedback is the product of two binary factors: the detector's
 legitimacy verdict and novelty (the name is not already registered).  The
 detector object itself is held in a name-mangled slot and no public member
 exposes scores or internals, so training code is black-box by construction.
-
-A white-box tap for shaped-reward ablations lives in a separate, clearly
-labeled class; nothing in the binary feedback path uses it.
 """
 
 from __future__ import annotations
@@ -60,10 +57,6 @@ class FeedbackEnv:
     def budget(self) -> int:
         return self._budget
 
-    @property
-    def remaining(self) -> int:
-        return self._budget - self._count
-
     def register(self, fqdn: str) -> DnsFeedback:
         return self.register_many([fqdn])[0]
 
@@ -100,24 +93,6 @@ class FeedbackEnv:
         if self._audit:
             self._audit.close()
             self._audit = None
-
-
-class WhiteBoxTap:
-    """Detector-score access for shaped-reward ablations ONLY.
-
-    This deliberately breaks the black-box discipline; it exists so ablation
-    configs can compare shaped rewards against the paper-faithful binary
-    feedback, and is never constructed by the default training path.
-    """
-
-    def __init__(self, detector):
-        self._detector = detector
-
-    def score(self, fqdn: str) -> float:
-        return self._detector.score(fqdn)
-
-    def score_many(self, fqdns):
-        return self._detector.score_many(fqdns)
 
 
 def fluxing_round(env: FeedbackEnv, candidates: list[str]):

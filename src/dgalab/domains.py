@@ -45,11 +45,6 @@ class TokenDict:
         return len(self.tokens)
 
     @property
-    def start_index(self) -> int:
-        """Embedding slot of the internal start marker (not emittable)."""
-        return len(self.tokens)
-
-    @property
     def hyphen_index(self) -> int | None:
         i = self.tokens.find("-")
         return None if i < 0 else i
@@ -59,9 +54,6 @@ class TokenDict:
         if i < 0:
             raise ContractError(f"character {ch!r} not in token dictionary")
         return i
-
-    def tokenize(self, core: str) -> tuple[int, ...]:
-        return tuple(self.index(c) for c in core)
 
     def detokenize(self, indices) -> str:
         out = []
@@ -128,10 +120,9 @@ def encode_seed(date: _dt.date, dct: TokenDict = DEFAULT_TOKENS,
 
 @dataclass(frozen=True)
 class DomainSequence:
-    """A generated core label, optionally with its assembled full name."""
+    """A generated core label."""
 
     core: str
-    fqdn: str | None = None
 
     def __post_init__(self):
         if not 1 <= len(self.core) <= MAX_LABEL:
@@ -164,14 +155,10 @@ def check_tld(tld: str, length: int = MAX_LABEL) -> str:
     return tld
 
 
-def assemble_fqdn(core: DomainSequence | str, tld: str = "com",
-                  third_level: str | None = None) -> str:
-    """Join core with a TLD (and optional benign 3LD) into a full name."""
+def assemble_fqdn(core: DomainSequence | str, tld: str = "com") -> str:
+    """Join core and TLD into a full name."""
     label = core.core if isinstance(core, DomainSequence) else core
-    parts = [label, tld]
-    if third_level is not None:
-        parts.insert(0, third_level)
-    name = ".".join(parts)
+    name = f"{label}.{tld}"
     if not validate_domain(name):
         raise AssemblyError(f"assembled name {name!r} violates RFC limits")
     return name

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,33 +26,9 @@ from .rng import stream
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass(frozen=True)
 class RocCurve:
     points: tuple           # ordered (FPR, TPR) pairs from (0,0) to (1,1)
     auc: float
-
-
-def confusion_at(scored, threshold: float) -> ConfusionCounts:
-    """Counts with 'predicted positive' meaning score >= threshold."""
-    tp = fp = tn = fn = 0
-    for score, label in scored:
-        predicted = score >= threshold
-        if label:
-            tp, fn = tp + predicted, fn + (not predicted)
-        else:
-            fp, tn = fp + predicted, tn + (not predicted)
-    return ConfusionCounts(tp, fp, tn, fn)
 
 
 def roc_auc(scored) -> RocCurve:
@@ -140,7 +115,6 @@ class MatrixConfig:
     detector_hp: dict = field(default_factory=dict)
     pkdga: training.TrainConfig | None = None
     pkdga_budget: int = 150_000
-    threads: int = 1
     tld: str = "com"
 
 
@@ -209,10 +183,7 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
                                      ("matrix-test", master_seed, name))
                     for name in names}
 
-    jobs = [(row, det) for row in rows for det in cfg.detectors]
-
-    def run_cell(job):
-        row, det_kind = job
+    def run_cell(row, det_kind):
         cell_seed = ("matrix-cell", master_seed, row, det_kind)
         corpus = LabeledCorpus(tuple(benign_train), tuple(row_samples[row]))
         model = train_detector(det_kind, corpus,
@@ -238,34 +209,19 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
             out["pkdga"] = anti_detection(auc)
         return out
 
-    results = {}
     failures = {}
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = list(pool.map(_guard(run_cell), jobs))
-    else:
-        futures = [_guard(run_cell)(job) for job in jobs]
     cells = {}
-    for job, outcome in zip(jobs, futures):
-        row, det = job
-        if isinstance(outcome, Exception):
-            failures[(row, det)] = repr(outcome)
-            for test in tests:
-                cells[(row, test, det)] = float("nan")
-        else:
+    for row in rows:
+        for det in cfg.detectors:
+            try:
+                outcome = run_cell(row, det)
+            except Exception as exc:    # cell failures must not kill the matrix
+                failures[(row, det)] = repr(exc)
+                outcome = dict.fromkeys(tests, float("nan"))
             for test, val in outcome.items():
                 cells[(row, test, det)] = val
     return ExperimentMatrix(cells, tuple(rows), tuple(tests),
                             tuple(cfg.detectors), failures)
-
-
-def _guard(fn):
-    def wrapped(job):
-        try:
-            return fn(job)
-        except Exception as exc:            # cell failures must not kill the matrix
-            return exc
-    return wrapped
 
 
 # ---------------------------------------------------------------------------

@@ -269,36 +269,6 @@ def grad_from_coeffs(params: PolicyParams, dct: TokenDict, seed_vecs,
     return grads
 
 
-def logprob_grad(params: PolicyParams, dct: TokenDict, seed_vec,
-                 tokens, weights) -> dict:
-    """Gradient of the reward-weighted log-likelihood of one episode.
-
-    ``weights[t]`` multiplies the log-probability of the token taken at step
-    t; this is the sampled likelihood-ratio estimator's per-episode term.
-    """
-    tokens = np.asarray(tokens, dtype=np.int64)[None, :]
-    T = tokens.shape[1]
-    weights = np.asarray(weights, dtype=params.dtype)
-    if weights.shape != (T,):
-        raise ContractError("need one weight per generated token")
-    coeffs = np.zeros((T, 1, params.d_y), dtype=params.dtype)
-    coeffs[np.arange(T), 0, tokens[0]] = weights
-    return grad_from_coeffs(params, dct, np.asarray(seed_vec)[None, :],
-                            tokens, coeffs)
-
-
-def weighted_logprob(params: PolicyParams, dct: TokenDict, seed_vec,
-                     tokens, weights) -> float:
-    """The scalar the gradient above differentiates; used by oracle tests."""
-    tokens = np.asarray(tokens, dtype=np.int64)[None, :]
-    dists, _, _ = teacher_forward(params, dct, np.asarray(seed_vec)[None, :],
-                                  tokens)
-    T = tokens.shape[1]
-    picked = dists[np.arange(T), 0, tokens[0]]
-    return float(np.dot(np.asarray(weights, dtype=np.float64),
-                        np.log(picked.astype(np.float64))))
-
-
 def apply_grads(params: PolicyParams, grads: dict, lr: float) -> PolicyParams:
     """Ascent step; returns ``params`` untouched when nothing would change."""
     if lr == 0.0 or all(not g.any() for g in grads.values()):
@@ -307,7 +277,3 @@ def apply_grads(params: PolicyParams, grads: dict, lr: float) -> PolicyParams:
               for name, t in params.tensors().items()}
     return params_from_tensors(arrays, params.n_layers)
 
-
-def cast(params: PolicyParams, dtype) -> PolicyParams:
-    arrays = {name: t.astype(dtype) for name, t in params.tensors().items()}
-    return params_from_tensors(arrays, params.n_layers)

@@ -23,7 +23,7 @@ is a pure function of (seed, config, corpora).
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class TrainConfig:
     mc: int = 4
     length: int = 12
     epochs: int = 300
-    reward_mode: str = "binary"
     full_enumeration: bool = False
     tld: str = "com"
     n_layers: int = 1
@@ -55,8 +54,6 @@ class TrainConfig:
             raise ContractError("batch, mc and epochs must be >= 1")
         if not 7 <= self.length <= 24:
             raise ContractError("episode length must lie in [7, 24]")
-        if self.reward_mode not in ("binary", "shaped"):
-            raise ContractError(f"unknown reward mode {self.reward_mode!r}")
 
 
 @dataclass
@@ -94,7 +91,7 @@ def train(env, cfg: TrainConfig, master_seed: int,
           dct: TokenDict = DEFAULT_TOKENS,
           space: SeedSpace | None = None,
           params: P.PolicyParams | None = None,
-          whitebox_tap=None, on_epoch=None) -> TrainResult:
+          on_epoch=None) -> TrainResult:
     """Feedback-only policy-gradient training.
 
     Returns the final and best-reward parameters plus the per-epoch mean
@@ -102,8 +99,6 @@ def train(env, cfg: TrainConfig, master_seed: int,
     stops the loop and leaves the last good checkpoint in place.
     """
     check_tld(cfg.tld, cfg.length)
-    if cfg.reward_mode == "shaped" and whitebox_tap is None:
-        raise ContractError("shaped rewards need the white-box tap")
     if cfg.full_enumeration and dct.n > 8:
         raise ContractError("full enumeration is for dictionaries with n <= 8")
     space = space or SeedSpace()
@@ -121,8 +116,7 @@ def train(env, cfg: TrainConfig, master_seed: int,
                                     epoch)
         try:
             coeffs, taken = _epoch_coeffs(env, params, cfg, dct, master_seed,
-                                          epoch, run, whitebox_tap,
-                                          registered)
+                                          epoch, run, registered)
         except QueryBudgetError:
             stopped = "budget"
             break
@@ -158,7 +152,7 @@ def _epoch_run(params, cfg, dct, space, master_seed, epoch):
 
 
 def _epoch_coeffs(env, params, cfg, dct, master_seed, epoch, run,
-                  whitebox_tap=None, registered=None):
+                  registered=None):
     """Policy-gradient coefficients (T, B, n) for one epoch's episodes, plus
     the values Q(s_t, a_t) of the actions taken, shape (T, B).
 
@@ -181,8 +175,7 @@ def _epoch_coeffs(env, params, cfg, dct, master_seed, epoch, run,
             actions = tokens[:, t:t + 1]
             scale = 1.0
         q = action_values(env, params, cfg, dct, tokens[:, :t],
-                          run.snapshots[t], actions, mc_u, whitebox_tap,
-                          registered)
+                          run.snapshots[t], actions, mc_u, registered)
         coeffs[t][rows, actions] = scale * q / B
         taken[t] = q[rows[:, 0], (actions == tokens[:, t:t + 1]).argmax(1)]
     return coeffs, taken
@@ -190,7 +183,7 @@ def _epoch_coeffs(env, params, cfg, dct, master_seed, epoch, run,
 
 def action_values(env, params: P.PolicyParams, cfg: TrainConfig,
                   dct: TokenDict, prefix: np.ndarray, hidden,
-                  actions: np.ndarray, mc_u: np.ndarray, whitebox_tap=None,
+                  actions: np.ndarray, mc_u: np.ndarray,
                   registered: list | None = None) -> np.ndarray:
     """Estimated reward Q(s_t, a) of K candidate actions per episode, (B, K).
 
@@ -224,15 +217,8 @@ def action_values(env, params: P.PolicyParams, cfg: TrainConfig,
     if registered is not None:
         registered.extend(nm for nm, fb in zip(names, feedback)
                           if fb.outcome == 1)
-    vals = _reward_values(feedback, names, cfg, whitebox_tap)
+    vals = np.array([fb.outcome for fb in feedback], dtype=np.float64)
     return vals.reshape(B, K, -1).mean(axis=2)
-
-
-def _reward_values(feedback, names, cfg, whitebox_tap):
-    if cfg.reward_mode == "shaped":
-        scores = np.asarray(whitebox_tap.score_many(names))
-        return scores * np.array([fb.n_factor for fb in feedback])
-    return np.array([fb.outcome for fb in feedback], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -290,57 +276,3 @@ def generate_domains(params: P.PolicyParams, count: int,
         out.extend(got[:count - len(out)])
         day += 1
     return out
-
-
-# ---------------------------------------------------------------------------
-# coordinate-wise hyperparameter search
-
-GRID_ORDER = ("n_layers", "d_e", "d_h", "mc", "lr", "batch")
-GRID_COLUMNS = ("iteration", "n_layers", "d_e", "d_h", "m", "lr", "batch",
-                "reward")
-
-
-def grid_search(env_factory, hp_space: dict, rng_seed: int,
-                base_cfg: TrainConfig,
-                dct: TokenDict = DEFAULT_TOKENS) -> tuple[TrainConfig, list]:
-    """Coordinate sweep: fix defaults, tune one HP at a time to best reward.
-
-    ``hp_space`` maps config field names to candidate lists; each candidate
-    (including the incumbent) costs one training run against a fresh
-    environment from ``env_factory``.  Returns the locked-in config and a
-    log of rows shaped like GRID_COLUMNS.
-    """
-    current = base_cfg
-    log = []
-    run_idx = 0
-    iteration = 0
-    for hp in GRID_ORDER:
-        if hp not in hp_space:
-            continue
-        iteration += 1
-        best_val, best_reward = None, -1.0
-        for value in hp_space[hp]:
-            cfg = replace(current, **{hp: value})
-            result = train(env_factory(), cfg, master_seed=(rng_seed, run_idx),
-                           dct=dct)
-            reward = result.best_reward
-            log.append((iteration, cfg.n_layers, cfg.d_e, cfg.d_h, cfg.mc,
-                        cfg.lr, cfg.batch, reward))
-            if reward > best_reward:
-                best_val, best_reward = value, reward
-            run_idx += 1
-        current = replace(current, **{hp: best_val})
-    return current, log
-
-
-def grid_log_tsv(log) -> str:
-    lines = ["\t".join(GRID_COLUMNS)]
-    for row in log:
-        lines.append("\t".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)

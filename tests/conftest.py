@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from dgalab.dnsenv import DnsFeedback
+from dgalab.policy import params_from_tensors
 
 # CI selects this with --hypothesis-profile=ci: the same examples on every
 # run, and no example database carried between runs
@@ -73,6 +75,16 @@ def pairwise_auc(pos_scores, neg_scores) -> float:
     gt = (sp[:, None] > sn[None, :]).mean()
     eq = (sp[:, None] == sn[None, :]).mean()
     return float(gt + 0.5 * eq)
+
+
+def cast(params, dtype):
+    """``params`` with every tensor converted to ``dtype``."""
+    arrays = {name: t.astype(dtype) for name, t in params.tensors().items()}
+    return params_from_tensors(arrays, params.n_layers)
+
+
+def read_manifest(path) -> dict:
+    return json.loads(Path(path).read_text("utf-8"))
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

