@@ -19,11 +19,11 @@ for name, batch in [
     ("gozi", gozi_generate(words_a, 2024, 5)),
     ("suppobox", suppobox_generate(words_a, words_b, 2024, 5)),
 ]:
-    print(f"{name:9s}", ", ".join(d.core for d in batch))
+    print(f"{name:9s}", ", ".join(batch))
 
 print("\n== determinism: same seed, same names ==")
-again = [d.core for d in kraken_generate(2024, 5)]
-assert again == [d.core for d in kraken_generate(2024, 5)]
+again = kraken_generate(2024, 5)
+assert again == kraken_generate(2024, 5)
 print("kraken(2024) x2 ->", again[:3], "... identical")
 
 print("\n== letter frequency: kraken is flat, suppobox is English-shaped ==")
@@ -31,7 +31,7 @@ for name, batch in [
     ("kraken", kraken_generate(7, 3000)),
     ("suppobox", suppobox_generate(words_a, words_b, 7, 3000)),
 ]:
-    chars = "".join(d.core for d in batch)
+    chars = "".join(batch)
     counts = Counter(c for c in chars if c.isalpha())
     top = counts.most_common(5)
     ratio = top[0][1] / max(1, counts.most_common()[-1][1])

@@ -11,7 +11,7 @@ from dgalab import (LabeledCorpus, bundled_benign, detection_auc,
                     kraken_generate, split_dataset, train_detector)
 
 benign = bundled_benign(1500)
-agds = [d.core + ".com" for d in kraken_generate(5, 1500)]
+agds = [core + ".com" for core in kraken_generate(5, 1500)]
 corpus = LabeledCorpus(tuple(benign), tuple(agds))
 train_part, test_part = split_dataset(corpus, 0.8, rng_seed=0)
 print(f"corpus: {len(train_part.benign)}+{len(train_part.agd)} train, "

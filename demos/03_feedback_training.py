@@ -14,7 +14,7 @@ from dgalab import (FeedbackEnv, LabeledCorpus, TrainConfig, bundled_benign,
                     split_dataset, train, train_detector)
 
 benign = bundled_benign(2500)
-agds = [d.core + ".com" for d in kraken_generate(9, 2500)]
+agds = [core + ".com" for core in kraken_generate(9, 2500)]
 train_part, test_part = split_dataset(
     LabeledCorpus(tuple(benign), tuple(agds)), 0.8, rng_seed=1)
 

@@ -15,7 +15,7 @@ from dgalab.training import candidate_list
 
 benign = bundled_benign(800)
 corpus = LabeledCorpus(tuple(benign),
-                       tuple(d.core + ".com" for d in kraken_generate(3, 800)))
+                       tuple(core + ".com" for core in kraken_generate(3, 800)))
 detector = train_detector("neural", corpus, hp={"epochs": 3}, rng_seed=0)
 
 params = init_params(1, 32, 64, 37, rng_seed=11)

@@ -10,7 +10,7 @@ from dgalab import (GameConfig, LabeledCorpus, TrainConfig, bundled_benign,
                     game_loop, kraken_generate, split_dataset, train_detector)
 
 benign = bundled_benign(2500)
-agds = [d.core + ".com" for d in kraken_generate(13, 2500)]
+agds = [core + ".com" for core in kraken_generate(13, 2500)]
 train_part, test_part = split_dataset(
     LabeledCorpus(tuple(benign), tuple(agds)), 0.8, rng_seed=4)
 

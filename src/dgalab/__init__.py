@@ -11,8 +11,8 @@ from .corpora import (LabeledCorpus, bundled_benign, load_domains,
                       synthesize_benign)
 from .detectors import load_detector, train_detector
 from .dnsenv import FeedbackEnv, fluxing_round
-from .domains import (DEFAULT_TOKENS, DomainSequence, SeedSpace, TokenDict,
-                      assemble_fqdn, encode_seed, validate_domain)
+from .domains import (DEFAULT_TOKENS, SeedSpace, TokenDict, assemble_fqdn,
+                      encode_seed, validate_domain)
 from .evaluation import (GameConfig, MatrixConfig, anti_detection,
                          bench_inference, detection_auc, game_loop, roc_auc,
                          run_matrix, split_dataset)
@@ -22,7 +22,7 @@ from .training import TrainConfig, generate_domains, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOKENS", "DomainSequence", "FeedbackEnv", "GameConfig",
+    "DEFAULT_TOKENS", "FeedbackEnv", "GameConfig",
     "LabeledCorpus", "MatrixConfig", "PolicyParams", "SeedSpace",
     "TokenDict", "TrainConfig", "anti_detection", "assemble_fqdn",
     "bench_inference", "bundled_benign", "detection_auc", "encode_seed",

@@ -16,10 +16,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .domains import MAX_LABEL, DomainSequence
+from .domains import MAX_LABEL
 from .errors import ContractError
 
-_WORD_RE = re.compile(r"^[a-z0-9]+$")
+_WORD_RE = re.compile(f"[a-z0-9]{{1,{MAX_LABEL}}}")
 
 
 @dataclass
@@ -48,7 +48,8 @@ class Lcg:
 
 @dataclass(frozen=True)
 class WordDict:
-    """Ordered list of lowercase alphanumeric label fragments."""
+    """Ordered list of lowercase alphanumeric label fragments, each short
+    enough to be a label on its own."""
 
     words: tuple[str, ...]
 
@@ -56,8 +57,9 @@ class WordDict:
         if not self.words:
             raise ContractError("word dictionary is empty")
         for w in self.words:
-            if not _WORD_RE.match(w):
-                raise ContractError(f"word {w!r} is not a valid label fragment")
+            if not _WORD_RE.fullmatch(w):
+                raise ContractError(f"word {w!r} is not 1-{MAX_LABEL} "
+                                    "characters of a-z and 0-9")
 
     def __len__(self):
         return len(self.words)
@@ -76,7 +78,7 @@ _LENGTH_STREAM_OFFSET = 0x5851
 
 
 def kraken_generate(seed: int, count: int,
-                    len_range: tuple[int, int] = (7, 12)) -> list[DomainSequence]:
+                    len_range: tuple[int, int] = (7, 12)) -> list[str]:
     if count < 1:
         raise ContractError("count must be at least 1")
     lo, hi = len_range
@@ -88,12 +90,12 @@ def kraken_generate(seed: int, count: int,
     for _ in range(count):
         length = lo + lengths.below_mixed(hi - lo + 1)
         core = "".join(chr(ord("a") + chars.below(26)) for _ in range(length))
-        out.append(DomainSequence(core))
+        out.append(core)
     return out
 
 
 def gozi_generate(words: WordDict, seed: int, count: int,
-                  words_per_name: tuple[int, int] = (2, 4)) -> list[DomainSequence]:
+                  words_per_name: tuple[int, int] = (2, 4)) -> list[str]:
     lo, hi = words_per_name
     if not 1 <= lo <= hi:
         raise ContractError("bad words-per-name range")
@@ -109,15 +111,15 @@ def gozi_generate(words: WordDict, seed: int, count: int,
                 break  # stay a legal label; at least one word always fits
             parts.append(w)
             total += len(w)
-        out.append(DomainSequence("".join(parts)))
+        out.append("".join(parts))
     return out
 
 
 def suppobox_generate(first: WordDict, second: WordDict, seed: int,
-                      count: int) -> list[DomainSequence]:
+                      count: int) -> list[str]:
     lcg = Lcg(seed)
     out = []
     for _ in range(count):
         core = (first.pick_mixed(lcg) + second.pick_mixed(lcg))[:MAX_LABEL]
-        out.append(DomainSequence(core))
+        out.append(core)
     return out

@@ -174,24 +174,15 @@ def _seed_space(cfg: dict) -> SeedSpace:
 
 
 def _detector_hp(cfg: dict, kind: str) -> dict:
+    """The config's ``detector.*`` values for ``kind``, as text; the kind
+    casts the keys it reads."""
     hp = {}
     for key, value in cfg.items():
         if key.startswith(f"detector.{kind}."):
-            hp[key.split(".", 2)[2]] = _auto(value)
+            hp[key.split(".", 2)[2]] = value
         elif key.startswith("detector.") and key.count(".") == 1:
-            hp[key.split(".", 1)[1]] = _auto(value)
+            hp[key.split(".", 1)[1]] = value
     return hp
-
-
-def _auto(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    return value
 
 
 def _wordlists():
@@ -200,7 +191,7 @@ def _wordlists():
 
 
 def _baseline_names(family, words, seed, count, tld) -> list[str]:
-    return [f"{d.core}.{tld}" for d in BASELINES[family](words, seed, count)]
+    return [f"{core}.{tld}" for core in BASELINES[family](words, seed, count)]
 
 
 def _emit(path: Path, text: str) -> None:
@@ -348,8 +339,7 @@ def _cmd_matrix(args, cfg):
         include_mixed=cfg_get(cfg, "matrix.include_mixed", True, bool),
         detector_hp={k: _detector_hp(cfg, k) for k in detectors},
         pkdga=pkdga_cfg,
-        pkdga_budget=cfg_get(cfg, "matrix.pkdga_budget", 150_000, int),
-        tld=tld)
+        pkdga_budget=cfg_get(cfg, "matrix.pkdga_budget", 150_000, int))
     matrix = evaluation.run_matrix(_matrix_dgas(cfg, _wordlists(), tld),
                                    benign, mc, master_seed=args.seed)
     for det in detectors:

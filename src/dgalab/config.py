@@ -33,14 +33,25 @@ def parse_config(path) -> dict[str, str]:
     return out
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def parse_bool(raw: str) -> bool:
+    """The boolean a config value spells, in any case; ValueError for any
+    spelling outside ``_BOOLS``."""
+    try:
+        return _BOOLS[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {', '.join(_BOOLS)}") from None
+
+
 def cfg_get(cfg: dict, key: str, default=None, cast=str):
     if key not in cfg or cfg[key] == "":
         return default
     raw = cfg[key]
     try:
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        return (parse_bool if cast is bool else cast)(raw)
     except ValueError as exc:
         raise DataError(f"config {key} = {raw!r}: {exc}") from None
 

@@ -12,6 +12,7 @@ import importlib
 import numpy as np
 
 from ..checkpoint import load_blobs, save_blobs
+from ..config import parse_bool
 from ..corpora import LabeledCorpus
 from ..domains import validate_domain
 from ..errors import DataError, ScoringError
@@ -67,10 +68,36 @@ class DetectorModel:
         save_blobs(path, self.kind, self.to_blobs())
 
 
+def hp_value(hp: dict, key: str, default, cast):
+    """``hp[key]`` as ``cast`` (int, float or bool), or ``default`` when the
+    key is absent.  Values may be config text or Python values; an integer
+    key takes only integral values.  ``DataError`` names the key and value.
+    """
+    if key not in hp:
+        return default
+    value = hp[key]
+    try:
+        if cast is bool:
+            return value if isinstance(value, bool) else parse_bool(str(value))
+        number = float(value)
+        if cast is int and not number.is_integer():
+            raise ValueError
+        return cast(number)
+    except (TypeError, ValueError):
+        raise DataError(f"detector hyperparameter {key} = {value!r}: "
+                        f"expected {cast.__name__}") from None
+
+
 def train_detector(kind: str, corpus: LabeledCorpus, hp: dict | None = None,
                    rng_seed: int = 0) -> DetectorModel:
-    """Train one detector kind on a labeled corpus; deterministic per seed."""
+    """Train one detector kind on a labeled corpus; deterministic per seed.
+
+    ``DataError`` names the corpus's first name that is not a valid domain.
+    """
     corpus.require_both()
+    for name in (*corpus.benign, *corpus.agd):
+        if not validate_domain(name):
+            raise DataError(f"training corpus: invalid domain {name!r}")
     return _detector_class(kind).train(corpus, dict(hp or {}), rng_seed)
 
 

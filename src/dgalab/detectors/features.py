@@ -217,8 +217,3 @@ def extract_many(domains) -> np.ndarray:
     for lo in range(0, len(domains), CHUNK):
         out[lo:lo + CHUNK] = _chunk_features(domains[lo:lo + CHUNK])
     return out
-
-
-def extract_features(domain: str) -> np.ndarray:
-    """21 deterministic features of one name; ``extract_many`` of one."""
-    return extract_many([domain])[0]

@@ -16,7 +16,7 @@ from ..checkpoint import F32, I64, record
 from ..domains import LABEL_CHARS
 from ..errors import DataError
 from ..rng import stream
-from .base import DetectorModel, checked_names
+from .base import DetectorModel, checked_names, hp_value
 
 VOCAB = LABEL_CHARS + "."
 PAD = len(VOCAB)
@@ -142,11 +142,11 @@ class NeuralDetector(DetectorModel):
 
     @classmethod
     def train(cls, corpus, hp, rng_seed):
-        d_e = int(hp.get("d_e", 24))
-        d_h = int(hp.get("d_h", 32))
-        n_layers = int(hp.get("layers", 1))
-        bidirectional = bool(hp.get("bidirectional", False))
-        max_len = int(hp.get("max_len", 32))
+        d_e = hp_value(hp, "d_e", 24, int)
+        d_h = hp_value(hp, "d_h", 32, int)
+        n_layers = hp_value(hp, "layers", 1, int)
+        bidirectional = hp_value(hp, "bidirectional", False, bool)
+        max_len = hp_value(hp, "max_len", 32, int)
         dtype = np.float32
         rng = stream("neural-init", rng_seed)
 
@@ -171,9 +171,9 @@ class NeuralDetector(DetectorModel):
         domains = list(corpus.benign) + list(corpus.agd)
         labels = [1.0] * len(corpus.benign) + [0.0] * len(corpus.agd)
         model.fit(domains, labels,
-                  epochs=int(hp.get("epochs", 6)),
-                  batch=int(hp.get("batch", 64)),
-                  lr=float(hp.get("lr", 0.5)),
+                  epochs=hp_value(hp, "epochs", 6, int),
+                  batch=hp_value(hp, "batch", 64, int),
+                  lr=hp_value(hp, "lr", 0.5, float),
                   rng_key=rng_seed)
         return model
 

@@ -24,7 +24,7 @@ from ..checkpoint import F32, TEXT, record
 from ..domains import LABEL_CHARS, MAX_LABEL
 from ..errors import DataError
 from ..rng import stream
-from .base import DetectorModel, fit_logistic, logistic_score
+from .base import DetectorModel, fit_logistic, hp_value, logistic_score
 from .features import split_core
 from .distances import (N_CHARS, add_one_smooth, bigram_bitsets, char_counts,
                         edit_distances, encode, kl_rows, match_masks,
@@ -96,8 +96,8 @@ class StatisticsDetector(DetectorModel):
     # -- training ----------------------------------------------------------
     @classmethod
     def train(cls, corpus, hp, rng_seed):
-        n_jac = int(hp.get("jaccard_refs", 64))
-        n_edit = int(hp.get("edit_refs", 8))
+        n_jac = hp_value(hp, "jaccard_refs", 64, int)
+        n_edit = hp_value(hp, "edit_refs", 8, int)
         benign = list(dict.fromkeys(corpus.benign))
         agd = list(dict.fromkeys(corpus.agd))
         cores = [split_core(d)[0] for d in benign]

@@ -21,7 +21,7 @@ import numpy as np
 from ..checkpoint import F32, I64, TEXT, record
 from ..domains import LABEL_CHARS
 from ..errors import DataError
-from .base import DetectorModel, fit_logistic, logistic_score
+from .base import DetectorModel, fit_logistic, hp_value, logistic_score
 from .distances import (ID_BASE, MAX_PACKED, encode, id_lengths, id_strings,
                         ngram_ids, string_ids)
 from .features import split_core
@@ -111,9 +111,6 @@ class WordGraphDetector(DetectorModel):
                          self._degrees, self.max_degree)
             for codes, lengths in _chunks(domains))])
 
-    def graph_stat(self, domain: str) -> float:
-        return float(self.graph_stats([domain])[0])
-
     def _score_many(self, domains) -> np.ndarray:
         # one 1x1 product per row, so a score does not depend on its batch
         return logistic_score(self.graph_stats(domains)[:, None, None],
@@ -121,7 +118,8 @@ class WordGraphDetector(DetectorModel):
 
     @classmethod
     def train(cls, corpus, hp, rng_seed):
-        repeat_threshold = int(hp.get("repeat_threshold", REPEAT_THRESHOLD))
+        repeat_threshold = hp_value(hp, "repeat_threshold", REPEAT_THRESHOLD,
+                                    int)
         domains = list(corpus.benign) + list(corpus.agd)
         labels = np.array([1.0] * len(corpus.benign) + [0.0] * len(corpus.agd))
 

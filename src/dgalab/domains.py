@@ -118,25 +118,6 @@ def encode_seed(date: _dt.date, dct: TokenDict = DEFAULT_TOKENS,
     return vec, days
 
 
-@dataclass(frozen=True)
-class DomainSequence:
-    """A generated core label."""
-
-    core: str
-
-    def __post_init__(self):
-        if not 1 <= len(self.core) <= MAX_LABEL:
-            raise ContractError(f"core length {len(self.core)} outside 1..{MAX_LABEL}")
-        if self.core[0] == "-" or self.core[-1] == "-":
-            raise ContractError("core may not start or end with '-'")
-        if not set(self.core).issubset(set(LABEL_CHARS)):
-            raise ContractError("core contains illegal characters")
-
-    @property
-    def length(self) -> int:
-        return len(self.core)
-
-
 def validate_domain(s: str) -> bool:
     """True iff ``s`` is a well-formed lowercase domain name.
 
@@ -155,10 +136,9 @@ def check_tld(tld: str, length: int = MAX_LABEL) -> str:
     return tld
 
 
-def assemble_fqdn(core: DomainSequence | str, tld: str = "com") -> str:
+def assemble_fqdn(core: str, tld: str = "com") -> str:
     """Join core and TLD into a full name."""
-    label = core.core if isinstance(core, DomainSequence) else core
-    name = f"{label}.{tld}"
+    name = f"{core}.{tld}"
     if not validate_domain(name):
         raise AssemblyError(f"assembled name {name!r} violates RFC limits")
     return name

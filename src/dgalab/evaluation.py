@@ -115,7 +115,6 @@ class MatrixConfig:
     detector_hp: dict = field(default_factory=dict)
     pkdga: training.TrainConfig | None = None
     pkdga_budget: int = 150_000
-    tld: str = "com"
 
 
 @dataclass
@@ -127,9 +126,6 @@ class ExperimentMatrix:
     tests: tuple
     detectors: tuple
     failures: dict = field(default_factory=dict)
-
-    def value(self, row, test, detector) -> float:
-        return self.cells[(row, test, detector)]
 
     def fig_tsv(self, detector) -> str:
         lines = ["\t".join(["train\\test", *self.tests])]
@@ -204,7 +200,7 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
             fresh = training.generate_domains(
                 result.best_params, cfg.eval_agd,
                 start_date=_dt.date(2030, 1, 1), T=cfg.pkdga.length,
-                tld=cfg.tld)
+                tld=cfg.pkdga.tld)
             auc = _scores_auc(benign_scores, model.score_many(fresh)).auc
             out["pkdga"] = anti_detection(auc)
         return out
@@ -248,8 +244,7 @@ class StageResult:
 
 
 def game_loop(detector, benign_train, benign_eval, stages: int,
-              cfg: GameConfig, master_seed: int = 0,
-              registry_seed=None) -> list[StageResult]:
+              cfg: GameConfig, master_seed: int = 0) -> list[StageResult]:
     """Alternate feedback-training the generator and incrementally training
     the detector on the adversarial names it produced.
 
@@ -267,7 +262,6 @@ def game_loop(detector, benign_train, benign_eval, stages: int,
     tc = cfg.train_cfg
     params = P.init_params(tc.n_layers, tc.d_e, tc.d_h, DEFAULT_TOKENS.n,
                            rng_seed=("game-init", master_seed))
-    registry = list(registry_seed if registry_seed is not None else benign_train)
 
     def fresh_names(p, stage):
         start = cfg.eval_start + _dt.timedelta(days=400 * stage)
@@ -276,8 +270,8 @@ def game_loop(detector, benign_train, benign_eval, stages: int,
 
     results = [StageResult(0, detection_auc(detector, benign_eval,
                                             fresh_names(params, 0)).auc, None)]
-    shared_registry = set(registry)
     benign_train = list(benign_train)
+    shared_registry = set(benign_train)
     for stage in range(1, stages + 1):
         env = FeedbackEnv(detector, seed_corpus=shared_registry,
                           budget=cfg.stage_budget)

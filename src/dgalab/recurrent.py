@@ -53,12 +53,12 @@ def stack_step(w_x, w_h, b, x, hidden, want_cache=False):
     return inp, new_hidden, caches
 
 
-def stack_forward(w_x, w_h, b, xs, hidden=None, want_cache=False):
-    """Run a whole (T, B, d_in) input sequence; returns (T, B, d_h) top h."""
+def stack_forward(w_x, w_h, b, xs, want_cache=False):
+    """Run a whole (T, B, d_in) input sequence from a zero state; returns
+    (T, B, d_h) top h, the final hidden state and the per-step caches."""
     T, batch = xs.shape[0], xs.shape[1]
     d_h = w_h[0].shape[0]
-    if hidden is None:
-        hidden = zero_hidden(len(w_x), batch, d_h, xs.dtype)
+    hidden = zero_hidden(len(w_x), batch, d_h, xs.dtype)
     tops = np.empty((T, batch, d_h), dtype=xs.dtype)
     all_caches = [] if want_cache else None
     for t in range(T):

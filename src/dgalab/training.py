@@ -2,22 +2,19 @@
 black-box registration environment.
 
 The estimator is the SeqGAN-style likelihood-ratio form.  Step t of an
-episode weights log pi(a | s_t) by an estimate Q(s_t, a) of the finished
-name's registration reward: before the last step, ``m`` Monte-Carlo rollouts
-of the same policy complete the prefix plus ``a`` and their feedback is
-averaged; at the last step the candidate name's own feedback is the value.
-Sampled mode values only the action taken; full enumeration (small test
-dictionaries) values every unmasked action and weights it by pi(a | s_t).
-Both run on one batched engine, ``action_values``, which resumes every
-candidate of a step from the cached policy state in one generation pass.
+episode weights log pi(a_t | s_t) by an estimate Q(s_t, a_t) of the finished
+name's registration reward for the action taken: before the last step, ``m``
+Monte-Carlo rollouts of the same policy complete the prefix plus a_t and
+their feedback is averaged; at the last step the name's own feedback is the
+value.  ``action_values`` resumes every episode of a step from the cached
+policy state in one batched generation pass.
 
 Registration order is canonical and single-threaded: for each epoch, names
-are registered step-major, then episode, then action, then rollout; the last
-step registers each candidate name once, and the taken action's value there
-is the epoch's terminal reward.  All sampling draws come from counter-based
-streams keyed on (master seed, epoch, slot, ...), and every candidate action
-of episode i reuses the rollout uniforms of (i, rollout j, step t), so a run
-is a pure function of (seed, config, corpora).
+are registered step-major, then episode, then rollout; the last step
+registers each finished name once, and its value there is the epoch's
+terminal reward.  All sampling draws come from counter-based streams keyed
+on (master seed, epoch, slot, ...), so a run is a pure function of (seed,
+config, corpora).
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ class TrainConfig:
     mc: int = 4
     length: int = 12
     epochs: int = 300
-    full_enumeration: bool = False
     tld: str = "com"
     n_layers: int = 1
     d_e: int = 32
@@ -99,8 +95,6 @@ def train(env, cfg: TrainConfig, master_seed: int,
     stops the loop and leaves the last good checkpoint in place.
     """
     check_tld(cfg.tld, cfg.length)
-    if cfg.full_enumeration and dct.n > 8:
-        raise ContractError("full enumeration is for dictionaries with n <= 8")
     space = space or SeedSpace()
     if params is None:
         params = P.init_params(cfg.n_layers, cfg.d_e, cfg.d_h, dct.n,
@@ -139,45 +133,34 @@ def train(env, cfg: TrainConfig, master_seed: int,
 
 
 def _epoch_run(params, cfg, dct, space, master_seed, epoch):
-    """The epoch's B date seeds and their sampled episodes (with the dists
-    and cached states the reward estimates resume from)."""
+    """The epoch's B date seeds and their sampled episodes (with the cached
+    states the reward estimates resume from)."""
     T, B = cfg.length, cfg.batch
     dates = [space.date_at(epoch * B + i) for i in range(B)]
     seed_vecs = np.stack([encode_seed(d, dct, space)[0] for d in dates])
     uniforms = np.stack([stream("episode", master_seed, epoch, i).random(T)
                          for i in range(B)])
     run = P.run_batch(params, dct, T, seed_vecs=seed_vecs, uniforms=uniforms,
-                      want_dists=True, want_snapshots=True)
+                      want_snapshots=True)
     return seed_vecs, run
 
 
 def _epoch_coeffs(env, params, cfg, dct, master_seed, epoch, run,
                   registered=None):
-    """Policy-gradient coefficients (T, B, n) for one epoch's episodes, plus
-    the values Q(s_t, a_t) of the actions taken, shape (T, B).
-
-    Sampled mode puts Q/B on the taken token; full enumeration values every
-    unmasked action a and puts pi(a | s_t) * Q(s_t, a) / B on it.
-    """
-    T, B, n = cfg.length, cfg.batch, dct.n
+    """Policy-gradient coefficients (T, B, n) for one epoch's episodes, with
+    Q(s_t, a_t)/B on each taken token, plus the values Q(s_t, a_t) of the
+    actions taken, shape (T, B)."""
+    T, B = cfg.length, cfg.batch
     tokens = run.tokens
     mc_u = np.stack([stream("mc-train", master_seed, epoch, i)
                      .random((cfg.mc, T, T)) for i in range(B)])
-    rows = np.arange(B)[:, None]
-    coeffs = np.zeros((T, B, n))
     taken = np.empty((T, B))
     for t in range(T):
-        if cfg.full_enumeration:
-            masked = P.masked_index_at(dct, t, T)
-            actions = np.tile([a for a in range(n) if a != masked], (B, 1))
-            scale = run.dists[t][rows, actions]
-        else:
-            actions = tokens[:, t:t + 1]
-            scale = 1.0
-        q = action_values(env, params, cfg, dct, tokens[:, :t],
-                          run.snapshots[t], actions, mc_u, registered)
-        coeffs[t][rows, actions] = scale * q / B
-        taken[t] = q[rows[:, 0], (actions == tokens[:, t:t + 1]).argmax(1)]
+        taken[t] = action_values(env, params, cfg, dct, tokens[:, :t],
+                                 run.snapshots[t], tokens[:, t], mc_u,
+                                 registered)
+    coeffs = np.zeros((T, B, dct.n))
+    coeffs[np.arange(T)[:, None], np.arange(B), tokens.T] = taken / B
     return coeffs, taken
 
 
@@ -185,28 +168,25 @@ def action_values(env, params: P.PolicyParams, cfg: TrainConfig,
                   dct: TokenDict, prefix: np.ndarray, hidden,
                   actions: np.ndarray, mc_u: np.ndarray,
                   registered: list | None = None) -> np.ndarray:
-    """Estimated reward Q(s_t, a) of K candidate actions per episode, (B, K).
+    """Estimated reward Q(s_t, a) of one action per episode, shape (B,).
 
     ``prefix`` (B, t) holds the tokens emitted before step t and ``hidden``
     the policy state that produced step t's distribution (a
-    ``BatchRun.snapshots`` entry); ``actions`` (B, K) are the candidates and
-    ``mc_u`` (B, m, T, T) the epoch's rollout uniforms.  Before the last
-    step, m rollouts complete each [prefix, a] in one generation pass, and
-    every candidate of episode i reuses the uniforms of (i, j, t).  At the
-    last step each candidate name is registered once.  Names are registered
-    episode-major, then action, then rollout; accepted ones are appended to
-    ``registered``.
+    ``BatchRun.snapshots`` entry); ``actions`` (B,) are the actions valued
+    and ``mc_u`` (B, m, T, T) the epoch's rollout uniforms.  Before the last
+    step, m rollouts complete each [prefix, a] in one generation pass, using
+    the uniforms of (i, j, t).  At the last step each name is registered
+    once.  Names are registered episode-major, then rollout; accepted ones
+    are appended to ``registered``.
     """
-    (B, t), K = prefix.shape, actions.shape[1]
+    B, t = prefix.shape
     T, m = cfg.length, cfg.mc
-    heads = np.concatenate([np.repeat(prefix, K, axis=0),
-                            actions.reshape(-1, 1)], axis=1)
+    heads = np.concatenate([prefix, actions.reshape(-1, 1)], axis=1)
     if t < T - 1:
         suffix = T - t - 1
         heads = np.repeat(heads, m, axis=0)
-        u = np.broadcast_to(mc_u[:, None, :, t, :suffix],
-                            (B, K, m, suffix)).reshape(-1, suffix)
-        init = [(np.repeat(h, K * m, axis=0), np.repeat(c, K * m, axis=0))
+        u = mc_u[:, :, t, :suffix].reshape(-1, suffix)
+        init = [(np.repeat(h, m, axis=0), np.repeat(c, m, axis=0))
                 for h, c in hidden]
         ro = P.run_batch(params, dct, T, init_hidden=init,
                          first_tokens=heads[:, -1], start_pos=t + 1,
@@ -218,7 +198,7 @@ def action_values(env, params: P.PolicyParams, cfg: TrainConfig,
         registered.extend(nm for nm, fb in zip(names, feedback)
                           if fb.outcome == 1)
     vals = np.array([fb.outcome for fb in feedback], dtype=np.float64)
-    return vals.reshape(B, K, -1).mean(axis=2)
+    return vals.reshape(B, -1).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------

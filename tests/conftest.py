@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from dgalab.detectors.features import extract_many
 from dgalab.dnsenv import DnsFeedback
 from dgalab.policy import params_from_tensors
 
 # CI selects this with --hypothesis-profile=ci: the same examples on every
 # run, and no example database carried between runs
 settings.register_profile("ci", derandomize=True, database=None)
+
+
+def extract_features(domain: str) -> np.ndarray:
+    """The 21 features of one name: ``extract_many`` of one."""
+    return extract_many([domain])[0]
 
 
 class StubEnv:

@@ -45,7 +45,7 @@ def emit(request):
 @pytest.fixture(scope="module")
 def corpus_split():
     benign = bundled_benign(6250)
-    agd = [d.core + ".com" for d in kraken_generate(77, 6250)]
+    agd = [core + ".com" for core in kraken_generate(77, 6250)]
     corpus = LabeledCorpus(tuple(benign), tuple(agd))
     return split_dataset(corpus, 0.8, rng_seed=20)
 

@@ -30,22 +30,22 @@ class TestKraken:
     def test_deterministic(self):
         a = kraken_generate(7, 50)
         b = kraken_generate(7, 50)
-        assert [d.core for d in a] == [d.core for d in b]
+        assert a == b
         c = kraken_generate(8, 50)
-        assert [d.core for d in a] != [d.core for d in c]
+        assert a != c
 
     def test_count_and_validity(self):
         doms = kraken_generate(3, 3)
         assert len(doms) == 3
-        assert all(validate_domain(assemble_fqdn(d, "com")) for d in doms)
+        assert all(validate_domain(assemble_fqdn(core, "com")) for core in doms)
 
     def test_lengths_in_range(self):
         doms = kraken_generate(11, 500, (5, 9))
-        assert all(5 <= d.length <= 9 for d in doms)
+        assert all(5 <= len(core) <= 9 for core in doms)
 
     def test_letter_frequency_near_uniform(self):
         doms = kraken_generate(123456, 12000)
-        chars = "".join(d.core for d in doms)[:100_000]
+        chars = "".join(doms)[:100_000]
         counts = Counter(chars)
         expected = len(chars) / 26
         stat = sum((counts.get(chr(97 + i), 0) - expected) ** 2 / expected
@@ -61,13 +61,13 @@ class TestGozi:
     def test_single_word_dict_forced(self):
         d = WordDict(("abc",))
         doms = gozi_generate(d, 5, 4, words_per_name=(2, 2))
-        assert all(x.core == "abcabc" for x in doms)
+        assert all(core == "abcabc" for core in doms)
 
     def test_deterministic(self):
         words = load_wordlist(bundled="words_a.txt")
         a = gozi_generate(words, 42, 30)
         b = gozi_generate(words, 42, 30)
-        assert [d.core for d in a] == [d.core for d in b]
+        assert a == b
 
     def test_matches_lcg_index_oracle(self):
         d = WordDict(("one", "two"))
@@ -77,30 +77,37 @@ class TestGozi:
         for _ in range(6):
             k = 2 + lcg.below(1)  # span 1: word count fixed at 2
             expect.append("".join(d.words[lcg.below(2)] for _ in range(k)))
-        assert [x.core for x in doms] == expect
+        assert doms == expect
 
     def test_empty_dict_rejected(self):
         with pytest.raises(ContractError):
             WordDict(())
 
+    def test_words_fit_a_label(self):
+        with pytest.raises(ContractError):
+            WordDict(("a" * 64,))
+        # a second 63-character word never fits, the first always does
+        doms = gozi_generate(WordDict(("a" * 63,)), 3, 5, words_per_name=(2, 2))
+        assert doms == ["a" * 63] * 5
+
 
 class TestSuppobox:
     def test_forced_pair(self):
         doms = suppobox_generate(WordDict(("sun",)), WordDict(("set",)), 1, 3)
-        assert all(d.core == "sunset" for d in doms)
+        assert all(core == "sunset" for core in doms)
 
     def test_deterministic(self):
         d1 = load_wordlist(bundled="words_a.txt")
         d2 = load_wordlist(bundled="words_b.txt")
         a = suppobox_generate(d1, d2, 5, 20)
         b = suppobox_generate(d1, d2, 5, 20)
-        assert [d.core for d in a] == [d.core for d in b]
+        assert a == b
 
     def test_two_by_two_coverage(self):
         d1 = WordDict(("aa", "bb"))
         d2 = WordDict(("cc", "dd"))
         doms = suppobox_generate(d1, d2, 31, 1000)
-        seen = {d.core for d in doms}
+        seen = set(doms)
         assert seen == {"aacc", "aadd", "bbcc", "bbdd"}
 
 

@@ -22,7 +22,7 @@ PROBE = ["example.com", "qzkxv0pwj3.net", "a-b.org", "x.y.co"]
 
 def tiny_corpus(n=40):
     return LabeledCorpus(tuple(synthesize_benign(n, rng_seed=1)),
-                         tuple(d.core + ".com" for d in kraken_generate(1, n)))
+                         tuple(core + ".com" for core in kraken_generate(1, n)))
 
 
 @pytest.fixture(scope="module")

@@ -255,6 +255,43 @@ class TestExitCodes:
             f"usage error: config key {key!r} is not read by any command"]
         assert not (tmp_path / "rl").exists()
 
+    def test_misspelled_boolean(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        # a matrix that would run; the misspelling must stop it first
+        cfg.write_text("matrix.include_mixed = ture\nmatrix.pkdga = false\n"
+                       "matrix.dgas = kraken\nmatrix.detectors = statistics\n"
+                       "matrix.train_per_class = 100\nmatrix.eval_benign = 50\n"
+                       "matrix.eval_agd = 50\n")
+        capsys.readouterr()
+        code, _ = run_cli("matrix", "--benign",
+                          str(workspace / "prep" / "benign.txt"), "--config",
+                          str(cfg), "--out", str(tmp_path / "mx"))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: config matrix.include_mixed = 'ture': expected one "
+            "of 1, true, yes, on, 0, false, no, off"]
+        assert not list((tmp_path / "mx").glob("*.tsv"))
+
+    @pytest.mark.parametrize("line,message", [
+        ("detector.neural.epochs = abc", "epochs = 'abc': expected int"),
+        ("detector.neural.bidirectional = maybe",
+         "bidirectional = 'maybe': expected bool"),
+        ("detector.fanci.trees = 2.5", "trees = '2.5': expected int"),
+    ])
+    def test_bad_detector_hyperparameter(self, line, message, workspace,
+                                         tmp_path, capsys):
+        cfg = tmp_path / "hp.cfg"
+        cfg.write_text(line + "\n")
+        capsys.readouterr()
+        code, _ = run_cli("detector-train", "--kind", line.split(".")[1],
+                          "--benign", str(workspace / "prep" / "benign.txt"),
+                          "--agd", str(workspace / "prep" / "kraken.txt"),
+                          "--config", str(cfg), "--out", str(tmp_path / "d"))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: detector hyperparameter {message}"]
+        assert not (tmp_path / "d" / "detector.ckpt").exists()
+
 
 def usage_errors(capsys) -> list[str]:
     """The ``usage error:`` lines on stderr since the last read."""
@@ -278,6 +315,21 @@ class TestConfigKeys:
         code, _ = run_cli("generate", "--dga", "kraken", "--count", "2",
                           "--config", str(cfg))
         assert code == 0
+
+
+class TestBooleans:
+    @pytest.mark.parametrize("value", ["no", "Off"])
+    def test_detector_flag_spellings(self, value, workspace, tmp_path):
+        cfg = tmp_path / "bi.cfg"
+        cfg.write_text("detector.epochs = 1\n"
+                       f"detector.neural.bidirectional = {value}\n")
+        code, _ = run_cli("detector-train", "--kind", "neural",
+                          "--benign", str(workspace / "prep" / "benign.txt"),
+                          "--agd", str(workspace / "prep" / "kraken.txt"),
+                          "--config", str(cfg), "--out", str(tmp_path / "d"))
+        assert code == 0
+        model = cli.load_detector(tmp_path / "d" / "detector.ckpt")
+        assert model.bidirectional is False
 
 
 class TestGenerate:

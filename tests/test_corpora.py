@@ -3,9 +3,10 @@ import pytest
 from dgalab.corpora import (LabeledCorpus, bundled_benign, bundled_tlds,
                             load_domains, load_wordlist, save_domains,
                             synthesize_benign)
-from dgalab.detectors.features import FEATURE_NAMES, extract_features
+from dgalab.detectors.features import FEATURE_NAMES
 from dgalab.domains import validate_domain
 from dgalab.errors import DataError
+from conftest import extract_features
 
 
 class TestWordlists:

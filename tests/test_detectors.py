@@ -8,10 +8,10 @@ import scalar_oracles as oracle
 from dgalab.baselines import kraken_generate, suppobox_generate, WordDict
 from dgalab.corpora import (LabeledCorpus, bundled_tlds, load_wordlist,
                             synthesize_benign)
-from dgalab.detectors import (FEATURE_NAMES, KINDS, extract_features,
-                              load_detector, train_detector)
+from dgalab.detectors import (FEATURE_NAMES, KINDS, load_detector,
+                              train_detector)
 from dgalab.detectors import features, statistics, wordgraph
-from dgalab.detectors.base import checked_names, fit_logistic
+from dgalab.detectors.base import checked_names, fit_logistic, hp_value
 from dgalab.detectors.features import extract_many, split_core
 from dgalab.detectors.neural import VOCAB, encode
 from dgalab.detectors.forest import fit_forest
@@ -19,12 +19,12 @@ from dgalab.detectors.statistics import CHUNK, StatisticsDetector
 from dgalab.domains import validate_domain
 from dgalab.errors import DataError, ScoringError
 from dgalab.rng import stream
-from conftest import python_subprocess
+from conftest import extract_features, python_subprocess
 
 
 def small_corpus(n=120, seed=4):
     benign = synthesize_benign(n, rng_seed=seed)
-    agd = [d.core + ".com" for d in kraken_generate(seed, n)]
+    agd = [core + ".com" for core in kraken_generate(seed, n)]
     return LabeledCorpus(tuple(benign), tuple(agd))
 
 
@@ -66,8 +66,8 @@ def name_pool() -> tuple:
     words_a = load_wordlist(bundled="words_a.txt")
     words_b = load_wordlist(bundled="words_b.txt")
     return tuple(synthesize_benign(150, rng_seed=8)
-                 + [d.core + ".net" for d in kraken_generate(8, 100)]
-                 + [d.core + ".org" for d in
+                 + [core + ".net" for core in kraken_generate(8, 100)]
+                 + [core + ".org" for core in
                     suppobox_generate(words_a, words_b, 8, 100)])
 
 
@@ -181,6 +181,30 @@ class TestDetectorContracts:
         with pytest.raises(DataError):
             train_detector("fanci",
                            LabeledCorpus(("a.com",), ()), rng_seed=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_invalid_corpus_name_is_data_error(self, kind):
+        corpus = small_corpus(20)
+        bad = LabeledCorpus(corpus.benign[:10] + ("Good.com",),
+                            corpus.agd[:10] + ("-bad.com",))
+        with pytest.raises(DataError, match="^training corpus: invalid "
+                                            "domain 'Good.com'$"):
+            train_detector(kind, bad, hp={"epochs": 1}, rng_seed=0)
+
+    def test_hyperparameter_casts(self):
+        hp = {"n": "3", "m": 4.0, "x": "0.25", "on": "Yes", "off": False,
+              "frac": 2.5, "word": "abc", "flag": "maybe"}
+        assert hp_value(hp, "n", 1, int) == 3
+        assert hp_value(hp, "m", 1, int) == 4
+        assert hp_value(hp, "x", 1.0, float) == 0.25
+        assert hp_value(hp, "on", False, bool) is True
+        assert hp_value(hp, "off", True, bool) is False
+        assert hp_value(hp, "absent", 7, int) == 7
+        for key, cast in (("frac", int), ("word", int), ("word", float),
+                          ("flag", bool)):
+            with pytest.raises(DataError, match=f"^detector hyperparameter "
+                                                f"{key} = "):
+                hp_value(hp, key, None, cast)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_invalid_domain_scoring_error(self, kind):
@@ -353,23 +377,24 @@ class TestWordGraph:
         corpus = LabeledCorpus(tuple(benign), tuple(agd))
         model = train_detector("wordgraph", corpus,
                                hp={"repeat_threshold": 100}, rng_seed=0)
-        assert model.graph_stat("unique0001x.com") == 0.0
+        assert model.graph_stats(["unique0001x.com"])[0] == 0.0
         assert model.score("whatever.com") == pytest.approx(0.5, abs=1e-6)
 
     def test_shared_dictionary_words_gain_degree(self):
         d1 = WordDict(("sunny", "rainy", "misty"))
         d2 = WordDict(("field", "river", "stone"))
-        agd = [f"{a.core}.com" for a in suppobox_generate(d1, d2, 3, 60)]
+        agd = [f"{core}.com" for core in suppobox_generate(d1, d2, 3, 60)]
         benign = [f"distinct{i:03d}q.net" for i in range(60)]
         corpus = LabeledCorpus(tuple(benign), tuple(agd))
         model = train_detector("wordgraph", corpus, rng_seed=0)
-        assert model.graph_stat("sunnyfield.com") > 0.0
-        assert model.graph_stat("sunnyfield.com") > model.graph_stat("qzkwv0xy.com")
+        stat, noise = model.graph_stats(["sunnyfield.com", "qzkwv0xy.com"])
+        assert stat > 0.0
+        assert stat > noise
 
     def test_unmatched_domain_scores_zero_stat(self):
         corpus = small_corpus(80)
         model = train_detector("wordgraph", corpus, rng_seed=0)
-        assert model.graph_stat("q0q1q2q3q4.com") == 0.0
+        assert model.graph_stats(["q0q1q2q3q4.com"])[0] == 0.0
 
 
 class TestNeuralDetector:

@@ -147,7 +147,7 @@ class TestBatchedStatistics:
 
     def test_trained_detector_on_generated_names(self):
         benign = synthesize_benign(1000, rng_seed=5)
-        agd = [d.core + ".com" for d in kraken_generate(5, 1000)]
+        agd = [core + ".com" for core in kraken_generate(5, 1000)]
         model = train_detector("statistics",
                                LabeledCorpus(tuple(benign[:500]),
                                              tuple(agd[:500])), rng_seed=3)

@@ -43,8 +43,8 @@ class TestRegister:
 
     def test_newline_name_is_data_error_before_scoring(self):
         corpus = LabeledCorpus(tuple(synthesize_benign(40, rng_seed=4)),
-                               tuple(d.core + ".com"
-                                     for d in kraken_generate(4, 40)))
+                               tuple(core + ".com"
+                                     for core in kraken_generate(4, 40)))
         det = train_detector("neural", corpus, hp={"epochs": 1}, rng_seed=0)
         env = FeedbackEnv(det)
         for names in (["abc.com\n"], ["abc\n.com"], ["ok.com", "abc.com\n"]):

@@ -124,11 +124,11 @@ def _dga_map():
     words_b = load_wordlist(bundled="words_b.txt")
 
     def kraken(count, key):
-        return [d.core + ".com" for d in
+        return [core + ".com" for core in
                 kraken_generate(stream_key(key) % 10_000, count)]
 
     def suppobox(count, key):
-        return [d.core + ".com" for d in
+        return [core + ".com" for core in
                 suppobox_generate(words_a, words_b,
                                   stream_key(key) % 10_000, count)]
     return {"kraken": kraken, "suppobox": suppobox}
@@ -143,7 +143,7 @@ class TestMatrix:
                            pkdga=None)
         matrix = run_matrix(dgas, benign, cfg, master_seed=0)
         assert set(matrix.cells) == {("kraken", "kraken", "statistics")}
-        val = matrix.value("kraken", "kraken", "statistics")
+        val = matrix.cells[("kraken", "kraken", "statistics")]
         assert 0.0 <= val <= 1.0
         assert not matrix.failures
 
@@ -180,7 +180,7 @@ class TestMatrix:
         matrix = run_matrix(_dga_map(), benign, cfg, master_seed=1)
         for dga in ("kraken", "suppobox"):
             for det in ("statistics", "fanci"):
-                assert np.isfinite(matrix.value(dga, dga, det))
+                assert np.isfinite(matrix.cells[(dga, dga, det)])
         fig = matrix.fig_tsv("statistics")
         lines = fig.strip().split("\n")
         assert lines[0].split("\t") == ["train\\test", "kraken", "suppobox"]
@@ -196,8 +196,8 @@ class TestMatrix:
         dgas = {"kraken": _dga_map()["kraken"]}
         matrix = run_matrix(dgas, benign, cfg, master_seed=0)
         assert ("kraken", "not-a-kind") in matrix.failures
-        assert np.isnan(matrix.value("kraken", "kraken", "not-a-kind"))
-        assert np.isfinite(matrix.value("kraken", "kraken", "statistics"))
+        assert np.isnan(matrix.cells[("kraken", "kraken", "not-a-kind")])
+        assert np.isfinite(matrix.cells[("kraken", "kraken", "statistics")])
 
     def test_pkdga_column_dominates_zero_knowledge_on_average(self):
         # per-cell feedback training adapts to every detector, so the
@@ -216,7 +216,7 @@ class TestMatrix:
         assert not matrix.failures
         means = {}
         for test in matrix.tests:
-            vals = [matrix.value(row, test, det)
+            vals = [matrix.cells[(row, test, det)]
                     for row in matrix.rows for det in matrix.detectors]
             means[test] = float(np.mean(vals))
         assert means["pkdga"] > means["kraken"]
@@ -227,8 +227,8 @@ class TestGameLoop:
     def test_zero_stages_baseline_only(self):
         benign = synthesize_benign(240, rng_seed=2)
         corpus = LabeledCorpus(tuple(benign[:160]),
-                               tuple(d.core + ".com"
-                                     for d in kraken_generate(3, 160)))
+                               tuple(core + ".com"
+                                     for core in kraken_generate(3, 160)))
         det = train_detector("neural", corpus, hp={"epochs": 2}, rng_seed=0)
         cfg = GameConfig(train_cfg=TrainConfig(lr=1.0, batch=4, mc=2,
                                                length=8, epochs=2),
@@ -241,8 +241,8 @@ class TestGameLoop:
     def test_one_stage_improves_on_its_own_agds(self):
         benign = synthesize_benign(300, rng_seed=6)
         corpus = LabeledCorpus(tuple(benign[:200]),
-                               tuple(d.core + ".com"
-                                     for d in kraken_generate(8, 200)))
+                               tuple(core + ".com"
+                                     for core in kraken_generate(8, 200)))
         det = train_detector("neural", corpus, hp={"epochs": 3}, rng_seed=1)
         cfg = GameConfig(train_cfg=TrainConfig(lr=1.0, batch=8, mc=2,
                                                length=8, epochs=30),
@@ -262,8 +262,8 @@ class TestGameLoop:
 
     def test_non_incremental_kind_unsupported(self):
         corpus = LabeledCorpus(tuple(synthesize_benign(40, rng_seed=1)),
-                               tuple(d.core + ".com"
-                                     for d in kraken_generate(2, 40)))
+                               tuple(core + ".com"
+                                     for core in kraken_generate(2, 40)))
         det = train_detector("statistics", corpus, rng_seed=0)
         cfg = GameConfig(train_cfg=TrainConfig(lr=1.0))
         with pytest.raises(UnsupportedDetectorError):

@@ -1,5 +1,4 @@
 import datetime as dt
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from dgalab import policy, recurrent
 from dgalab.dnsenv import FeedbackEnv
 from dgalab.domains import DEFAULT_TOKENS, SeedSpace, TokenDict, encode_seed
-from dgalab.errors import ContractError
 from dgalab.rng import stream
 from dgalab.errors import AssemblyError
 from dgalab.training import (TrainConfig, _epoch_coeffs, _epoch_run,
@@ -49,15 +47,15 @@ def state_after(p, seed_vec, prefix):
     return hidden
 
 
-def values(env, p, cfg, prefix, actions, seed_vec=np.eye(2)[0],
+def values(env, p, cfg, prefix, action, seed_vec=np.eye(2)[0],
            master_seed=0):
-    """Q(s_t, a) for one episode with the given prefix and actions."""
+    """Q(s_t, a) for one episode with the given prefix and action."""
     mc_u = stream("mc-train", master_seed).random(
         (1, cfg.mc, cfg.length, cfg.length))
     return action_values(env, p, cfg, AB,
                          np.asarray([prefix], np.int64).reshape(1, -1),
                          state_after(p, seed_vec, prefix),
-                         np.asarray([actions], np.int64), mc_u)[0]
+                         np.array([action]), mc_u)[0]
 
 
 class RecordingEnv(StubEnv):
@@ -112,16 +110,16 @@ class TestMcRollouts:
         env = RecordingEnv(lambda f: True)
         p = tiny_params(2)
         cfg = TrainConfig(length=7, mc=4, lr=1.0)
-        q = values(env, p, cfg, (0, 1, 0, 1, 0, 1), [1])
+        q = values(env, p, cfg, (0, 1, 0, 1, 0, 1), 1)
         assert env.calls == [["abababb.com"]]
-        assert q[0] == 1.0
+        assert q == 1.0
 
     def test_reproducible_streams(self):
         p = tiny_params(2, seed=9)
         cfg = TrainConfig(length=7, mc=3, lr=1.0)
         a, b = RecordingEnv(lambda f: True), RecordingEnv(lambda f: True)
-        values(a, p, cfg, (1,), [0], np.eye(2)[1], master_seed=7)
-        values(b, p, cfg, (1,), [0], np.eye(2)[1], master_seed=7)
+        values(a, p, cfg, (1,), 0, np.eye(2)[1], master_seed=7)
+        values(b, p, cfg, (1,), 0, np.eye(2)[1], master_seed=7)
         assert a.calls == b.calls
 
     def test_deterministic_policy_identical_rollouts(self):
@@ -133,7 +131,7 @@ class TestMcRollouts:
         sharp = policy.params_from_tensors(arrays, 1)
         env = RecordingEnv(lambda f: True)
         cfg = TrainConfig(length=7, mc=5, lr=1.0)
-        values(env, sharp, cfg, (0,), [0], master_seed=1)
+        values(env, sharp, cfg, (0,), 0, master_seed=1)
         (names,) = env.calls
         assert len(names) == 5
         assert len(set(names)) == 1
@@ -143,7 +141,7 @@ class TestMcRollouts:
         p = tiny_params(2, seed=21)
         env = RecordingEnv(lambda f: True)
         cfg = TrainConfig(length=7, mc=6, lr=1.0)
-        values(env, p, cfg, (1, 0), [1], master_seed=3)
+        values(env, p, cfg, (1, 0), 1, master_seed=3)
         for core in (name.split(".")[0] for name in env.calls[0]):
             assert core.startswith("bab")
             assert len(core) == 7
@@ -154,13 +152,13 @@ class TestEstimateReward:
         env = stub_env_factory(lambda f: True)
         p = tiny_params(2)
         cfg = TrainConfig(length=7, mc=4, lr=1.0)
-        assert values(env, p, cfg, (), [1])[0] == 1.0
+        assert values(env, p, cfg, (), 1) == 1.0
 
     def test_env_rewards_nothing(self, stub_env_factory):
         env = stub_env_factory(lambda f: False)
         p = tiny_params(2)
         cfg = TrainConfig(length=7, mc=4, lr=1.0)
-        assert values(env, p, cfg, (), [0])[0] == 0.0
+        assert values(env, p, cfg, (), 0) == 0.0
 
     def test_first_token_rule_with_deterministic_policy(self, stub_env_factory):
         env = stub_env_factory(lambda f: f.startswith("a"))
@@ -169,22 +167,22 @@ class TestEstimateReward:
         arrays["w_out"][:, 0] = 50.0   # rollouts continue with 'a' forever
         det = policy.params_from_tensors(arrays, 1)
         cfg = TrainConfig(length=7, mc=3, lr=1.0)
-        assert values(env, det, cfg, (), [0, 1]).tolist() == [1.0, 0.0]
+        assert [values(env, det, cfg, (), a) for a in (0, 1)] == [1.0, 0.0]
 
     def test_terminal_equals_direct_env_reward(self, stub_env_factory):
         env = stub_env_factory(lambda f: f.split(".")[0].count("b") == 3)
         p = tiny_params(2)
         cfg = TrainConfig(length=7, mc=5, lr=1.0)
-        got = values(env, p, cfg, (1, 1, 0, 0, 0, 1), [0, 1])
+        got = [values(env, p, cfg, (1, 1, 0, 0, 0, 1), a) for a in (0, 1)]
         # exactly three b's in 'bbaaab' + 'a'
-        assert got.tolist() == [1.0, 0.0]
+        assert got == [1.0, 0.0]
 
     def test_estimates_within_unit_interval(self, stub_env_factory):
         env = stub_env_factory(lambda f: hash(f) % 3 == 0)
         p = tiny_params(2, seed=17)
         cfg = TrainConfig(length=8, mc=6, lr=1.0)
         for t in range(7):
-            got = values(env, p, cfg, tuple([0, 1] * 4)[:t], [t % 2])[0]
+            got = values(env, p, cfg, tuple([0, 1] * 4)[:t], t % 2)
             assert 0.0 <= got <= 1.0
 
     def test_variance_shrinks_with_m(self, stub_env_factory):
@@ -195,9 +193,9 @@ class TestEstimateReward:
         for trial in range(60):
             env = stub_env_factory(rule)
             cfg5 = TrainConfig(length=9, mc=5, lr=1.0)
-            lo.append(values(env, p, cfg5, (0,), [1], master_seed=trial)[0])
+            lo.append(values(env, p, cfg5, (0,), 1, master_seed=trial))
             cfg20 = TrainConfig(length=9, mc=20, lr=1.0)
-            hi.append(values(env, p, cfg20, (0,), [1], master_seed=trial)[0])
+            hi.append(values(env, p, cfg20, (0,), 1, master_seed=trial))
         assert np.var(hi) <= np.var(lo)
 
 
@@ -280,36 +278,30 @@ class TestTrain:
                         r2.params.tensors().values()):
             assert np.array_equal(a, b)
 
-    def test_full_enumeration_mode(self, stub_env_factory):
-        env = stub_env_factory(lambda f: f.split(".")[0] == "a" * 7)
-        cfg = TrainConfig(lr=1.0, batch=2, mc=2, length=7, epochs=30,
-                          d_e=6, d_h=8, full_enumeration=True)
-        res = train(env, cfg, master_seed=4, dct=AB)
-        assert res.best_reward >= 0.5  # enumeration sees both actions per step
-
-    def test_enumerated_taken_value_equals_sampled_weight(self):
-        rule = lambda f: f.split(".")[0].count("a") >= 4
-        cfg = TrainConfig(lr=1.0, batch=4, mc=3, length=7, epochs=2,
-                          d_e=6, d_h=8)
-        enum = replace(cfg, full_enumeration=True)
-        p = tiny_params(2, seed=8)
-        for epoch in range(cfg.epochs):
-            _, run = _epoch_run(p, cfg, AB, SeedSpace(), 11, epoch)
-            coeffs, sampled = _epoch_coeffs(StubEnv(rule), p, cfg, AB, 11,
-                                            epoch, run)
-            enum_coeffs, q_taken = _epoch_coeffs(StubEnv(rule), p, enum, AB,
-                                                 11, epoch, run)
-            assert np.array_equal(q_taken, sampled)
-            t, i = np.meshgrid(range(7), range(4), indexing="ij")
-            a = run.tokens.T
-            assert np.array_equal(coeffs[t, i, a], sampled / 4)
-            assert np.allclose(enum_coeffs[t, i, a],
-                               run.dists[t, i, a] * sampled / 4)
-
-    def test_enumeration_registers_finished_names_once(self):
+    def test_sampled_coeffs_and_terminal_registration(self):
         dct = TokenDict("abcdefgh")
         cfg = TrainConfig(lr=1.0, batch=3, mc=2, length=7, epochs=1,
-                          d_e=6, d_h=8, full_enumeration=True)
+                          d_e=6, d_h=8)
+        B, m, T = cfg.batch, cfg.mc, cfg.length
+        p0 = policy.init_params(1, 6, 8, dct.n, rng_seed=4, dct=dct)
+        _, run = _epoch_run(p0, cfg, dct, SeedSpace(), 4, 0)
+
+        # Q(s_t, a_t) / B on each taken token, 0 elsewhere; the values are
+        # those of the engine on the epoch's rollout streams
+        rule = lambda f: f.split(".")[0].count("a") >= 2
+        coeffs, taken = _epoch_coeffs(StubEnv(rule), p0, cfg, dct, 4, 0, run)
+        mc_u = np.stack([stream("mc-train", 4, 0, i).random((m, T, T))
+                         for i in range(B)])
+        for t in range(T):
+            q = action_values(StubEnv(rule), p0, cfg, dct, run.tokens[:, :t],
+                              run.snapshots[t], run.tokens[:, t], mc_u)
+            assert np.array_equal(taken[t], q)
+        t, i = np.meshgrid(range(T), range(B), indexing="ij")
+        a = run.tokens.T
+        assert np.array_equal(coeffs[t, i, a], taken / B)
+        coeffs[t, i, a] = 0.0
+        assert not coeffs.any()
+
         calls = []
 
         class Recording(FeedbackEnv):
@@ -320,23 +312,11 @@ class TestTrain:
 
         env = Recording(FixedScoreDetector(lambda d: 1.0), budget=10_000)
         res = train(env, cfg, master_seed=4, dct=dct)
-        B, K, m, T = 3, dct.n, cfg.mc, cfg.length
         assert len(calls) == T
-        assert env.query_count == B * K * (m * (T - 1) + 1)
-        last = dict(calls[-1])
-        assert len(last) == B * K
-        p0 = policy.init_params(1, 6, 8, dct.n, rng_seed=4, dct=dct)
-        _, run = _epoch_run(p0, cfg, dct, SeedSpace(), 4, 0)
+        assert env.query_count == B * (m * (T - 1) + 1)
         finished = [f"{dct.detokenize(row)}.com" for row in run.tokens]
-        assert all(name in last for name in finished)
-        assert res.curve[0] == np.mean([last[n].outcome for n in finished])
-
-    def test_full_enumeration_needs_small_dict(self, stub_env_factory):
-        from dgalab.domains import DEFAULT_TOKENS
-        cfg = TrainConfig(full_enumeration=True, lr=1.0)
-        with pytest.raises(ContractError):
-            train(stub_env_factory(lambda f: True), cfg, master_seed=0,
-                  dct=DEFAULT_TOKENS)
+        assert [name for name, _ in calls[-1]] == finished
+        assert res.curve[0] == np.mean([fb.outcome for _, fb in calls[-1]])
 
 
 class TestGeneration:
