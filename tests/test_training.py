@@ -278,30 +278,34 @@ class TestTrain:
                         r2.params.tensors().values()):
             assert np.array_equal(a, b)
 
-    def test_sampled_coeffs_and_terminal_registration(self):
+    def test_enumerated_taken_value_equals_sampled_weight(self):
+        # Q(s_t, a_t) / B on each taken token, 0 elsewhere; the values are
+        # those of the engine on the epoch's rollout streams
+        rule = lambda f: f.split(".")[0].count("a") >= 4
+        cfg = TrainConfig(lr=1.0, batch=4, mc=3, length=7, epochs=2,
+                          d_e=6, d_h=8)
+        B, m, T = cfg.batch, cfg.mc, cfg.length
+        p = tiny_params(2, seed=8)
+        for epoch in range(cfg.epochs):
+            _, run = _epoch_run(p, cfg, AB, SeedSpace(), 11, epoch)
+            coeffs, taken = _epoch_coeffs(StubEnv(rule), p, cfg, AB, 11,
+                                          epoch, run)
+            mc_u = np.stack([stream("mc-train", 11, epoch, i).random((m, T, T))
+                             for i in range(B)])
+            for t in range(T):
+                q = action_values(StubEnv(rule), p, cfg, AB, run.tokens[:, :t],
+                                  run.snapshots[t], run.tokens[:, t], mc_u)
+                assert np.array_equal(taken[t], q)
+            t, i = np.meshgrid(range(T), range(B), indexing="ij")
+            a = run.tokens.T
+            assert np.array_equal(coeffs[t, i, a], taken / B)
+            coeffs[t, i, a] = 0.0
+            assert not coeffs.any()
+
+    def test_enumeration_registers_finished_names_once(self):
         dct = TokenDict("abcdefgh")
         cfg = TrainConfig(lr=1.0, batch=3, mc=2, length=7, epochs=1,
                           d_e=6, d_h=8)
-        B, m, T = cfg.batch, cfg.mc, cfg.length
-        p0 = policy.init_params(1, 6, 8, dct.n, rng_seed=4, dct=dct)
-        _, run = _epoch_run(p0, cfg, dct, SeedSpace(), 4, 0)
-
-        # Q(s_t, a_t) / B on each taken token, 0 elsewhere; the values are
-        # those of the engine on the epoch's rollout streams
-        rule = lambda f: f.split(".")[0].count("a") >= 2
-        coeffs, taken = _epoch_coeffs(StubEnv(rule), p0, cfg, dct, 4, 0, run)
-        mc_u = np.stack([stream("mc-train", 4, 0, i).random((m, T, T))
-                         for i in range(B)])
-        for t in range(T):
-            q = action_values(StubEnv(rule), p0, cfg, dct, run.tokens[:, :t],
-                              run.snapshots[t], run.tokens[:, t], mc_u)
-            assert np.array_equal(taken[t], q)
-        t, i = np.meshgrid(range(T), range(B), indexing="ij")
-        a = run.tokens.T
-        assert np.array_equal(coeffs[t, i, a], taken / B)
-        coeffs[t, i, a] = 0.0
-        assert not coeffs.any()
-
         calls = []
 
         class Recording(FeedbackEnv):
@@ -312,8 +316,11 @@ class TestTrain:
 
         env = Recording(FixedScoreDetector(lambda d: 1.0), budget=10_000)
         res = train(env, cfg, master_seed=4, dct=dct)
+        B, m, T = cfg.batch, cfg.mc, cfg.length
         assert len(calls) == T
         assert env.query_count == B * (m * (T - 1) + 1)
+        p0 = policy.init_params(1, 6, 8, dct.n, rng_seed=4, dct=dct)
+        _, run = _epoch_run(p0, cfg, dct, SeedSpace(), 4, 0)
         finished = [f"{dct.detokenize(row)}.com" for row in run.tokens]
         assert [name for name, _ in calls[-1]] == finished
         assert res.curve[0] == np.mean([fb.outcome for _, fb in calls[-1]])
