@@ -18,6 +18,7 @@ from .baselines import gozi_generate, kraken_generate, suppobox_generate
 from .config import (cfg_date, cfg_get, parse_config, resolve_data_path,
                      write_manifest)
 from .detectors import KINDS, load_detector, train_detector
+from .detectors.base import HP_KEYS
 from .dnsenv import FeedbackEnv
 from .domains import SeedSpace, check_tld
 from .errors import ContractError, DataError, DgaLabError, NumericError
@@ -131,8 +132,7 @@ def _build_parser() -> _Parser:
 
 
 # every key of these sections that some command reads; any other key there
-# ends the run (detector.* keys are forwarded as hyperparameters, so that
-# section stays open)
+# ends the run
 _CONFIG_KEYS = {
     "train": ("lr", "batch", "mc", "length", "epochs", "n_layers", "d_e",
               "d_h"),
@@ -143,13 +143,20 @@ _CONFIG_KEYS = {
                "eval_benign", "eval_agd", "include_mixed", "pkdga_budget"),
     "game": ("stage_budget", "fresh", "incr_epochs", "incr_lr"),
 }
+# detector.<kind>.<key> for a key the kind reads, and detector.<key> for the
+# split or a key some kind reads (it goes to every kind)
+_DETECTOR_KEYS = {"split", *(f"{kind}.{key}" for kind, keys in HP_KEYS.items()
+                             for key in keys),
+                  *(key for keys in HP_KEYS.values() for key in keys)}
 
 
 def _load_cfg(args) -> dict:
     cfg = parse_config(args.config) if args.config else {}
     for key in cfg:
         section, _, name = key.partition(".")
-        if section in _CONFIG_KEYS and name not in _CONFIG_KEYS[section]:
+        known = (_DETECTOR_KEYS if section == "detector"
+                 else _CONFIG_KEYS.get(section))
+        if known is not None and name not in known:
             raise UsageError(f"config key {key!r} is not read by any command")
     return cfg
 
@@ -248,14 +255,17 @@ def _cmd_train(args, cfg):
                    inputs=[det_path, benign_path])
     detector = load_detector(det_path)
     benign = corpora.load_domains(benign_path)
+    tc = _train_config(cfg)
     env = FeedbackEnv(detector, seed_corpus=benign,
                       threshold=cfg_get(cfg, "env.threshold", None, float),
                       budget=cfg_get(cfg, "env.budget", 1_000_000, int),
                       audit_path=out / "audit.tsv"
                       if cfg_get(cfg, "env.audit", False, bool) else None)
-    tc = _train_config(cfg)
-    result = training.train(env, tc, master_seed=args.seed,
-                            space=_seed_space(cfg))
+    try:
+        result = training.train(env, tc, master_seed=args.seed,
+                                space=_seed_space(cfg))
+    finally:
+        env.close()
     checkpoint.save_policy(out / "policy.ckpt", result.best_params,
                            tc.length)
     curve = "\n".join(f"{i}\t{r:.6f}" for i, r in enumerate(result.curve))

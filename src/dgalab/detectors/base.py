@@ -22,6 +22,13 @@ from ..errors import DataError, ScoringError
 _CLASS_NAMES = {"statistics": "StatisticsDetector", "fanci": "FanciDetector",
                 "wordgraph": "WordGraphDetector", "neural": "NeuralDetector"}
 KINDS = tuple(_CLASS_NAMES)
+# kind -> the hyperparameter keys its ``train`` reads; a config's detector.*
+# keys must name one of them
+HP_KEYS = {"statistics": ("jaccard_refs", "edit_refs"),
+           "fanci": ("trees", "max_depth", "min_leaf"),
+           "wordgraph": ("repeat_threshold",),
+           "neural": ("d_e", "d_h", "layers", "bidirectional", "max_len",
+                      "epochs", "batch", "lr")}
 
 
 def _detector_class(kind: str) -> type:

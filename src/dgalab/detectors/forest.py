@@ -44,19 +44,22 @@ def _best_split(x, y):
 
 def _grow_tree(X, y, rng, max_depth, min_leaf, n_sub):
     feature, threshold, left, right, prob = [], [], [], [], []
-
-    def leaf(idx):
+    # (rows, depth, parent, parent's child list); popping the left child
+    # first numbers the nodes and draws the permutations in pre-order
+    stack = [(np.arange(len(y)), 0, -1, left)]
+    while stack:
+        idx, depth, parent, side = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            side[parent] = node
+        ys = y[idx]
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        prob.append(float(y[idx].mean()))
-        return len(feature) - 1
-
-    def build(idx, depth):
-        ys = y[idx]
+        prob.append(float(ys.mean()))
         if depth >= max_depth or len(idx) < 2 * min_leaf or ys.min() == ys.max():
-            return leaf(idx)
+            continue
         candidates = rng.permutation(X.shape[1])[:n_sub]
         best = None
         for f in candidates:
@@ -64,21 +67,17 @@ def _grow_tree(X, y, rng, max_depth, min_leaf, n_sub):
             if found and (best is None or found[0] < best[0]):
                 best = (found[0], int(f), found[1])
         if best is None:
-            return leaf(idx)
+            continue
         _, f, thr = best
         mask = X[idx, f] <= thr
         if mask.all() or not mask.any():
             # midpoint of nearly-equal floats can round onto a value and
             # leave one side empty; treat the node as unsplittable instead
-            return leaf(idx)
-        node = leaf(idx)  # reserve slot; overwrite as interior below
+            continue
         feature[node] = f
         threshold[node] = thr
-        left[node] = build(idx[mask], depth + 1)
-        right[node] = build(idx[~mask], depth + 1)
-        return node
-
-    build(np.arange(len(y)), 0)
+        stack.append((idx[~mask], depth + 1, node, right))
+        stack.append((idx[mask], depth + 1, node, left))
     return Tree(np.array(feature, dtype=np.int64),
                 np.array(threshold, dtype=np.float32),
                 np.array(left, dtype=np.int64),

@@ -10,8 +10,6 @@ exposes scores or internals, so training code is black-box by construction.
 from __future__ import annotations
 
 import hashlib
-import threading
-import time
 from dataclasses import dataclass
 
 from .domains import validate_domain
@@ -45,7 +43,6 @@ class FeedbackEnv:
         self._registered = {d.lower() for d in seed_corpus}
         self._budget = int(budget)
         self._count = 0
-        self._lock = threading.Lock()
         self._audit = open(audit_path, "a", encoding="utf-8") if audit_path else None
 
     # -- black-box surface ---------------------------------------------------
@@ -65,26 +62,25 @@ class FeedbackEnv:
         for fqdn in fqdns:
             if not validate_domain(fqdn):
                 raise DataError(f"cannot register invalid name {fqdn!r}")
-        with self._lock:
-            if self._count + len(fqdns) > self._budget:
-                raise QueryBudgetError(
-                    f"budget {self._budget} exhausted at {self._count} queries")
-            scores = self.__detector.score_many(list(fqdns))
-            out = []
-            for fqdn, score in zip(fqdns, scores):
-                self._count += 1
-                d = int(score >= self.__threshold)
-                n = int(fqdn not in self._registered)
-                outcome = d * n
-                if outcome:
-                    self._registered.add(fqdn)
-                fb = DnsFeedback(outcome, d, n, self._count)
-                if self._audit:
-                    self._audit.write(f"{time.time():.6f}\t{fqdn}\t{d}\t{n}\t{outcome}\n")
-                out.append(fb)
+        if self._count + len(fqdns) > self._budget:
+            raise QueryBudgetError(
+                f"budget {self._budget} exhausted at {self._count} queries")
+        scores = self.__detector.score_many(list(fqdns))
+        out = []
+        for fqdn, score in zip(fqdns, scores):
+            self._count += 1
+            d = int(score >= self.__threshold)
+            n = int(fqdn not in self._registered)
+            outcome = d * n
+            if outcome:
+                self._registered.add(fqdn)
+            fb = DnsFeedback(outcome, d, n, self._count)
             if self._audit:
-                self._audit.flush()
-            return out
+                self._audit.write(f"{self._count}\t{fqdn}\t{d}\t{n}\t{outcome}\n")
+            out.append(fb)
+        if self._audit:
+            self._audit.flush()
+        return out
 
     def resolve(self, fqdn: str):
         return synthetic_address(fqdn) if fqdn in self._registered else None

@@ -5,9 +5,10 @@ The statistics detector's distances (Python sets, strings and a 1-D
 features and word-graph statistic (Python dicts, sets and string slices)
 against ``features.extract_many`` and the word-graph detector; per-row name
 assembly against ``TokenDict.fqdns``; the per-character neural ``encode``;
-the recurrent step with one sigmoid per gate; and the one-episode
+the recurrent step with one sigmoid per gate; the one-episode
 reward-weighted log-likelihood with its gradient, the pair that finite
-differences check ``policy.grad_from_coeffs`` through."""
+differences check ``policy.grad_from_coeffs`` through; and the recursive
+CART grower against ``forest.fit_forest``."""
 
 import math
 from functools import lru_cache
@@ -18,11 +19,13 @@ from dgalab.corpora import bundled_tlds, load_wordlist
 from dgalab.detectors.base import logistic_score
 from dgalab.detectors.distances import edit_distance
 from dgalab.detectors.features import split_core
+from dgalab.detectors.forest import Tree, _best_split
 from dgalab.detectors.neural import PAD, VOCAB
 from dgalab.domains import LABEL_CHARS, assemble_fqdn
 from dgalab.errors import ContractError
 from dgalab.policy import grad_from_coeffs, teacher_forward
 from dgalab.recurrent import sigmoid
+from dgalab.rng import stream
 
 _CHAR_INDEX = {c: i for i, c in enumerate(LABEL_CHARS)}
 EDIT_CAP = 24
@@ -326,3 +329,66 @@ def wordgraph_score(model, domain: str) -> float:
     stat = wordgraph_stat(model.degrees, model.max_degree, domain)
     return float(logistic_score([[stat]], model.w, model.b, model.mean,
                                 model.std)[0])
+
+
+# ---------------------------------------------------------------------------
+# Random forest, one recursive call per node
+
+
+def _grow_tree(X, y, rng, max_depth, min_leaf, n_sub):
+    feature, threshold, left, right, prob = [], [], [], [], []
+
+    def leaf(idx):
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        prob.append(float(y[idx].mean()))
+        return len(feature) - 1
+
+    def build(idx, depth):
+        ys = y[idx]
+        if depth >= max_depth or len(idx) < 2 * min_leaf or ys.min() == ys.max():
+            return leaf(idx)
+        candidates = rng.permutation(X.shape[1])[:n_sub]
+        best = None
+        for f in candidates:
+            found = _best_split(X[idx, f], ys)
+            if found and (best is None or found[0] < best[0]):
+                best = (found[0], int(f), found[1])
+        if best is None:
+            return leaf(idx)
+        _, f, thr = best
+        mask = X[idx, f] <= thr
+        if mask.all() or not mask.any():
+            # midpoint of nearly-equal floats can round onto a value and
+            # leave one side empty; treat the node as unsplittable instead
+            return leaf(idx)
+        node = leaf(idx)  # reserve slot; overwrite as interior below
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = build(idx[mask], depth + 1)
+        right[node] = build(idx[~mask], depth + 1)
+        return node
+
+    build(np.arange(len(y)), 0)
+    return Tree(np.array(feature, dtype=np.int64),
+                np.array(threshold, dtype=np.float32),
+                np.array(left, dtype=np.int64),
+                np.array(right, dtype=np.int64),
+                np.array(prob, dtype=np.float32))
+
+
+def forest_trees(X, y, rng_seed, n_trees, max_depth, min_leaf) -> list:
+    """``fit_forest``'s trees, grown by the recursive grower."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, n_features = X.shape
+    n_sub = max(1, int(round(math.sqrt(n_features))))
+    trees = []
+    for tree_idx in range(n_trees):
+        rng = stream("forest", rng_seed, tree_idx)
+        boot = rng.integers(0, n, size=n)
+        trees.append(_grow_tree(X[boot], y[boot], rng, max_depth, min_leaf,
+                                n_sub))
+    return trees

@@ -240,7 +240,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line", ["train.epoch = 1",
                                       "train.reward_mode = shaped",
-                                      "train.reward_mode = binary"])
+                                      "train.reward_mode = binary",
+                                      "detector.neural.epoch = 1",
+                                      "detector.epoch = 1",
+                                      "detector.fanci.epochs = 1",
+                                      "detector.forest.trees = 1",
+                                      "detector.neural = 1"])
     def test_unknown_config_key(self, line, workspace, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(RUN_CFG + line + "\n")
@@ -310,8 +315,8 @@ class TestConfigKeys:
 
     def test_detector_and_unsectioned_keys_pass(self, tmp_path):
         cfg = tmp_path / "open.cfg"
-        cfg.write_text("detector.anything = 1\ndetector.fanci.trees = 2\n"
-                       "benign = 300\n")
+        cfg.write_text("detector.split = 0.5\ndetector.epochs = 1\n"
+                       "detector.fanci.trees = 2\nbenign = 300\n")
         code, _ = run_cli("generate", "--dga", "kraken", "--count", "2",
                           "--config", str(cfg))
         assert code == 0
@@ -389,6 +394,23 @@ class TestTrainCommand:
             (src / "policy.ckpt").read_bytes()
         assert (out / "reward_curve.tsv").read_bytes() == \
             (src / "reward_curve.tsv").read_bytes()
+
+    def test_audit_log_is_byte_identical(self, workspace, tmp_path):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(RUN_CFG.replace("train.epochs = 8", "train.epochs = 2")
+                       + "env.audit = true\n")
+        logs = []
+        for run in ("a", "b"):
+            code, _ = run_cli("train", "--env",
+                              str(workspace / "det" / "detector.ckpt"),
+                              "--benign", str(workspace / "prep" / "benign.txt"),
+                              "--out", str(tmp_path / run), "--config",
+                              str(cfg), "--seed", "4")
+            assert code == 0
+            logs.append((tmp_path / run / "audit.tsv").read_bytes())
+        assert logs[0] == logs[1]
+        numbers = [line.split(b"\t")[0] for line in logs[0].splitlines()]
+        assert numbers == [str(i).encode() for i in range(1, len(numbers) + 1)]
 
     def test_generate_from_checkpoint(self, workspace):
         if not (workspace / "rl").exists():

@@ -1,4 +1,8 @@
+import gc
+import importlib
+import re
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from dgalab.corpora import (LabeledCorpus, bundled_tlds, load_wordlist,
 from dgalab.detectors import (FEATURE_NAMES, KINDS, load_detector,
                               train_detector)
 from dgalab.detectors import features, statistics, wordgraph
-from dgalab.detectors.base import checked_names, fit_logistic, hp_value
+from dgalab.detectors.base import (HP_KEYS, checked_names, fit_logistic,
+                                  hp_value)
 from dgalab.detectors.features import extract_many, split_core
 from dgalab.detectors.neural import VOCAB, encode
 from dgalab.detectors.forest import fit_forest
@@ -140,6 +145,30 @@ class TestFeatures:
         assert wordy["dict_word_coverage"] > noise["dict_word_coverage"]
 
 
+@st.composite
+def forest_data(draw):
+    """(X, y) with constant, tied, adjacent-float and free columns."""
+    n = draw(st.integers(2, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape = draw(st.sampled_from(["constant", "tied", "adjacent", "free"]))
+        if shape == "constant":
+            column = [draw(st.floats(-5, 5))] * n
+        elif shape == "tied":
+            column = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        elif shape == "adjacent":
+            base = draw(st.floats(-5, 5))
+            pair = (base, float(np.nextafter(base, np.inf)))
+            column = [pair[i] for i in draw(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n))]
+        else:
+            column = draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n))
+        columns.append(column)
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return (np.array(columns, dtype=np.float64).T,
+            np.array(y, dtype=np.float64))
+
+
 class TestForest:
     def test_one_feature_separable_perfect_split(self):
         rng = stream("forest-sep")
@@ -161,6 +190,25 @@ class TestForest:
         a = fit_forest(X, y, rng_seed=7, n_trees=5, max_depth=4)
         b = fit_forest(X, y, rng_seed=7, n_trees=5, max_depth=4)
         assert np.array_equal(a.predict(X), b.predict(X))
+
+    # one column of adjacent floats whose midpoint rounds onto the larger
+    # value, so the best split sends every row left
+    @example(data=(np.array([[1 + 2.0 ** -52], [1 + 2.0 ** -51]] * 4),
+                   np.array([0.0, 1.0] * 4)),
+             max_depth=3, min_leaf=1, seed=0)
+    @settings(deadline=None, max_examples=80)
+    @given(data=forest_data(), max_depth=st.integers(0, 6),
+           min_leaf=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+    def test_trees_equal_recursive_oracle(self, data, max_depth, min_leaf,
+                                          seed):
+        X, y = data
+        got = fit_forest(X, y, seed, n_trees=3, max_depth=max_depth,
+                         min_leaf=min_leaf).trees
+        want = oracle.forest_trees(X, y, seed, 3, max_depth, min_leaf)
+        for a, b in zip(got, want, strict=True):
+            for field in ("feature", "threshold", "left", "right", "prob"):
+                x, w = getattr(a, field), getattr(b, field)
+                assert x.dtype == w.dtype and np.array_equal(x, w), field
 
 
 class TestDetectorContracts:
@@ -205,6 +253,35 @@ class TestDetectorContracts:
             with pytest.raises(DataError, match=f"^detector hyperparameter "
                                                 f"{key} = "):
                 hp_value(hp, key, None, cast)
+
+    def test_every_key_read_is_declared(self):
+        for kind in KINDS:
+            module = importlib.import_module(f"dgalab.detectors.{kind}")
+            source = Path(module.__file__).read_text("utf-8")
+            read = set(re.findall(r'hp_value\(hp, "(\w+)"', source))
+            assert read == set(HP_KEYS[kind]), kind
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, keys in HP_KEYS.items() for key in keys])
+    def test_every_declared_key_is_read(self, kind, key):
+        with pytest.raises(DataError, match=f"^detector hyperparameter "
+                                            f"{key} = 'abc': "):
+            train_detector(kind, small_corpus(20), hp={key: "abc"},
+                           rng_seed=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_and_score_leave_no_cyclic_garbage(self, kind):
+        corpus = small_corpus(60)
+        hp = {"epochs": 1} if kind == "neural" else {}
+        gc.collect()
+        gc.disable()
+        try:
+            model = train_detector(kind, corpus, hp=hp, rng_seed=2)
+            model.score_many(corpus.benign + corpus.agd)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_invalid_domain_scoring_error(self, kind):

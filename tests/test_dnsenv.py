@@ -114,8 +114,9 @@ class TestAuditLog:
                 for line in path.read_text().strip().split("\n")]
         assert len(rows) == 3
         for row in rows:
-            assert len(row) == 5  # timestamp, fqdn, d, n, outcome
+            assert len(row) == 5  # query number, fqdn, d, n, outcome
             assert row[4] == str(int(row[2]) * int(row[3]))
+        assert [row[0] for row in rows] == ["1", "2", "1"]
         assert rows[0][1] == "one.com" and rows[2][1] == "two.com"
         assert rows[1][3] == "0"  # second attempt lost novelty
 
