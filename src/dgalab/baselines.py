@@ -20,20 +20,18 @@ from .domains import MAX_LABEL
 from .errors import ContractError
 
 _WORD_RE = re.compile(f"[a-z0-9]{{1,{MAX_LABEL}}}")
+_MULTIPLIER, _INCREMENT, _MODULUS = 1103515245, 12345, 2 ** 31
 
 
 @dataclass
 class Lcg:
     state: int
-    multiplier: int = 1103515245
-    increment: int = 12345
-    modulus: int = 2 ** 31
 
     def __post_init__(self):
-        self.state %= self.modulus
+        self.state %= _MODULUS
 
     def step(self) -> int:
-        self.state = (self.multiplier * self.state + self.increment) % self.modulus
+        self.state = (_MULTIPLIER * self.state + _INCREMENT) % _MODULUS
         return self.state
 
     def below(self, bound: int) -> int:

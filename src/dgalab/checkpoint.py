@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .domains import MAX_LABEL
+from .domains import LABEL_CHARS, MAX_LABEL
 from .errors import DataError, NumericError
 from .policy import PolicyParams, params_from_tensors, tensor_shapes
 
@@ -44,8 +44,10 @@ def load_policy(path) -> tuple[PolicyParams, int]:
         raise DataError(f"{path}: expected a policy checkpoint, got {kind}")
     dims = [int(v) for v in record(blobs, "dims", I64, 5)]
     n_layers, d_e, d_h, d_y, length = dims
-    # n_layers cannot exceed the records present, so shapes stay few
-    if min(dims) < 1 or length > MAX_LABEL or n_layers > len(blobs):
+    # n_layers cannot exceed the records present, so shapes stay few; the
+    # policy emits one token per label character
+    if (min(dims) < 1 or length > MAX_LABEL or n_layers > len(blobs)
+            or d_y != len(LABEL_CHARS)):
         raise DataError(f"{path}: bad policy dims {dims}")
     arrays = {name: record(blobs, name, F32, shape) for name, shape
               in tensor_shapes(n_layers, d_e, d_h, d_y).items()}

@@ -268,11 +268,12 @@ def _cmd_train(args, cfg):
         env.close()
     checkpoint.save_policy(out / "policy.ckpt", result.best_params,
                            tc.length)
-    curve = "\n".join(f"{i}\t{r:.6f}" for i, r in enumerate(result.curve))
-    _emit(out / "reward_curve.tsv", "epoch\tmean_reward\n" + curve + "\n")
-    print(f"best reward {result.best_reward:.4f} at epoch {result.best_epoch}; "
-          f"{result.queries_used} register calls; stopped: {result.stopped}",
-          file=sys.stderr)
+    curve = "".join(f"{i}\t{r:.6f}\n" for i, r in enumerate(result.curve))
+    _emit(out / "reward_curve.tsv", "epoch\tmean_reward\n" + curve)
+    best = (f"best reward {result.best_reward:.4f} at epoch "
+            f"{result.best_epoch}" if result.curve else "no epoch completed")
+    print(f"{best}; {result.queries_used} register calls; stopped: "
+          f"{result.stopped}", file=sys.stderr)
     if result.stopped == "numeric":
         return 3
     return 0

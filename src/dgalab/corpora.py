@@ -1,15 +1,16 @@
 """Corpus files, bundled word/TLD resources, and the synthetic benign pool.
 
 Corpus files are newline-delimited UTF-8, one lowercase FQDN per line, with
-``#`` starting a comment.  The bundled benign list is a deterministic
-synthetic stand-in for a popular-domains ranking: word-derived, brandable
-names with a realistic mix of lengths, digits, and hyphens.
+``#`` starting a comment.  The benign pool (``bundled_benign``) is a
+deterministic synthetic stand-in for a popular-domains ranking: word-derived,
+brandable names with a realistic mix of lengths, digits, and hyphens.
 """
 
 from __future__ import annotations
 
 import importlib.resources as _resources
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +46,15 @@ def bundled_tlds() -> tuple[str, ...]:
 
 
 def bundled_benign(count: int | None = None) -> list[str]:
-    """The bundled 50k-name popular-domain stand-in (optionally truncated).
+    """The 50k-name popular-domain stand-in (optionally truncated), a fresh
+    list each call: ``synthesize_benign(50_000, rng_seed=20160801)``, built
+    once per process."""
+    return _benign_pool()[:count]
 
-    Generated by ``synthesize_benign(50_000, rng_seed=20160801)``.
-    """
-    names = _data_text("benign_50k.txt").split()
-    return names if count is None else names[:count]
+
+@lru_cache(maxsize=1)
+def _benign_pool() -> list[str]:
+    return synthesize_benign(50_000, rng_seed=20160801)
 
 
 def load_domains(path) -> list[str]:

@@ -301,21 +301,20 @@ def game_loop(detector, benign_train, benign_eval, stages: int,
 # throughput
 
 def bench_inference(params: P.PolicyParams, batch_sizes, T: int = 12,
-                    dct=None, runs: int = 5) -> list[tuple[int, float, float]]:
+                    runs: int = 5) -> list[tuple[int, float, float]]:
     """Median wall-clock generation time per batch size, warmup excluded.
 
     Returns rows of (batch, total ms, ms per domain).
     """
-    dct = dct or DEFAULT_TOKENS
     rows = []
     for batch in batch_sizes:
-        seeds = np.zeros((batch, dct.n), dtype=params.dtype)
-        seeds[np.arange(batch), np.arange(batch) % dct.n] = 1.0
-        P.run_batch(params, dct, T, seed_vecs=seeds)  # warmup
+        seeds = np.zeros((batch, DEFAULT_TOKENS.n), dtype=params.dtype)
+        seeds[np.arange(batch), np.arange(batch) % DEFAULT_TOKENS.n] = 1.0
+        P.run_batch(params, DEFAULT_TOKENS, T, seed_vecs=seeds)  # warmup
         times = []
         for _ in range(runs):
             t0 = time.perf_counter()
-            P.run_batch(params, dct, T, seed_vecs=seeds)
+            P.run_batch(params, DEFAULT_TOKENS, T, seed_vecs=seeds)
             times.append((time.perf_counter() - t0) * 1000.0)
         total = float(np.median(times))
         rows.append((int(batch), total, total / batch))

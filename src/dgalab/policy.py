@@ -9,9 +9,9 @@ a linear projection of the top-layer hidden state followed by a softmax.
 
 Generation applies one structural constraint on top of the raw softmax: the
 hyphen token is masked at the first and last positions so every emitted core
-is a registrable label.  The gradient code applies the same mask, so sampled
-log-probabilities and their gradients always refer to the distribution that
-was actually used.
+is a registrable label.  The gradient reads the masked distributions the
+sampling pass kept, so sampled log-probabilities and their gradients always
+refer to the distribution that was actually used.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def tensor_shapes(n_layers, d_e, d_h, d_y) -> dict[str, tuple]:
     return shapes
 
 
-def init_params(n_layers, d_e, d_h, d_y, rng_seed, dtype=np.float32,
+def init_params(n_layers, d_e, d_h, d_y, rng_seed,
                 dct: TokenDict | None = None) -> PolicyParams:
     """Fresh weights, uniform in [-0.08, 0.08], from a counter-based stream."""
     if min(n_layers, d_e, d_h, d_y) < 1:
@@ -92,7 +92,7 @@ def init_params(n_layers, d_e, d_h, d_y, rng_seed, dtype=np.float32,
     rng = stream("policy-init", rng_seed)
     arrays = {}
     for name, shape in tensor_shapes(n_layers, d_e, d_h, d_y).items():
-        arrays[name] = ((rng.random(shape) * 2 - 1) * 0.08).astype(dtype)
+        arrays[name] = ((rng.random(shape) * 2 - 1) * 0.08).astype(np.float32)
     return params_from_tensors(arrays, n_layers)
 
 
@@ -133,7 +133,6 @@ def action_probs(params: PolicyParams, h_top: np.ndarray,
                  masked_index: int | None = None) -> np.ndarray:
     logits = h_top @ params.w_out
     if masked_index is not None:
-        logits = logits.copy()
         logits[..., masked_index] = -np.inf
     return recurrent.softmax(logits)
 
@@ -145,32 +144,30 @@ def masked_index_at(dct: TokenDict, pos: int, total: int) -> int | None:
     return None
 
 
-def zero_hidden(params: PolicyParams, batch: int = 1):
-    return recurrent.zero_hidden(params.n_layers, batch, params.d_h, params.dtype)
-
-
 # ---------------------------------------------------------------------------
 # batched generation
 
 @dataclass
 class BatchRun:
-    """Outcome of a batched generation pass."""
+    """Tokens of a batched generation pass; the rest only with want_cache."""
 
     tokens: np.ndarray                # (B, steps) int64
-    dists: np.ndarray | None          # (steps, B, d_y)
-    snapshots: list | None            # hidden before emitting each position
+    dists: np.ndarray | None = None   # (steps, B, d_y)
+    tops: np.ndarray | None = None    # (steps, B, d_h) top-layer h
+    caches: list | None = None        # per step, stack_step's layer caches
 
 
 def run_batch(params: PolicyParams, dct: TokenDict, total_len: int, *,
               seed_vecs=None, init_hidden=None, first_tokens=None,
               start_pos: int = 0, uniforms=None,
-              want_dists=False, want_snapshots=False) -> BatchRun:
+              want_cache=False) -> BatchRun:
     """Emit tokens for positions ``start_pos .. total_len-1``.
 
     Either start from scratch (``seed_vecs`` given, ``start_pos == 0``) or
     resume from a cached state (``init_hidden`` plus the ``first_tokens``
     consumed as the next input).  ``uniforms`` of shape (B, steps) selects
-    sample mode; without it every step takes the argmax.
+    sample mode; without it every step takes the argmax.  Step k's cache
+    holds, per layer, the state ``(h_prev, c_prev)`` step k started from.
     """
     if params.d_y != dct.n:
         raise ContractError("params output dim does not match dictionary")
@@ -179,22 +176,23 @@ def run_batch(params: PolicyParams, dct: TokenDict, total_len: int, *,
         raise ContractError("nothing to generate")
     if seed_vecs is not None:
         x = embed_seed(params, seed_vecs)
-        hidden = zero_hidden(params, x.shape[0])
+        hidden = recurrent.zero_hidden(params.n_layers, x.shape[0],
+                                       params.d_h, params.dtype)
     else:
         x = embed_tokens(params, np.asarray(first_tokens))
         hidden = init_hidden
     batch = x.shape[0]
-    tokens = np.empty((batch, steps), dtype=np.int64)
-    dists = np.empty((steps, batch, dct.n), dtype=params.dtype) if want_dists else None
-    snapshots = [] if want_snapshots else None
+    run = BatchRun(tokens=np.empty((batch, steps), dtype=np.int64))
+    if want_cache:
+        run.dists = np.empty((steps, batch, dct.n), dtype=params.dtype)
+        run.tops = np.empty((steps, batch, params.d_h), dtype=params.dtype)
+        run.caches = []
     for k in range(steps):
         pos = start_pos + k
-        top, hidden, _ = recurrent.stack_step(params.w_x, params.w_h, params.b,
-                                              x, hidden)
+        top, hidden, cache = recurrent.stack_step(
+            params.w_x, params.w_h, params.b, x, hidden, want_cache)
         masked = masked_index_at(dct, pos, total_len)
         probs = action_probs(params, top, masked)
-        if want_snapshots:
-            snapshots.append([(h.copy(), c.copy()) for h, c in hidden])
         if uniforms is None:
             chosen = np.argmax(probs, axis=1)
         else:
@@ -204,56 +202,40 @@ def run_batch(params: PolicyParams, dct: TokenDict, total_len: int, *,
             cum = np.cumsum(probs, axis=1)
             chosen = np.minimum((cum <= uniforms[:, k:k + 1]).sum(axis=1),
                                 last)
-        tokens[:, k] = chosen
-        if want_dists:
-            dists[k] = probs
+        run.tokens[:, k] = chosen
+        if want_cache:
+            run.dists[k] = probs
+            run.tops[k] = top
+            run.caches.append(cache)
         if k + 1 < steps:
             x = embed_tokens(params, chosen)
-    return BatchRun(tokens=tokens, dists=dists, snapshots=snapshots)
+    return run
 
 
 # ---------------------------------------------------------------------------
 # gradients
 
-def teacher_forward(params: PolicyParams, dct: TokenDict, seed_vecs,
-                    tokens: np.ndarray):
-    """Re-run the policy along fixed token sequences, caching for BPTT."""
-    batch, T = tokens.shape
-    xs = np.empty((T, batch, params.d_e), dtype=params.dtype)
-    xs[0] = embed_seed(params, seed_vecs)
-    if T > 1:
-        xs[1:] = embed_tokens(params, tokens[:, :-1].T)
-    tops, _, caches = recurrent.stack_forward(params.w_x, params.w_h, params.b,
-                                              xs, want_cache=True)
-    dists = np.empty((T, batch, dct.n), dtype=params.dtype)
-    for t in range(T):
-        dists[t] = action_probs(params, tops[t], masked_index_at(dct, t, T))
-    return dists, tops, caches
+def grad_from_coeffs(params: PolicyParams, seed_vecs, run: BatchRun,
+                     coeffs: np.ndarray) -> dict:
+    """Gradient of ``sum_t sum_b coeffs[t, b] * log pi(a_tb | s_tb)``.
 
-
-def grad_from_coeffs(params: PolicyParams, dct: TokenDict, seed_vecs,
-                     tokens: np.ndarray, coeffs: np.ndarray) -> dict:
-    """Gradient of ``sum_t sum_i coeffs[t,:,i] * log pi(a_i | s_t)``.
-
-    ``coeffs`` has shape (T, B, d_y); entries at masked positions must be
-    zero (they are zeroed defensively).  Returns named gradient tensors of
-    the same shapes as the parameters.
+    ``run`` is a ``run_batch(..., want_cache=True)`` pass from ``seed_vecs``
+    and ``a_tb`` its tokens; ``coeffs`` (T, B) weights each taken token.
+    Returns named gradient tensors of the same shapes as the parameters.
     """
+    tokens, tops = run.tokens, run.tops
     batch, T = tokens.shape
-    coeffs = np.array(coeffs, dtype=params.dtype)
-    for t in range(T):
-        masked = masked_index_at(dct, t, T)
-        if masked is not None:
-            coeffs[t, :, masked] = 0.0
-    dists, tops, caches = teacher_forward(params, dct, seed_vecs, tokens)
-    dlogits = coeffs - dists * coeffs.sum(axis=2, keepdims=True)
+    w = np.asarray(coeffs, dtype=params.dtype)
+    # d log pi(a) / d logits = onehot(a) - pi
+    dlogits = -run.dists * w[:, :, None]
+    dlogits[np.arange(T)[:, None], np.arange(batch), tokens.T] += w
     gw_out = np.zeros_like(params.w_out)
     d_tops = np.empty_like(tops)
     for t in range(T):
         gw_out += tops[t].T @ dlogits[t]
         d_tops[t] = dlogits[t] @ params.w_out.T
     gw_x, gw_h, gb, dxs = recurrent.stack_backward(params.w_x, params.w_h,
-                                                   caches, d_tops)
+                                                   run.caches, d_tops)
     g_emb = np.zeros_like(params.embedding)
     sv = np.asarray(seed_vecs, dtype=params.dtype)
     g_emb[:params.d_y] += sv.T @ dxs[0]

@@ -70,8 +70,8 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 # policy-gradient updates
 
-def _update_from_batch(params, dct, seed_vecs, tokens, coeffs, lr):
-    grads = P.grad_from_coeffs(params, dct, seed_vecs, tokens, coeffs)
+def _update_from_batch(params, seed_vecs, run, coeffs, lr):
+    grads = P.grad_from_coeffs(params, seed_vecs, run, coeffs)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {name}")
@@ -119,8 +119,8 @@ def train(env, cfg: TrainConfig, master_seed: int,
             best_epoch = epoch
             best_params = params
         try:
-            params = _update_from_batch(params, dct, seed_vecs, run.tokens,
-                                        coeffs, cfg.lr)
+            params = _update_from_batch(params, seed_vecs, run, coeffs,
+                                        cfg.lr)
         except NumericError:
             stopped = "numeric"
             params = best_params
@@ -133,35 +133,34 @@ def train(env, cfg: TrainConfig, master_seed: int,
 
 
 def _epoch_run(params, cfg, dct, space, master_seed, epoch):
-    """The epoch's B date seeds and their sampled episodes (with the cached
-    states the reward estimates resume from)."""
+    """The epoch's B date seeds and their sampled episodes, with the caches
+    the reward estimates resume from and the gradient reads."""
     T, B = cfg.length, cfg.batch
     dates = [space.date_at(epoch * B + i) for i in range(B)]
     seed_vecs = np.stack([encode_seed(d, dct, space)[0] for d in dates])
     uniforms = np.stack([stream("episode", master_seed, epoch, i).random(T)
                          for i in range(B)])
     run = P.run_batch(params, dct, T, seed_vecs=seed_vecs, uniforms=uniforms,
-                      want_snapshots=True)
+                      want_cache=True)
     return seed_vecs, run
 
 
 def _epoch_coeffs(env, params, cfg, dct, master_seed, epoch, run,
                   registered=None):
-    """Policy-gradient coefficients (T, B, n) for one epoch's episodes, with
-    Q(s_t, a_t)/B on each taken token, plus the values Q(s_t, a_t) of the
-    actions taken, shape (T, B)."""
+    """Policy-gradient weights Q(s_t, a_t)/B of one epoch's taken tokens,
+    plus the values Q(s_t, a_t) themselves, both of shape (T, B).  Step t's
+    rollouts resume from the state that step t + 1 of ``run`` started from."""
     T, B = cfg.length, cfg.batch
     tokens = run.tokens
     mc_u = np.stack([stream("mc-train", master_seed, epoch, i)
                      .random((cfg.mc, T, T)) for i in range(B)])
     taken = np.empty((T, B))
     for t in range(T):
-        taken[t] = action_values(env, params, cfg, dct, tokens[:, :t],
-                                 run.snapshots[t], tokens[:, t], mc_u,
-                                 registered)
-    coeffs = np.zeros((T, B, dct.n))
-    coeffs[np.arange(T)[:, None], np.arange(B), tokens.T] = taken / B
-    return coeffs, taken
+        hidden = None if t == T - 1 else [
+            (h, c) for _, h, c, *_ in run.caches[t + 1]]
+        taken[t] = action_values(env, params, cfg, dct, tokens[:, :t], hidden,
+                                 tokens[:, t], mc_u, registered)
+    return taken / B, taken
 
 
 def action_values(env, params: P.PolicyParams, cfg: TrainConfig,
@@ -171,9 +170,9 @@ def action_values(env, params: P.PolicyParams, cfg: TrainConfig,
     """Estimated reward Q(s_t, a) of one action per episode, shape (B,).
 
     ``prefix`` (B, t) holds the tokens emitted before step t and ``hidden``
-    the policy state that produced step t's distribution (a
-    ``BatchRun.snapshots`` entry); ``actions`` (B,) are the actions valued
-    and ``mc_u`` (B, m, T, T) the epoch's rollout uniforms.  Before the last
+    the per-layer ``(h, c)`` state that produced step t's distribution
+    (unused at the last step); ``actions`` (B,) are the actions valued and
+    ``mc_u`` (B, m, T, T) the epoch's rollout uniforms.  Before the last
     step, m rollouts complete each [prefix, a] in one generation pass, using
     the uniforms of (i, j, t).  At the last step each name is registered
     once.  Names are registered episode-major, then rollout; accepted ones

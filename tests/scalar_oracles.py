@@ -5,10 +5,11 @@ The statistics detector's distances (Python sets, strings and a 1-D
 features and word-graph statistic (Python dicts, sets and string slices)
 against ``features.extract_many`` and the word-graph detector; per-row name
 assembly against ``TokenDict.fqdns``; the per-character neural ``encode``;
-the recurrent step with one sigmoid per gate; the one-episode
-reward-weighted log-likelihood with its gradient, the pair that finite
-differences check ``policy.grad_from_coeffs`` through; and the recursive
-CART grower against ``forest.fit_forest``."""
+the recurrent step with one sigmoid per gate; the teacher-forced policy
+pass along fixed tokens, whose caches ``run_batch(want_cache=True)`` must
+reproduce; the one-episode reward-weighted log-likelihood with its gradient,
+the pair that finite differences check ``policy.grad_from_coeffs`` through;
+and the recursive CART grower against ``forest.fit_forest``."""
 
 import math
 from functools import lru_cache
@@ -23,8 +24,9 @@ from dgalab.detectors.forest import Tree, _best_split
 from dgalab.detectors.neural import PAD, VOCAB
 from dgalab.domains import LABEL_CHARS, assemble_fqdn
 from dgalab.errors import ContractError
-from dgalab.policy import grad_from_coeffs, teacher_forward
-from dgalab.recurrent import sigmoid
+from dgalab.policy import (BatchRun, action_probs, embed_seed, embed_tokens,
+                           grad_from_coeffs, masked_index_at)
+from dgalab.recurrent import sigmoid, stack_forward
 from dgalab.rng import stream
 
 _CHAR_INDEX = {c: i for i, c in enumerate(LABEL_CHARS)}
@@ -113,6 +115,21 @@ def stack_step(w_x, w_h, b, x, hidden):
     return inp, new_hidden, caches
 
 
+def teacher_forward(params, dct, seed_vecs, tokens: np.ndarray):
+    """Re-run the policy along fixed token sequences, caching for BPTT."""
+    batch, T = tokens.shape
+    xs = np.empty((T, batch, params.d_e), dtype=params.dtype)
+    xs[0] = embed_seed(params, seed_vecs)
+    if T > 1:
+        xs[1:] = embed_tokens(params, tokens[:, :-1].T)
+    tops, _, caches = stack_forward(params.w_x, params.w_h, params.b, xs,
+                                    want_cache=True)
+    dists = np.empty((T, batch, dct.n), dtype=params.dtype)
+    for t in range(T):
+        dists[t] = action_probs(params, tops[t], masked_index_at(dct, t, T))
+    return dists, tops, caches
+
+
 def logprob_grad(params, dct, seed_vec, tokens, weights) -> dict:
     """Gradient of the reward-weighted log-likelihood of one episode.
 
@@ -124,10 +141,9 @@ def logprob_grad(params, dct, seed_vec, tokens, weights) -> dict:
     weights = np.asarray(weights, dtype=params.dtype)
     if weights.shape != (T,):
         raise ContractError("need one weight per generated token")
-    coeffs = np.zeros((T, 1, params.d_y), dtype=params.dtype)
-    coeffs[np.arange(T), 0, tokens[0]] = weights
-    return grad_from_coeffs(params, dct, np.asarray(seed_vec)[None, :],
-                            tokens, coeffs)
+    seed_vecs = np.asarray(seed_vec)[None, :]
+    run = BatchRun(tokens, *teacher_forward(params, dct, seed_vecs, tokens))
+    return grad_from_coeffs(params, seed_vecs, run, weights[:, None])
 
 
 def weighted_logprob(params, dct, seed_vec, tokens, weights) -> float:

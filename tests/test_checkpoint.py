@@ -113,18 +113,20 @@ class TestPolicyContainer:
 
     @pytest.mark.parametrize("damage", [
         "drop w_out", "short layer0.b", "int embedding", "T 0", "T 64",
-        "n_layers 2", "n_layers huge", "d_e 0"])
+        "n_layers 2", "n_layers huge", "d_e 0", "d_y 5"])
     def test_damaged_records_are_data_errors(self, tmp_path, damage):
-        p = policy.init_params(1, 4, 6, 37, rng_seed=0)
-        blobs = {"dims": np.array([1, 4, 6, 37, 10]), **p.tensors()}
         what, arg = damage.split(" ")
+        # a d_y case is a well-formed policy over another alphabet
+        d_y = int(arg) if what == "d_y" else 37
+        p = policy.init_params(1, 4, 6, d_y, rng_seed=0)
+        blobs = {"dims": np.array([1, 4, 6, d_y, 10]), **p.tensors()}
         if what == "drop":
             del blobs[arg]
         elif what == "short":
             blobs[arg] = blobs[arg][:-1]
         elif what == "int":
             blobs[arg] = np.zeros(blobs[arg].shape, dtype=np.int64)
-        else:
+        elif what != "d_y":
             slot = {"n_layers": 0, "d_e": 1, "T": 4}[what]
             blobs["dims"][slot] = 2 ** 62 if arg == "huge" else int(arg)
         path = tmp_path / "bad.ckpt"

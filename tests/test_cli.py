@@ -164,6 +164,21 @@ class TestExitCodes:
         assert code == 3
         assert len(err) == 1 and err[0].startswith("numeric abort: ")
 
+    @pytest.mark.parametrize("command", [
+        ["generate", "--dga", "pkdga", "--count", "3"],
+        ["bench", "--batches", "2", "--out", "bench"]])
+    def test_policy_over_another_alphabet(self, command, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ckpt = tmp_path / "p5.ckpt"
+        checkpoint.save_policy(ckpt, policy.init_params(1, 4, 6, 5,
+                                                        rng_seed=0), 10)
+        capsys.readouterr()
+        code, out = run_cli(*command, "--ckpt", str(ckpt))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and out == ""
+        assert err == [f"data error: {ckpt}: bad policy dims [1, 4, 6, 5, 10]"]
+
     def test_fanci_without_prob(self, workspace, fanci_ckpt, tmp_path,
                                 capsys):
         bad = resaved(fanci_ckpt, tmp_path / "bad.ckpt",
@@ -411,6 +426,22 @@ class TestTrainCommand:
         assert logs[0] == logs[1]
         numbers = [line.split(b"\t")[0] for line in logs[0].splitlines()]
         assert numbers == [str(i).encode() for i in range(1, len(numbers) + 1)]
+
+    def test_budget_spent_before_the_first_epoch(self, workspace, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(RUN_CFG.replace("env.budget = 20000", "env.budget = 10"))
+        out = tmp_path / "rl"
+        capsys.readouterr()
+        code, _ = run_cli("train", "--env",
+                          str(workspace / "det" / "detector.ckpt"),
+                          "--benign", str(workspace / "prep" / "benign.txt"),
+                          "--out", str(out), "--config", str(cfg))
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("wrote ")]
+        assert code == 0
+        assert (out / "reward_curve.tsv").read_text() == "epoch\tmean_reward\n"
+        assert err == ["no epoch completed; 0 register calls; stopped: budget"]
 
     def test_generate_from_checkpoint(self, workspace):
         if not (workspace / "rl").exists():

@@ -5,7 +5,7 @@ import pytest
 
 import scalar_oracles as oracle
 from conftest import cast
-from dgalab import policy
+from dgalab import policy, recurrent
 from dgalab.domains import (DEFAULT_TOKENS, EPOCH, TokenDict, assemble_fqdn,
                             encode_seed)
 from dgalab.errors import ContractError
@@ -18,13 +18,32 @@ def tiny_dict(n):
 
 def feed(params, token, hidden=None):
     """Distribution after feeding one token from ``hidden`` (zero state by
-    default), plus the state after that step."""
+    default), plus the state after that step: the one the next step of a
+    two-step run starts from."""
     if hidden is None:
-        hidden = policy.zero_hidden(params)
-    run = policy.run_batch(params, tiny_dict(params.d_y), 1,
+        hidden = recurrent.zero_hidden(params.n_layers, 1, params.d_h,
+                                       params.dtype)
+    run = policy.run_batch(params, tiny_dict(params.d_y), 2,
                            init_hidden=hidden, first_tokens=[token],
-                           want_dists=True, want_snapshots=True)
-    return run.dists[0, 0], run.snapshots[0]
+                           want_cache=True)
+    return run.dists[0, 0], [(h, c) for _, h, c, *_ in run.caches[1]]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def cached_episodes(layers, dtype, batch=6, T=9):
+    """Sampled episodes of the default dictionary with their caches, and the
+    oracle's teacher-forced pass along the same tokens."""
+    dct = DEFAULT_TOKENS
+    p = cast(policy.init_params(layers, 5, 7, dct.n, rng_seed=layers), dtype)
+    seeds = np.stack([encode_seed(EPOCH + dt.timedelta(days=d), dct)[0]
+                      for d in range(batch)])
+    run = policy.run_batch(p, dct, T, seed_vecs=seeds, want_cache=True,
+                           uniforms=stream("cache-test").random((batch, T)))
+    return p, seeds, run, oracle.teacher_forward(p, dct, seeds, run.tokens)
 
 
 def naive_forward(params, xs):
@@ -125,7 +144,7 @@ class TestForward:
         tokens = np.array([[1, 3, 0, 2]])
         seed = np.zeros(5)
         seed[2] = 1.0
-        dists, tops, _ = policy.teacher_forward(p, dct, seed[None, :], tokens)
+        dists, tops, _ = oracle.teacher_forward(p, dct, seed[None, :], tokens)
         xs = np.empty((4, 3))
         xs[0] = seed @ p.embedding[:5] + p.embedding[5]
         xs[1:] = p.embedding[tokens[0, :-1]]
@@ -160,7 +179,6 @@ class TestForward:
 
     def test_stacked_layer_reads_lower_output(self):
         p = cast(policy.init_params(2, 3, 4, 5, rng_seed=21), np.float64)
-        from dgalab import recurrent
         x = ((stream("x", 0).random((1, 3))) - 0.5).astype(np.float64)
         top, hidden, caches = recurrent.stack_step(p.w_x, p.w_h, p.b, x,
                                                    recurrent.zero_hidden(2, 1, 4, np.float64),
@@ -174,7 +192,7 @@ class TestSelectAction:
     def test_argmax(self):
         p = policy.init_params(1, 4, 6, 5, rng_seed=4)
         run = policy.run_batch(p, tiny_dict(5), 6,
-                               seed_vecs=np.eye(5), want_dists=True)
+                               seed_vecs=np.eye(5), want_cache=True)
         assert np.array_equal(run.tokens, run.dists.argmax(axis=2).T)
 
     def test_argmax_tie_lowest_index(self):
@@ -190,7 +208,7 @@ class TestSelectAction:
         run = policy.run_batch(p, tiny_dict(2), 1,
                                seed_vecs=np.tile(np.eye(2)[0], (rows, 1)),
                                uniforms=stream("freq-test").random((rows, 1)),
-                               want_dists=True)
+                               want_cache=True)
         assert abs((run.tokens == 1).mean() - run.dists[0, 0, 1]) < 0.01
 
     def test_rounded_cumsum_never_picks_masked_hyphen(self):
@@ -206,6 +224,33 @@ class TestSelectAction:
         assert not (run.tokens[:, [0, T - 1]] == dct.hyphen_index).any()
         for row in run.tokens:
             assemble_fqdn(dct.detokenize(row))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layers", [1, 2])
+class TestSamplingCache:
+    def test_cache_equals_teacher_forced_pass(self, layers, dtype):
+        _, _, run, (dists, tops, caches) = cached_episodes(layers, dtype)
+        hyphen = DEFAULT_TOKENS.hyphen_index
+        assert not run.dists[[0, -1], :, hyphen].any()
+        assert same_bits(run.dists, dists) and same_bits(run.tops, tops)
+        assert len(run.caches) == len(caches)
+        for got, want in zip(run.caches, caches):
+            assert len(got) == len(want) == layers
+            for got_layer, want_layer in zip(got, want):
+                assert len(got_layer) == len(want_layer) == 8
+                assert all(map(same_bits, got_layer, want_layer))
+
+    def test_gradient_of_cached_run_equals_oracle_forward(self, layers,
+                                                          dtype):
+        p, seeds, run, forward = cached_episodes(layers, dtype)
+        w = stream("cache-weights").random(run.tokens.T.shape)
+        got = policy.grad_from_coeffs(p, seeds, run, w)
+        want = policy.grad_from_coeffs(
+            p, seeds, policy.BatchRun(run.tokens, *forward), w)
+        assert got.keys() == want.keys()
+        assert all(same_bits(got[name], want[name]) for name in got)
+        assert all(got[name].any() for name in got)
 
 
 class TestGradients:

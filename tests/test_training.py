@@ -36,7 +36,7 @@ def sample_episodes(p, T, master_seeds, dct=AB):
                          for s in master_seeds])
     seeds = np.repeat(seed_vec[None, :], len(master_seeds), axis=0)
     return policy.run_batch(p, dct, T, seed_vecs=seeds, uniforms=uniforms,
-                            want_dists=True)
+                            want_cache=True)
 
 
 def state_after(p, seed_vec, prefix):
@@ -75,16 +75,16 @@ class TestGenerateEpisode:
         p = tiny_params(2)
         seed_vec, _ = encode_seed(EPOCH_DATE, AB)
         run = policy.run_batch(p, AB, 1, seed_vecs=seed_vec[None, :],
-                               want_snapshots=True)
+                               want_cache=True)
         assert run.tokens.shape == (1, 1)
-        assert len(run.snapshots) == 1
+        assert len(run.caches) == 1
         assert AB.detokenize(run.tokens[0]) in ("a", "b")
 
     def test_zero_weights_argmax_repeats_token_zero(self):
         p = zero_params(AB.n)
         seed_vec, _ = encode_seed(EPOCH_DATE, AB)
         run = policy.run_batch(p, AB, 8, seed_vecs=seed_vec[None, :],
-                               want_dists=True)
+                               want_cache=True)
         assert AB.detokenize(run.tokens[0]) == "a" * 8
         assert np.allclose(run.dists, 0.5)
 
@@ -205,12 +205,10 @@ class TestPolicyGradientStep:
 
     def _step(self, p, rewards, lr, copies=1, T=7, seed=0):
         run = sample_episodes(p, T, [seed] * copies)
-        coeffs = np.zeros((T, copies, AB.n))
-        for i in range(copies):
-            coeffs[np.arange(T), i, run.tokens[i]] = (
-                np.asarray(rewards, dtype=np.float64) / copies)
+        coeffs = np.repeat(np.asarray(rewards, dtype=np.float64)[:, None]
+                           / copies, copies, axis=1)
         seeds = np.repeat(encode_seed(EPOCH_DATE, AB)[0][None, :], copies, 0)
-        return _update_from_batch(p, AB, seeds, run.tokens, coeffs, lr), run
+        return _update_from_batch(p, seeds, run, coeffs, lr), run
 
     def test_zero_rewards_bitwise_unchanged(self):
         p = tiny_params(2)
@@ -279,28 +277,33 @@ class TestTrain:
             assert np.array_equal(a, b)
 
     def test_enumerated_taken_value_equals_sampled_weight(self):
-        # Q(s_t, a_t) / B on each taken token, 0 elsewhere; the values are
-        # those of the engine on the epoch's rollout streams
+        # Q(s_t, a_t) / B for each taken token; the values are those of the
+        # engine on the epoch's rollout streams, resumed from the state a
+        # teacher-forced pass reaches after step t
         rule = lambda f: f.split(".")[0].count("a") >= 4
         cfg = TrainConfig(lr=1.0, batch=4, mc=3, length=7, epochs=2,
                           d_e=6, d_h=8)
         B, m, T = cfg.batch, cfg.mc, cfg.length
-        p = tiny_params(2, seed=8)
+        # a sharp policy, so that the state the rollouts resume from shows
+        # in the names they finish
+        p = policy.params_from_tensors(
+            {k: 20 * v for k, v in tiny_params(2, seed=8).tensors().items()}, 1)
         for epoch in range(cfg.epochs):
-            _, run = _epoch_run(p, cfg, AB, SeedSpace(), 11, epoch)
+            seeds, run = _epoch_run(p, cfg, AB, SeedSpace(), 11, epoch)
             coeffs, taken = _epoch_coeffs(StubEnv(rule), p, cfg, AB, 11,
                                           epoch, run)
             mc_u = np.stack([stream("mc-train", 11, epoch, i).random((m, T, T))
                              for i in range(B)])
             for t in range(T):
+                xs = np.concatenate([
+                    policy.embed_seed(p, seeds)[None],
+                    policy.embed_tokens(p, run.tokens[:, :t].T)])
+                _, hidden, _ = recurrent.stack_forward(p.w_x, p.w_h, p.b, xs)
                 q = action_values(StubEnv(rule), p, cfg, AB, run.tokens[:, :t],
-                                  run.snapshots[t], run.tokens[:, t], mc_u)
+                                  hidden, run.tokens[:, t], mc_u)
                 assert np.array_equal(taken[t], q)
-            t, i = np.meshgrid(range(T), range(B), indexing="ij")
-            a = run.tokens.T
-            assert np.array_equal(coeffs[t, i, a], taken / B)
-            coeffs[t, i, a] = 0.0
-            assert not coeffs.any()
+            assert coeffs.shape == taken.shape == (T, B)
+            assert np.array_equal(coeffs, taken / B)
 
     def test_enumeration_registers_finished_names_once(self):
         dct = TokenDict("abcdefgh")
