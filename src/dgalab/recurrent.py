@@ -53,6 +53,11 @@ def stack_step(w_x, w_h, b, x, hidden, want_cache=False):
     return inp, new_hidden, caches
 
 
+def cache_state(cache):
+    """The per-layer ``(h_prev, c_prev)`` a ``stack_step`` cache began at."""
+    return [(h_prev, c_prev) for _, h_prev, c_prev, *_ in cache]
+
+
 def stack_forward(w_x, w_h, b, xs, want_cache=False):
     """Run a whole (T, B, d_in) input sequence from a zero state; returns
     (T, B, d_h) top h, the final hidden state and the per-step caches."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import policy as P
+from . import policy as P, recurrent
 from .domains import (DEFAULT_TOKENS, SeedSpace, TokenDict, check_tld,
                       encode_seed)
 from .errors import ContractError, NumericError, QueryBudgetError
@@ -109,8 +109,8 @@ def train(env, cfg: TrainConfig, master_seed: int,
         seed_vecs, run = _epoch_run(params, cfg, dct, space, master_seed,
                                     epoch)
         try:
-            coeffs, taken = _epoch_coeffs(env, params, cfg, dct, master_seed,
-                                          epoch, run, registered)
+            taken = _epoch_values(env, params, cfg, dct, master_seed, epoch,
+                                  run, registered)
         except QueryBudgetError:
             stopped = "budget"
             break
@@ -119,8 +119,8 @@ def train(env, cfg: TrainConfig, master_seed: int,
             best_epoch = epoch
             best_params = params
         try:
-            params = _update_from_batch(params, seed_vecs, run, coeffs,
-                                        cfg.lr)
+            params = _update_from_batch(params, seed_vecs, run,
+                                        taken / cfg.batch, cfg.lr)
         except NumericError:
             stopped = "numeric"
             params = best_params
@@ -145,22 +145,20 @@ def _epoch_run(params, cfg, dct, space, master_seed, epoch):
     return seed_vecs, run
 
 
-def _epoch_coeffs(env, params, cfg, dct, master_seed, epoch, run,
+def _epoch_values(env, params, cfg, dct, master_seed, epoch, run,
                   registered=None):
-    """Policy-gradient weights Q(s_t, a_t)/B of one epoch's taken tokens,
-    plus the values Q(s_t, a_t) themselves, both of shape (T, B).  Step t's
-    rollouts resume from the state that step t + 1 of ``run`` started from."""
+    """Values Q(s_t, a_t) of one epoch's taken tokens, shape (T, B); step t's
+    rollouts resume from the state step t + 1 of ``run`` started from."""
     T, B = cfg.length, cfg.batch
-    tokens = run.tokens
     mc_u = np.stack([stream("mc-train", master_seed, epoch, i)
                      .random((cfg.mc, T, T)) for i in range(B)])
     taken = np.empty((T, B))
     for t in range(T):
-        hidden = None if t == T - 1 else [
-            (h, c) for _, h, c, *_ in run.caches[t + 1]]
-        taken[t] = action_values(env, params, cfg, dct, tokens[:, :t], hidden,
-                                 tokens[:, t], mc_u, registered)
-    return taken / B, taken
+        hidden = None if t == T - 1 else \
+            recurrent.cache_state(run.caches[t + 1])
+        taken[t] = action_values(env, params, cfg, dct, run.tokens[:, :t],
+                                 hidden, run.tokens[:, t], mc_u, registered)
+    return taken
 
 
 def action_values(env, params: P.PolicyParams, cfg: TrainConfig,

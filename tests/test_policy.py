@@ -26,7 +26,7 @@ def feed(params, token, hidden=None):
     run = policy.run_batch(params, tiny_dict(params.d_y), 2,
                            init_hidden=hidden, first_tokens=[token],
                            want_cache=True)
-    return run.dists[0, 0], [(h, c) for _, h, c, *_ in run.caches[1]]
+    return run.dists[0, 0], recurrent.cache_state(run.caches[1])
 
 
 def same_bits(a, b):

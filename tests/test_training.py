@@ -8,7 +8,7 @@ from dgalab.dnsenv import FeedbackEnv
 from dgalab.domains import DEFAULT_TOKENS, SeedSpace, TokenDict, encode_seed
 from dgalab.rng import stream
 from dgalab.errors import AssemblyError
-from dgalab.training import (TrainConfig, _epoch_coeffs, _epoch_run,
+from dgalab.training import (TrainConfig, _epoch_values, _epoch_run,
                              _update_from_batch, action_values,
                              candidate_list, generate_domains, train)
 import scalar_oracles as oracle
@@ -277,9 +277,9 @@ class TestTrain:
             assert np.array_equal(a, b)
 
     def test_enumerated_taken_value_equals_sampled_weight(self):
-        # Q(s_t, a_t) / B for each taken token; the values are those of the
-        # engine on the epoch's rollout streams, resumed from the state a
-        # teacher-forced pass reaches after step t
+        # Q(s_t, a_t) for each taken token: the values of the engine on the
+        # epoch's rollout streams, resumed from the state a teacher-forced
+        # pass reaches after step t
         rule = lambda f: f.split(".")[0].count("a") >= 4
         cfg = TrainConfig(lr=1.0, batch=4, mc=3, length=7, epochs=2,
                           d_e=6, d_h=8)
@@ -290,8 +290,7 @@ class TestTrain:
             {k: 20 * v for k, v in tiny_params(2, seed=8).tensors().items()}, 1)
         for epoch in range(cfg.epochs):
             seeds, run = _epoch_run(p, cfg, AB, SeedSpace(), 11, epoch)
-            coeffs, taken = _epoch_coeffs(StubEnv(rule), p, cfg, AB, 11,
-                                          epoch, run)
+            taken = _epoch_values(StubEnv(rule), p, cfg, AB, 11, epoch, run)
             mc_u = np.stack([stream("mc-train", 11, epoch, i).random((m, T, T))
                              for i in range(B)])
             for t in range(T):
@@ -302,8 +301,7 @@ class TestTrain:
                 q = action_values(StubEnv(rule), p, cfg, AB, run.tokens[:, :t],
                                   hidden, run.tokens[:, t], mc_u)
                 assert np.array_equal(taken[t], q)
-            assert coeffs.shape == taken.shape == (T, B)
-            assert np.array_equal(coeffs, taken / B)
+            assert taken.shape == (T, B)
 
     def test_enumeration_registers_finished_names_once(self):
         dct = TokenDict("abcdefgh")
