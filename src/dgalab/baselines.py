@@ -75,18 +75,14 @@ class WordDict:
 _LENGTH_STREAM_OFFSET = 0x5851
 
 
-def kraken_generate(seed: int, count: int,
-                    len_range: tuple[int, int] = (7, 12)) -> list[str]:
+def kraken_generate(seed: int, count: int) -> list[str]:
     if count < 1:
         raise ContractError("count must be at least 1")
-    lo, hi = len_range
-    if not 1 <= lo <= hi <= MAX_LABEL:
-        raise ContractError("length range outside 1..63")
     chars = Lcg(seed)
     lengths = Lcg(seed + _LENGTH_STREAM_OFFSET)
     out = []
     for _ in range(count):
-        length = lo + lengths.below_mixed(hi - lo + 1)
+        length = 7 + lengths.below_mixed(6)        # 7-12 letters
         core = "".join(chr(ord("a") + chars.below(26)) for _ in range(length))
         out.append(core)
     return out

@@ -175,6 +175,15 @@ def _train_config(cfg: dict) -> training.TrainConfig:
     )
 
 
+def _game_config(cfg: dict) -> evaluation.GameConfig:
+    return evaluation.GameConfig(
+        train_cfg=_train_config(cfg),
+        stage_budget=cfg_get(cfg, "game.stage_budget", 150_000, int),
+        fresh_samples=cfg_get(cfg, "game.fresh", 400, int),
+        incr_epochs=cfg_get(cfg, "game.incr_epochs", 8, int),
+        incr_lr=cfg_get(cfg, "game.incr_lr", 0.3, float))
+
+
 def _seed_space(cfg: dict) -> SeedSpace:
     return SeedSpace(cfg_date(cfg, "seeds.start_date", _dt.date(2020, 1, 1)),
                      cfg_date(cfg, "seeds.end_date", _dt.date(2039, 12, 31)))
@@ -367,19 +376,13 @@ def _cmd_game(args, cfg):
     det_path = resolve_data_path(args.detector)
     benign_path = resolve_data_path(args.benign)
     out = Path(args.out)
-    write_manifest(out, "game", cfg, args.seed,
-                   inputs=[det_path, benign_path])
+    write_manifest(out, "game", {**cfg, "stages": str(args.stages)},
+                   args.seed, inputs=[det_path, benign_path])
     detector = load_detector(det_path)
     benign = corpora.load_domains(benign_path)
     cut = max(1, int(len(benign) * 0.8))
-    gc = evaluation.GameConfig(
-        train_cfg=_train_config(cfg),
-        stage_budget=cfg_get(cfg, "game.stage_budget", 150_000, int),
-        fresh_samples=cfg_get(cfg, "game.fresh", 400, int),
-        incr_epochs=cfg_get(cfg, "game.incr_epochs", 8, int),
-        incr_lr=cfg_get(cfg, "game.incr_lr", 0.3, float))
     results = evaluation.game_loop(detector, benign[:cut], benign[cut:],
-                                   stages=args.stages, cfg=gc,
+                                   stages=args.stages, cfg=_game_config(cfg),
                                    master_seed=args.seed)
     lines = ["stage\tdetector_auc\tpkdga_reward\tagds"]
     for r in results:
@@ -392,7 +395,9 @@ def _cmd_game(args, cfg):
 def _cmd_bench(args, cfg):
     ckpt = resolve_data_path(args.ckpt)
     out = Path(args.out)
-    write_manifest(out, "bench", cfg, args.seed, inputs=[ckpt])
+    write_manifest(out, "bench",
+                   {**cfg, "batches": ",".join(map(str, args.batches))},
+                   args.seed, inputs=[ckpt])
     params, T = checkpoint.load_policy(ckpt)
     rows = evaluation.bench_inference(params, args.batches, T=T)
     _emit(out / "bench.tsv", evaluation.bench_tsv(rows))

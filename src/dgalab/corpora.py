@@ -34,11 +34,10 @@ def _data_text(name: str) -> str:
     return (_resources.files("dgalab") / "data" / name).read_text("utf-8")
 
 
-def load_wordlist(path=None, bundled: str = "words_a.txt") -> WordDict:
-    text = Path(path).read_text("utf-8") if path else _data_text(bundled)
-    words = tuple(w for w in (line.strip() for line in text.splitlines())
-                  if w and not w.startswith("#"))
-    return WordDict(words)
+def load_wordlist(bundled: str = "words_a.txt") -> WordDict:
+    lines = _data_text(bundled).splitlines()
+    return WordDict(tuple(w for w in (line.strip() for line in lines)
+                          if w and not w.startswith("#")))
 
 
 def bundled_tlds() -> tuple[str, ...]:
@@ -87,10 +86,6 @@ class LabeledCorpus:
         if not self.benign or not self.agd:
             raise DataError("corpus must contain both classes")
         return self
-
-    @property
-    def size(self) -> int:
-        return len(self.benign) + len(self.agd)
 
 
 def synthesize_benign(count: int, rng_seed: int = 20160801) -> list[str]:

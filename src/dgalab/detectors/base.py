@@ -113,7 +113,7 @@ def load_detector(path) -> DetectorModel:
     return _detector_class(kind).from_blobs(blobs)
 
 
-def fit_logistic(features, labels, iters=800, lr=0.5):
+def fit_logistic(features, labels):
     """Tiny deterministic logistic regression on standardized features.
 
     Returns (weights, bias, mean, std); used by the statistics and word-graph
@@ -128,11 +128,11 @@ def fit_logistic(features, labels, iters=800, lr=0.5):
     Z = (X - mean) / std
     w = np.zeros(Z.shape[1])
     b = 0.0
-    for _ in range(iters):
+    for _ in range(800):
         p = 1.0 / (1.0 + np.exp(-(Z @ w + b)))
         err = p - y
-        w -= lr * (Z.T @ err) / len(y)
-        b -= lr * err.mean()
+        w -= 0.5 * (Z.T @ err) / len(y)
+        b -= 0.5 * err.mean()
     return w, b, mean, std
 
 

@@ -10,21 +10,18 @@ exposes scores or internals, so training code is black-box by construction.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+
+import numpy as np
 
 from .domains import validate_domain
 from .errors import DataError, FluxingRoundError, QueryBudgetError
 
 
-@dataclass(frozen=True)
-class DnsFeedback:
-    outcome: int
-    d_factor: int
-    n_factor: int
-    query_count: int
-
-    def __post_init__(self):
-        assert self.outcome == self.d_factor * self.n_factor
+def feedback_records(d, n) -> np.recarray:
+    """One batch of feedback: a record array, one row per name, with fields
+    ``outcome``, ``d_factor`` and ``n_factor``; outcome = d * n."""
+    d, n = np.asarray(d, np.int64), np.asarray(n, np.int64)
+    return np.rec.fromarrays([d * n, d, n], names="outcome,d_factor,n_factor")
 
 
 def synthetic_address(fqdn: str) -> str:
@@ -54,11 +51,12 @@ class FeedbackEnv:
     def budget(self) -> int:
         return self._budget
 
-    def register(self, fqdn: str) -> DnsFeedback:
+    def register(self, fqdn: str) -> np.record:
         return self.register_many([fqdn])[0]
 
-    def register_many(self, fqdns) -> list[DnsFeedback]:
-        """Sequential semantics: item k sees the registry as left by k-1."""
+    def register_many(self, fqdns) -> np.recarray:
+        """Sequential semantics: item k sees the registry as left by k-1.
+        Returns the batch's ``feedback_records``."""
         for fqdn in fqdns:
             if not validate_domain(fqdn):
                 raise DataError(f"cannot register invalid name {fqdn!r}")
@@ -66,21 +64,20 @@ class FeedbackEnv:
             raise QueryBudgetError(
                 f"budget {self._budget} exhausted at {self._count} queries")
         scores = self.__detector.score_many(list(fqdns))
-        out = []
-        for fqdn, score in zip(fqdns, scores):
+        d = (np.asarray(scores) >= self.__threshold).tolist()
+        n = []
+        for fqdn, legit in zip(fqdns, d):
             self._count += 1
-            d = int(score >= self.__threshold)
-            n = int(fqdn not in self._registered)
-            outcome = d * n
-            if outcome:
+            novel = fqdn not in self._registered
+            n.append(novel)
+            if legit and novel:
                 self._registered.add(fqdn)
-            fb = DnsFeedback(outcome, d, n, self._count)
             if self._audit:
-                self._audit.write(f"{self._count}\t{fqdn}\t{d}\t{n}\t{outcome}\n")
-            out.append(fb)
+                self._audit.write(f"{self._count}\t{fqdn}\t{legit:d}\t"
+                                  f"{novel:d}\t{legit and novel:d}\n")
         if self._audit:
             self._audit.flush()
-        return out
+        return feedback_records(d, n)
 
     def resolve(self, fqdn: str):
         return synthetic_address(fqdn) if fqdn in self._registered else None

@@ -49,12 +49,6 @@ class TokenDict:
         i = self.tokens.find("-")
         return None if i < 0 else i
 
-    def index(self, ch: str) -> int:
-        i = self.tokens.find(ch)
-        if i < 0:
-            raise ContractError(f"character {ch!r} not in token dictionary")
-        return i
-
     def detokenize(self, indices) -> str:
         out = []
         for i in indices:

@@ -229,7 +229,7 @@ class GameConfig:
     stage_budget: int = 150_000
     fresh_samples: int = 400
     max_agds: int = 2000
-    incr_epochs: int = 6
+    incr_epochs: int = 8
     incr_lr: float = 0.3
     reward_floor: float = 0.02
     eval_start: _dt.date = _dt.date(2033, 1, 1)

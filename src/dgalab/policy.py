@@ -66,9 +66,6 @@ class PolicyParams:
         out["w_out"] = self.w_out
         return out
 
-    def count(self) -> int:
-        return sum(t.size for t in self.tensors().values())
-
 
 def tensor_shapes(n_layers, d_e, d_h, d_y) -> dict[str, tuple]:
     """Closed-form shape of every named tensor, derivable from dims alone."""
@@ -82,13 +79,10 @@ def tensor_shapes(n_layers, d_e, d_h, d_y) -> dict[str, tuple]:
     return shapes
 
 
-def init_params(n_layers, d_e, d_h, d_y, rng_seed,
-                dct: TokenDict | None = None) -> PolicyParams:
+def init_params(n_layers, d_e, d_h, d_y, rng_seed) -> PolicyParams:
     """Fresh weights, uniform in [-0.08, 0.08], from a counter-based stream."""
     if min(n_layers, d_e, d_h, d_y) < 1:
         raise ContractError("all dimensions must be positive")
-    if dct is not None and d_y != dct.n:
-        raise ContractError(f"d_y={d_y} must equal dictionary size {dct.n}")
     rng = stream("policy-init", rng_seed)
     arrays = {}
     for name, shape in tensor_shapes(n_layers, d_e, d_h, d_y).items():

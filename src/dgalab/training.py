@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class TrainConfig:
     lr: float = 1.0
     batch: int = 32
     mc: int = 4
-    length: int = 12
+    length: int = 10
     epochs: int = 300
     tld: str = "com"
     n_layers: int = 1
@@ -98,7 +99,7 @@ def train(env, cfg: TrainConfig, master_seed: int,
     space = space or SeedSpace()
     if params is None:
         params = P.init_params(cfg.n_layers, cfg.d_e, cfg.d_h, dct.n,
-                               rng_seed=master_seed, dct=dct)
+                               rng_seed=master_seed)
     curve: list[float] = []
     best_epoch = 0
     best_params = params
@@ -190,12 +191,10 @@ def action_values(env, params: P.PolicyParams, cfg: TrainConfig,
                          uniforms=u)
         heads = np.concatenate([heads, ro.tokens], axis=1)
     names = dct.fqdns(heads, cfg.tld)
-    feedback = env.register_many(names)
+    outcome = env.register_many(names).outcome
     if registered is not None:
-        registered.extend(nm for nm, fb in zip(names, feedback)
-                          if fb.outcome == 1)
-    vals = np.array([fb.outcome for fb in feedback], dtype=np.float64)
-    return vals.reshape(B, -1).mean(axis=1)
+        registered.extend(compress(names, outcome))
+    return outcome.reshape(B, -1).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------

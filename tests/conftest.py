@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from dgalab.detectors.features import extract_many
-from dgalab.dnsenv import DnsFeedback
+from dgalab.dnsenv import feedback_records
 from dgalab.policy import params_from_tensors
 
 # CI selects this with --hypothesis-profile=ci: the same examples on every
@@ -37,12 +37,9 @@ class StubEnv:
         return self.register_many([fqdn])[0]
 
     def register_many(self, fqdns):
-        out = []
-        for fqdn in fqdns:
-            self.query_count += 1
-            d = int(bool(self.rule(fqdn)))
-            out.append(DnsFeedback(d, d, 1, self.query_count))
-        return out
+        self.query_count += len(fqdns)
+        return feedback_records([bool(self.rule(f)) for f in fqdns],
+                                [1] * len(fqdns))
 
     def resolve(self, fqdn):
         return None

@@ -40,8 +40,8 @@ class TestKraken:
         assert all(validate_domain(assemble_fqdn(core, "com")) for core in doms)
 
     def test_lengths_in_range(self):
-        doms = kraken_generate(11, 500, (5, 9))
-        assert all(5 <= len(core) <= 9 for core in doms)
+        doms = kraken_generate(11, 500)
+        assert {len(core) for core in doms} == set(range(7, 13))
 
     def test_letter_frequency_near_uniform(self):
         doms = kraken_generate(123456, 12000)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgalab import checkpoint, cli, policy
+from dgalab import checkpoint, cli, evaluation, policy, training
 from dgalab.cli import main
 from conftest import cli_subprocess, read_manifest
 
@@ -335,6 +335,38 @@ class TestConfigKeys:
         code, _ = run_cli("generate", "--dga", "kraken", "--count", "2",
                           "--config", str(cfg))
         assert code == 0
+
+
+class TestDefaults:
+    def test_train_defaults_match_train_config(self):
+        assert cli._train_config({}) == training.TrainConfig()
+
+    def test_game_defaults_match_game_config(self):
+        assert cli._game_config({}) == \
+            evaluation.GameConfig(training.TrainConfig())
+
+
+class TestManifestOptions:
+    """A manifest records the command-line options that shape a result."""
+
+    def test_game_records_stages(self, workspace, tmp_path):
+        out = tmp_path / "game"
+        code, _ = run_cli("game", "--detector",
+                          str(workspace / "det" / "detector.ckpt"),
+                          "--benign", str(workspace / "prep" / "benign.txt"),
+                          "--stages", "0", "--out", str(out))
+        assert code == 0
+        assert read_manifest(out / "manifest.json")["config"] == \
+            {"stages": "0"}
+
+    def test_bench_records_batches(self, tmp_path):
+        out = tmp_path / "bench"
+        code, _ = run_cli("bench", "--ckpt",
+                          str(tiny_policy(tmp_path / "p.ckpt")),
+                          "--batches", "2,3", "--out", str(out))
+        assert code == 0
+        assert read_manifest(out / "manifest.json")["config"] == \
+            {"batches": "2,3"}
 
 
 class TestBooleans:

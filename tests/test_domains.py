@@ -42,14 +42,14 @@ class TestTokenDict:
     def test_bijection(self):
         d = DEFAULT_TOKENS
         for i, ch in enumerate(d.tokens):
-            assert d.index(ch) == i
+            assert d.tokens.index(ch) == i
             assert d.detokenize([i]) == ch
 
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-",
                    min_size=1, max_size=30))
     def test_round_trip(self, core):
         d = DEFAULT_TOKENS
-        assert d.detokenize([d.index(c) for c in core]) == core
+        assert d.detokenize([d.tokens.index(c) for c in core]) == core
 
 
 class TestEncodeSeed:

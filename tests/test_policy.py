@@ -113,7 +113,7 @@ class TestInit:
         n = 37
         p = policy.init_params(1, 32, 64, n, rng_seed=1)
         expected = (n + 1) * 32 + 4 * (32 * 64 + 64 * 64 + 64) + 64 * n
-        assert p.count() == expected
+        assert sum(t.size for t in p.tensors().values()) == expected
 
     def test_bounds(self):
         p = policy.init_params(1, 8, 8, 5, rng_seed=3)
@@ -121,8 +121,10 @@ class TestInit:
             assert np.all(np.abs(t) <= 0.08)
 
     def test_dict_size_mismatch_rejected(self):
+        p = policy.init_params(1, 4, 4, 9, rng_seed=0)
         with pytest.raises(ContractError):
-            policy.init_params(1, 4, 4, 9, rng_seed=0, dct=tiny_dict(5))
+            policy.run_batch(p, tiny_dict(5), 3,
+                             seed_vecs=np.zeros((1, 9), np.float32))
         with pytest.raises(ContractError):
             policy.init_params(0, 4, 4, 5, rng_seed=0)
 

@@ -320,7 +320,7 @@ class TestTrain:
         B, m, T = cfg.batch, cfg.mc, cfg.length
         assert len(calls) == T
         assert env.query_count == B * (m * (T - 1) + 1)
-        p0 = policy.init_params(1, 6, 8, dct.n, rng_seed=4, dct=dct)
+        p0 = policy.init_params(1, 6, 8, dct.n, rng_seed=4)
         _, run = _epoch_run(p0, cfg, dct, SeedSpace(), 4, 0)
         finished = [f"{dct.detokenize(row)}.com" for row in run.tokens]
         assert [name for name, _ in calls[-1]] == finished
