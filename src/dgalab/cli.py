@@ -18,7 +18,7 @@ from .baselines import gozi_generate, kraken_generate, suppobox_generate
 from .config import (cfg_date, cfg_get, parse_config, resolve_data_path,
                      write_manifest)
 from .detectors import KINDS, load_detector, train_detector
-from .detectors.base import HP_KEYS
+from .detectors.base import HP_DEFAULTS
 from .dnsenv import FeedbackEnv
 from .domains import SeedSpace, check_tld
 from .errors import ContractError, DataError, DgaLabError, NumericError
@@ -144,10 +144,10 @@ _CONFIG_KEYS = {
     "game": ("stage_budget", "fresh", "incr_epochs", "incr_lr"),
 }
 # detector.<kind>.<key> for a key the kind reads, and detector.<key> for the
-# split or a key some kind reads (it goes to every kind)
-_DETECTOR_KEYS = {"split", *(f"{kind}.{key}" for kind, keys in HP_KEYS.items()
-                             for key in keys),
-                  *(key for keys in HP_KEYS.values() for key in keys)}
+# split or a key some kind reads (it goes to every kind that reads it)
+_DETECTOR_KEYS = {"split", *(name for kind, keys in HP_DEFAULTS.items()
+                             for key in keys
+                             for name in (key, f"{kind}.{key}"))}
 
 
 def _load_cfg(args) -> dict:
@@ -190,14 +190,14 @@ def _seed_space(cfg: dict) -> SeedSpace:
 
 
 def _detector_hp(cfg: dict, kind: str) -> dict:
-    """The config's ``detector.*`` values for ``kind``, as text; the kind
-    casts the keys it reads."""
+    """The config's values for ``kind``'s hyperparameters, as text;
+    ``detector.<kind>.<key>`` wins over ``detector.<key>`` on any line."""
     hp = {}
-    for key, value in cfg.items():
-        if key.startswith(f"detector.{kind}."):
-            hp[key.split(".", 2)[2]] = value
-        elif key.startswith("detector.") and key.count(".") == 1:
-            hp[key.split(".", 1)[1]] = value
+    for key in HP_DEFAULTS[kind]:
+        for name in (f"detector.{kind}.{key}", f"detector.{key}"):
+            if name in cfg:
+                hp[key] = cfg[name]
+                break
     return hp
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -37,23 +38,32 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def parse_bool(raw: str) -> bool:
-    """The boolean a config value spells, in any case; ValueError for any
-    spelling outside ``_BOOLS``."""
-    try:
-        return _BOOLS[raw.lower()]
-    except KeyError:
-        raise ValueError(f"expected one of {', '.join(_BOOLS)}") from None
+def cast_value(name: str, value, cast):
+    """``value``, config text or a Python value, as ``cast``: a bool takes
+    the ``_BOOLS`` spellings in any case, an int only integral values and a
+    float only finite ones.  ``DataError`` reads ``name = value: reason``."""
+    if cast is str:
+        return str(value)
+    if cast is bool:
+        spelled = str(value).lower()  # str(True) is "True"
+        if spelled in _BOOLS:
+            return _BOOLS[spelled]
+        reason = f"expected one of {', '.join(_BOOLS)}"
+    else:
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if math.isfinite(number) and (cast is float or number.is_integer()):
+            return cast(number)
+        reason = "expected int" if cast is int else "expected a finite float"
+    raise DataError(f"{name} = {value!r}: {reason}")
 
 
 def cfg_get(cfg: dict, key: str, default=None, cast=str):
     if key not in cfg or cfg[key] == "":
         return default
-    raw = cfg[key]
-    try:
-        return (parse_bool if cast is bool else cast)(raw)
-    except ValueError as exc:
-        raise DataError(f"config {key} = {raw!r}: {exc}") from None
+    return cast_value(f"config {key}", cfg[key], cast)
 
 
 def cfg_date(cfg: dict, key: str, default):

@@ -8,11 +8,12 @@ default, calibrated into the score during training).
 from __future__ import annotations
 
 import importlib
+from typing import NamedTuple
 
 import numpy as np
 
-from ..checkpoint import load_blobs, save_blobs
-from ..config import parse_bool
+from ..checkpoint import F32, load_blobs, record, save_blobs
+from ..config import cast_value
 from ..corpora import LabeledCorpus
 from ..domains import validate_domain
 from ..errors import DataError, ScoringError
@@ -22,13 +23,15 @@ from ..errors import DataError, ScoringError
 _CLASS_NAMES = {"statistics": "StatisticsDetector", "fanci": "FanciDetector",
                 "wordgraph": "WordGraphDetector", "neural": "NeuralDetector"}
 KINDS = tuple(_CLASS_NAMES)
-# kind -> the hyperparameter keys its ``train`` reads; a config's detector.*
-# keys must name one of them
-HP_KEYS = {"statistics": ("jaccard_refs", "edit_refs"),
-           "fanci": ("trees", "max_depth", "min_leaf"),
-           "wordgraph": ("repeat_threshold",),
-           "neural": ("d_e", "d_h", "layers", "bidirectional", "max_len",
-                      "epochs", "batch", "lr")}
+# kind -> the hyperparameters its ``train`` reads and their defaults; a
+# config's detector.* keys must name one of them
+HP_DEFAULTS = {
+    "statistics": {"jaccard_refs": 64, "edit_refs": 8},
+    "fanci": {"trees": 25, "max_depth": 12, "min_leaf": 2},
+    "wordgraph": {"repeat_threshold": 3},
+    "neural": {"d_e": 24, "d_h": 32, "layers": 1, "bidirectional": False,
+               "max_len": 32, "epochs": 6, "batch": 64, "lr": 0.5},
+}
 
 
 def _detector_class(kind: str) -> type:
@@ -75,37 +78,24 @@ class DetectorModel:
         save_blobs(path, self.kind, self.to_blobs())
 
 
-def hp_value(hp: dict, key: str, default, cast):
-    """``hp[key]`` as ``cast`` (int, float or bool), or ``default`` when the
-    key is absent.  Values may be config text or Python values; an integer
-    key takes only integral values.  ``DataError`` names the key and value.
-    """
-    if key not in hp:
-        return default
-    value = hp[key]
-    try:
-        if cast is bool:
-            return value if isinstance(value, bool) else parse_bool(str(value))
-        number = float(value)
-        if cast is int and not number.is_integer():
-            raise ValueError
-        return cast(number)
-    except (TypeError, ValueError):
-        raise DataError(f"detector hyperparameter {key} = {value!r}: "
-                        f"expected {cast.__name__}") from None
-
-
 def train_detector(kind: str, corpus: LabeledCorpus, hp: dict | None = None,
                    rng_seed: int = 0) -> DetectorModel:
     """Train one detector kind on a labeled corpus; deterministic per seed.
 
-    ``DataError`` names the corpus's first name that is not a valid domain.
+    The kind's ``train`` gets each of its ``HP_DEFAULTS`` keys: ``hp``'s
+    value (text or Python) cast to the default's type, or the default.
+    ``DataError`` names an invalid corpus name or a value that won't cast.
     """
+    cls = _detector_class(kind)
     corpus.require_both()
     for name in (*corpus.benign, *corpus.agd):
         if not validate_domain(name):
             raise DataError(f"training corpus: invalid domain {name!r}")
-    return _detector_class(kind).train(corpus, dict(hp or {}), rng_seed)
+    hp = hp or {}
+    typed = {key: cast_value(f"detector hyperparameter {key}", hp[key],
+                             type(default)) if key in hp else default
+             for key, default in HP_DEFAULTS[kind].items()}
+    return cls.train(corpus, typed, rng_seed)
 
 
 def load_detector(path) -> DetectorModel:
@@ -113,12 +103,39 @@ def load_detector(path) -> DetectorModel:
     return _detector_class(kind).from_blobs(blobs)
 
 
-def fit_logistic(features, labels):
+class Logistic(NamedTuple):
+    """A logistic layer on standardized features: the P(benign) of a
+    feature row x is sigmoid(((x - mean) / std) @ w + b)."""
+    w: np.ndarray
+    b: float
+    mean: np.ndarray
+    std: np.ndarray
+
+    def score(self, x) -> np.ndarray:
+        """P(benign) of each row of the (N, k) ``x``: one 1xk product per
+        row, so that, unlike a gemv's, no score depends on its batch."""
+        x = np.asarray(x, dtype=np.float64)[:, None, :]
+        z = (x - self.mean) / self.std
+        return 1.0 / (1.0 + np.exp(-(z @ self.w + self.b)))[:, 0]
+
+    def to_blobs(self) -> dict:
+        f32 = np.float32
+        return {"logistic": np.append(self.w, self.b).astype(f32),
+                "standardize": np.append(self.mean, self.std).astype(f32)}
+
+    @classmethod
+    def from_blobs(cls, blobs, k: int) -> "Logistic":
+        """The layer over ``k`` features that ``to_blobs`` stored."""
+        logi = record(blobs, "logistic", F32, k + 1).astype(np.float64)
+        stand = record(blobs, "standardize", F32, 2 * k).astype(np.float64)
+        return cls(logi[:-1], float(logi[-1]), stand[:k], stand[k:])
+
+
+def fit_logistic(features, labels) -> Logistic:
     """Tiny deterministic logistic regression on standardized features.
 
-    Returns (weights, bias, mean, std); used by the statistics and word-graph
-    detectors to calibrate raw distances into a benign probability with a
-    0.5 decision point.
+    Calibrates the raw distances of the statistics and word-graph detectors
+    into a benign probability with a 0.5 decision point.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -133,9 +150,4 @@ def fit_logistic(features, labels):
         err = p - y
         w -= 0.5 * (Z.T @ err) / len(y)
         b -= 0.5 * err.mean()
-    return w, b, mean, std
-
-
-def logistic_score(x, w, b, mean, std) -> np.ndarray:
-    z = (np.asarray(x, dtype=np.float64) - mean) / std
-    return 1.0 / (1.0 + np.exp(-(z @ w + b)))
+    return Logistic(w, float(b), mean, std)

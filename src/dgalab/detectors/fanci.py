@@ -6,7 +6,7 @@ import numpy as np
 
 from ..checkpoint import F32, I64, record
 from ..errors import DataError
-from .base import DetectorModel, hp_value
+from .base import DetectorModel
 from .features import FEATURE_NAMES, extract_many
 from .forest import RandomForest, Tree, fit_forest
 
@@ -26,9 +26,8 @@ class FanciDetector(DetectorModel):
         X = extract_many(list(corpus.benign) + list(corpus.agd))
         y = np.array([1.0] * len(corpus.benign) + [0.0] * len(corpus.agd))
         forest = fit_forest(X, y, rng_seed,
-                            n_trees=hp_value(hp, "trees", 25, int),
-                            max_depth=hp_value(hp, "max_depth", 12, int),
-                            min_leaf=hp_value(hp, "min_leaf", 2, int))
+                            n_trees=hp["trees"], max_depth=hp["max_depth"],
+                            min_leaf=hp["min_leaf"])
         return cls(forest)
 
     def to_blobs(self) -> dict:

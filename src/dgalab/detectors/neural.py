@@ -16,7 +16,7 @@ from ..checkpoint import F32, I64, record
 from ..domains import LABEL_CHARS
 from ..errors import DataError
 from ..rng import stream
-from .base import DetectorModel, checked_names, hp_value
+from .base import DetectorModel, checked_names
 
 VOCAB = LABEL_CHARS + "."
 PAD = len(VOCAB)
@@ -142,11 +142,7 @@ class NeuralDetector(DetectorModel):
 
     @classmethod
     def train(cls, corpus, hp, rng_seed):
-        d_e = hp_value(hp, "d_e", 24, int)
-        d_h = hp_value(hp, "d_h", 32, int)
-        n_layers = hp_value(hp, "layers", 1, int)
-        bidirectional = hp_value(hp, "bidirectional", False, bool)
-        max_len = hp_value(hp, "max_len", 32, int)
+        d_e, d_h, n_layers = hp["d_e"], hp["d_h"], hp["layers"]
         dtype = np.float32
         rng = stream("neural-init", rng_seed)
 
@@ -158,7 +154,7 @@ class NeuralDetector(DetectorModel):
 
         embedding = xavier((len(VOCAB) + 1, d_e), len(VOCAB) + 1, d_e)
         stacks = []
-        for _ in range(2 if bidirectional else 1):
+        for _ in range(2 if hp["bidirectional"] else 1):
             w_x, w_h, bias = [], [], []
             for layer in range(n_layers):
                 din = d_e if layer == 0 else d_h
@@ -167,14 +163,11 @@ class NeuralDetector(DetectorModel):
                 bias.append(np.zeros(4 * d_h, dtype=dtype))
             stacks.append((w_x, w_h, bias))
         w = xavier((d_h * len(stacks),), d_h * len(stacks), 1)
-        model = cls(embedding, stacks, w, 0.0, max_len)
+        model = cls(embedding, stacks, w, 0.0, hp["max_len"])
         domains = list(corpus.benign) + list(corpus.agd)
         labels = [1.0] * len(corpus.benign) + [0.0] * len(corpus.agd)
-        model.fit(domains, labels,
-                  epochs=hp_value(hp, "epochs", 6, int),
-                  batch=hp_value(hp, "batch", 64, int),
-                  lr=hp_value(hp, "lr", 0.5, float),
-                  rng_key=rng_seed)
+        model.fit(domains, labels, epochs=hp["epochs"], batch=hp["batch"],
+                  lr=hp["lr"], rng_key=rng_seed)
         return model
 
     def incremental_update(self, agd_domains, benign_domains, epochs=3,

@@ -24,7 +24,7 @@ from ..checkpoint import F32, TEXT, record
 from ..domains import LABEL_CHARS, MAX_LABEL
 from ..errors import DataError
 from ..rng import stream
-from .base import DetectorModel, fit_logistic, hp_value, logistic_score
+from .base import DetectorModel, Logistic, fit_logistic
 from .features import split_core
 from .distances import (N_CHARS, add_one_smooth, bigram_bitsets, char_counts,
                         edit_distances, encode, kl_rows, match_masks,
@@ -50,8 +50,9 @@ def _checked_refs(kind: str, refs, cap: int) -> tuple[str, ...]:
 class StatisticsDetector(DetectorModel):
     kind = "statistics"
 
-    def __init__(self, profile, jaccard_refs, edit_refs, w, b, mean, std,
-                 threshold=0.5):
+    def __init__(self, profile, jaccard_refs, edit_refs,
+                 logistic: Logistic | None = None, threshold=0.5):
+        # logistic is None only for a probe that measures distances
         super().__init__(threshold)
         self.profile = np.asarray(profile, dtype=np.float64)
         if self.profile.shape != (N_CHARS,) or not np.all(self.profile > 0):
@@ -62,10 +63,7 @@ class StatisticsDetector(DetectorModel):
         self._ref_bigrams = bigram_bitsets(self.jaccard_refs)
         self._edit_masks = match_masks(self.edit_refs)
         self._edit_lengths = np.array([len(r) for r in self.edit_refs])
-        self.w = np.asarray(w, dtype=np.float64)
-        self.b = float(b)
-        self.mean = np.asarray(mean, dtype=np.float64)
-        self.std = np.asarray(std, dtype=np.float64)
+        self.logistic = logistic
 
     # -- distances ---------------------------------------------------------
     def distances_many(self, domains) -> np.ndarray:
@@ -86,18 +84,11 @@ class StatisticsDetector(DetectorModel):
         return np.column_stack([kl, jac, edit])
 
     def _score_many(self, domains) -> np.ndarray:
-        x = self.distances_many(domains)
-        # one 1x3 product per row, so a score does not depend on the batch
-        # it came in: a (B, 3) @ (3,) product runs BLAS gemv, whose rounding
-        # differs from the one-row dot product
-        return logistic_score(x[:, None, :], self.w, self.b, self.mean,
-                              self.std)[:, 0]
+        return self.logistic.score(self.distances_many(domains))
 
     # -- training ----------------------------------------------------------
     @classmethod
     def train(cls, corpus, hp, rng_seed):
-        n_jac = hp_value(hp, "jaccard_refs", 64, int)
-        n_edit = hp_value(hp, "edit_refs", 8, int)
         benign = list(dict.fromkeys(corpus.benign))
         agd = list(dict.fromkeys(corpus.agd))
         cores = [split_core(d)[0] for d in benign]
@@ -107,16 +98,15 @@ class StatisticsDetector(DetectorModel):
 
         rng = stream("statistics-refs", rng_seed)
         usable = [c for c in cores if len(c) >= 2] or cores
-        jac_refs = [usable[i] for i in rng.integers(0, len(usable), size=n_jac)]
-        edit_refs = [cores[i][:_EDIT_CAP]
-                     for i in rng.integers(0, len(cores), size=n_edit)]
+        jac_refs = [usable[i] for i in
+                    rng.integers(0, len(usable), size=hp["jaccard_refs"])]
+        edit_refs = [cores[i][:_EDIT_CAP] for i in
+                     rng.integers(0, len(cores), size=hp["edit_refs"])]
 
-        probe = cls(profile, jac_refs, edit_refs,
-                    np.zeros(3), 0.0, np.zeros(3), np.ones(3))
+        probe = cls(profile, jac_refs, edit_refs)
         feats = probe.distances_many(benign + agd)
         labels = np.array([1.0] * len(benign) + [0.0] * len(agd))
-        w, b, mean, std = fit_logistic(feats, labels)
-        return cls(profile, jac_refs, edit_refs, w, b, mean, std)
+        return cls(profile, jac_refs, edit_refs, fit_logistic(feats, labels))
 
     # -- serialization -----------------------------------------------------
     def to_blobs(self) -> dict:
@@ -124,17 +114,14 @@ class StatisticsDetector(DetectorModel):
             "profile": self.profile.astype(np.float32),
             "jaccard_refs": "\n".join(self.jaccard_refs).encode("utf-8"),
             "edit_refs": "\n".join(self.edit_refs).encode("utf-8"),
-            "logistic": np.concatenate([self.w, [self.b]]).astype(np.float32),
-            "standardize": np.concatenate([self.mean, self.std]).astype(np.float32),
+            **self.logistic.to_blobs(),
             "threshold": np.array([self.threshold], dtype=np.float32),
         }
 
     @classmethod
     def from_blobs(cls, blobs) -> "StatisticsDetector":
-        logi = record(blobs, "logistic", F32, 4)
-        stand = record(blobs, "standardize", F32, 6)
+        logistic = Logistic.from_blobs(blobs, 3)
         return cls(record(blobs, "profile", F32, N_CHARS),
                    record(blobs, "jaccard_refs", TEXT).split("\n"),
-                   record(blobs, "edit_refs", TEXT).split("\n"),
-                   logi[:-1], logi[-1], stand[:3], stand[3:],
+                   record(blobs, "edit_refs", TEXT).split("\n"), logistic,
                    float(record(blobs, "threshold", F32, 1)[0]))

@@ -21,7 +21,7 @@ import numpy as np
 from ..checkpoint import F32, I64, TEXT, record
 from ..domains import LABEL_CHARS
 from ..errors import DataError
-from .base import DetectorModel, fit_logistic, hp_value, logistic_score
+from .base import DetectorModel, Logistic, fit_logistic
 from .distances import (ID_BASE, MAX_PACKED, encode, id_lengths, id_strings,
                         ngram_ids, string_ids)
 from .features import split_core
@@ -29,7 +29,6 @@ from .features import split_core
 MIN_SUB = 3
 MAX_SUB = MAX_PACKED
 NODES_PER_DOMAIN = 12
-REPEAT_THRESHOLD = 3  # "common" means seen in more than this many domains
 CHUNK = 256           # names per kernel pass; keeps row * _SPAN in int64
 _SPAN = ID_BASE ** MAX_SUB  # above every packed id of up to MAX_SUB chars
 _NODE = re.compile(f"[{re.escape(LABEL_CHARS)}]{{{MIN_SUB},{MAX_SUB}}}")
@@ -89,7 +88,7 @@ def _graph_stats(slots, degrees, max_degree: int) -> np.ndarray:
 class WordGraphDetector(DetectorModel):
     kind = "wordgraph"
 
-    def __init__(self, degrees: dict, max_degree: int, w, b, mean, std,
+    def __init__(self, degrees: dict, max_degree: int, logistic: Logistic,
                  threshold=0.5):
         super().__init__(threshold)
         self.degrees = degrees
@@ -99,10 +98,7 @@ class WordGraphDetector(DetectorModel):
         self._nodes = ids[order]
         self._degrees = np.fromiter(degrees.values(), dtype=np.int64,
                                     count=len(degrees))[order]
-        self.w = np.asarray(w, dtype=np.float64)
-        self.b = float(b)
-        self.mean = np.asarray(mean, dtype=np.float64)
-        self.std = np.asarray(std, dtype=np.float64)
+        self.logistic = logistic
 
     def graph_stats(self, domains) -> np.ndarray:
         """Normalized mean degree of each domain's common-substring nodes."""
@@ -112,14 +108,10 @@ class WordGraphDetector(DetectorModel):
             for codes, lengths in _chunks(domains))])
 
     def _score_many(self, domains) -> np.ndarray:
-        # one 1x1 product per row, so a score does not depend on its batch
-        return logistic_score(self.graph_stats(domains)[:, None, None],
-                              self.w, self.b, self.mean, self.std)[:, 0]
+        return self.logistic.score(self.graph_stats(domains)[:, None])
 
     @classmethod
     def train(cls, corpus, hp, rng_seed):
-        repeat_threshold = hp_value(hp, "repeat_threshold", REPEAT_THRESHOLD,
-                                    int)
         domains = list(corpus.benign) + list(corpus.agd)
         labels = np.array([1.0] * len(corpus.benign) + [0.0] * len(corpus.agd))
 
@@ -128,7 +120,7 @@ class WordGraphDetector(DetectorModel):
         subs, per_domain = np.unique(np.concatenate(
             [_row_substrings(*chunk)[1] for chunk in _chunks(domains)]),
             return_counts=True)
-        nodes = subs[per_domain > repeat_threshold]
+        nodes = subs[per_domain > hp["repeat_threshold"]]
         del subs, per_domain
 
         # an edge joins every two of a domain's first nodes, each pair once
@@ -149,12 +141,12 @@ class WordGraphDetector(DetectorModel):
                              max_degree)[:, None]
         if stats.max() == stats.min():
             # degenerate graph: nothing separates, calibrate to a flat 0.5
-            w, b = np.zeros(1), 0.0
-            mean, std = stats.mean(axis=0), np.ones(1)
+            logistic = Logistic(np.zeros(1), 0.0, stats.mean(axis=0),
+                                np.ones(1))
         else:
-            w, b, mean, std = fit_logistic(stats, labels)
+            logistic = fit_logistic(stats, labels)
         return cls(dict(zip(id_strings(nodes), degrees.tolist())),
-                   max_degree, w, b, mean, std)
+                   max_degree, logistic)
 
     def to_blobs(self) -> dict:
         nodes = sorted(self.degrees)
@@ -162,8 +154,7 @@ class WordGraphDetector(DetectorModel):
             "nodes": "\n".join(nodes).encode("utf-8"),
             "degrees": np.array([self.degrees[s] for s in nodes], dtype=np.int64),
             "max_degree": np.array([self.max_degree], dtype=np.int64),
-            "logistic": np.concatenate([self.w, [self.b]]).astype(np.float32),
-            "standardize": np.concatenate([self.mean, self.std]).astype(np.float32),
+            **self.logistic.to_blobs(),
             "threshold": np.array([self.threshold], dtype=np.float32),
         }
 
@@ -185,8 +176,6 @@ class WordGraphDetector(DetectorModel):
         if max_degree != max(1, degrees.max(initial=0)):
             raise DataError("wordgraph checkpoint: max_degree is not the "
                             "largest degree")
-        logi = record(blobs, "logistic", F32, 2)
-        stand = record(blobs, "standardize", F32, 2)
         return cls(dict(zip(nodes, degrees.tolist())), max_degree,
-                   logi[:-1], logi[-1], stand[:1], stand[1:],
+                   Logistic.from_blobs(blobs, 1),
                    float(record(blobs, "threshold", F32, 1)[0]))

@@ -10,6 +10,7 @@ equals the tie-corrected pairwise rank statistic.  Anti-detection ability is
 from __future__ import annotations
 
 import datetime as _dt
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +22,8 @@ from .corpora import LabeledCorpus
 from .detectors import train_detector
 from .dnsenv import FeedbackEnv
 from .domains import DEFAULT_TOKENS
-from .errors import ContractError, DataError, UnsupportedDetectorError
+from .errors import (ContractError, DataError, NumericError,
+                     UnsupportedDetectorError)
 from .rng import stream
 
 
@@ -36,8 +38,12 @@ def roc_auc(scored) -> RocCurve:
 
     Thresholds sweep the distinct score values; equal scores advance the
     curve in one step, which yields the tie-corrected trapezoidal area.
+    ``NumericError`` names a non-finite score, which no threshold ranks.
     """
     items = sorted(scored, key=lambda sl: -sl[0])
+    for score, _ in items:
+        if not math.isfinite(score):
+            raise NumericError(f"ROC score {score} is not finite")
     n_pos = sum(1 for _, label in items if label)
     n_neg = len(items) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -223,16 +229,18 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
 # ---------------------------------------------------------------------------
 # game-based defense
 
+MAX_AGDS = 2000       # most registered names the detector learns a stage
+REWARD_FLOOR = 0.02   # the loop stops once a stage's best reward is below
+EVAL_START = _dt.date(2033, 1, 1)  # date seed of stage 0's fresh names
+
+
 @dataclass
 class GameConfig:
     train_cfg: training.TrainConfig
     stage_budget: int = 150_000
     fresh_samples: int = 400
-    max_agds: int = 2000
     incr_epochs: int = 8
     incr_lr: float = 0.3
-    reward_floor: float = 0.02
-    eval_start: _dt.date = _dt.date(2033, 1, 1)
 
 
 @dataclass
@@ -264,7 +272,7 @@ def game_loop(detector, benign_train, benign_eval, stages: int,
                            rng_seed=("game-init", master_seed))
 
     def fresh_names(p, stage):
-        start = cfg.eval_start + _dt.timedelta(days=400 * stage)
+        start = EVAL_START + _dt.timedelta(days=400 * stage)
         return training.generate_domains(p, cfg.fresh_samples, start,
                                          T=tc.length, tld=tc.tld)
 
@@ -281,8 +289,8 @@ def game_loop(detector, benign_train, benign_eval, stages: int,
         shared_registry.update(outcome.registered)
         # stride-sample so the update set spans the whole stage, not its tail
         got = outcome.registered
-        step = max(1, len(got) // cfg.max_agds)
-        agds = got[::step][:cfg.max_agds]
+        step = max(1, len(got) // MAX_AGDS)
+        agds = got[::step][:MAX_AGDS]
         if agds:
             lo = ((stage - 1) * len(agds)) % max(1, len(benign_train))
             replay = (benign_train[lo:] + benign_train[:lo])[:len(agds)]
@@ -292,7 +300,7 @@ def game_loop(detector, benign_train, benign_eval, stages: int,
         auc = detection_auc(detector, benign_eval,
                             fresh_names(params, stage)).auc
         results.append(StageResult(stage, auc, outcome.best_reward, len(agds)))
-        if outcome.best_reward < cfg.reward_floor:
+        if outcome.best_reward < REWARD_FLOOR:
             break
     return results
 

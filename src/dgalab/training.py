@@ -45,7 +45,7 @@ class TrainConfig:
     d_h: int = 64
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ContractError("lr must be positive")
         if self.batch < 1 or self.mc < 1 or self.epochs < 1:
             raise ContractError("batch, mc and epochs must be >= 1")

@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from dgalab.corpora import bundled_tlds, load_wordlist
-from dgalab.detectors.base import logistic_score
 from dgalab.detectors.distances import edit_distance
 from dgalab.detectors.features import split_core
 from dgalab.detectors.forest import Tree, _best_split
@@ -343,8 +342,7 @@ def wordgraph_score(model, domain: str) -> float:
     """P(benign) of one name from the oracle statistic and the model's
     logistic layer."""
     stat = wordgraph_stat(model.degrees, model.max_degree, domain)
-    return float(logistic_score([[stat]], model.w, model.b, model.mean,
-                                model.std)[0])
+    return float(model.logistic.score([[stat]])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from dgalab import policy
+from dgalab import evaluation, policy
 from dgalab.baselines import gozi_generate, kraken_generate, suppobox_generate
 from dgalab.corpora import LabeledCorpus, bundled_benign, load_wordlist
 from dgalab.detectors import train_detector
@@ -257,7 +257,7 @@ class TestCriterion7GameDefense:
         # an early stop means the generator's reward fell below the floor:
         # the defense converged before exhausting the stage budget
         complete = (len(stage_aucs) == 3
-                    or results[-1].reward < cfg.reward_floor)
+                    or results[-1].reward < evaluation.REWARD_FLOOR)
         ok = (complete and stage_aucs[-1] >= 0.75 and nondecreasing
               and took < 14_400)
         judge(emit, "criterion 7 (game-based defense)", ok,

@@ -8,6 +8,7 @@ import pytest
 
 from dgalab import checkpoint, cli, evaluation, policy, training
 from dgalab.cli import main
+from dgalab.config import parse_config
 from conftest import cli_subprocess, read_manifest
 
 RUN_CFG = """
@@ -295,8 +296,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("line,message", [
         ("detector.neural.epochs = abc", "epochs = 'abc': expected int"),
         ("detector.neural.bidirectional = maybe",
-         "bidirectional = 'maybe': expected bool"),
+         "bidirectional = 'maybe': expected one of 1, true, yes, on, 0, "
+         "false, no, off"),
         ("detector.fanci.trees = 2.5", "trees = '2.5': expected int"),
+        ("detector.neural.lr = nan", "lr = 'nan': expected a finite float"),
     ])
     def test_bad_detector_hyperparameter(self, line, message, workspace,
                                          tmp_path, capsys):
@@ -311,6 +314,28 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             f"data error: detector hyperparameter {message}"]
         assert not (tmp_path / "d" / "detector.ckpt").exists()
+
+    @pytest.mark.parametrize("command,line", [
+        ("train", "train.lr = nan"),
+        ("train", "env.threshold = inf"),
+        ("game", "game.incr_lr = nan"),
+    ])
+    def test_non_finite_setting(self, command, line, workspace, tmp_path,
+                                capsys):
+        cfg = tmp_path / "nf.cfg"
+        cfg.write_text(line + "\n")
+        det = str(workspace / "det" / "detector.ckpt")
+        benign = str(workspace / "prep" / "benign.txt")
+        flag = "--env" if command == "train" else "--detector"
+        capsys.readouterr()
+        code, _ = run_cli(command, flag, det, "--benign", benign, "--config",
+                          str(cfg), "--out", str(tmp_path / "out"))
+        key, _, value = line.partition(" = ")
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: config {key} = '{value}': expected a finite float"]
+        assert [p.name for p in (tmp_path / "out").iterdir()] == \
+            ["manifest.json"]
 
 
 def usage_errors(capsys) -> list[str]:
@@ -327,6 +352,17 @@ class TestConfigKeys:
                  for section, names in cli._CONFIG_KEYS.items()
                  for name in names}
         assert known == {k for k in read if not k.startswith("detector.")}
+
+    @pytest.mark.parametrize("lines", [
+        ("detector.neural.epochs = 2", "detector.epochs = 5"),
+        ("detector.epochs = 5", "detector.neural.epochs = 2")])
+    def test_kind_key_wins_in_either_order(self, lines, tmp_path):
+        cfg = tmp_path / "order.cfg"
+        cfg.write_text("\n".join(lines) + "\ndetector.trees = 4\n")
+        parsed = parse_config(cfg)
+        assert cli._detector_hp(parsed, "neural") == {"epochs": "2"}
+        assert cli._detector_hp(parsed, "fanci") == {"trees": "4"}
+        assert cli._detector_hp(parsed, "statistics") == {}
 
     def test_detector_and_unsectioned_keys_pass(self, tmp_path):
         cfg = tmp_path / "open.cfg"

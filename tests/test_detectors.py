@@ -15,8 +15,8 @@ from dgalab.corpora import (LabeledCorpus, bundled_tlds, load_wordlist,
 from dgalab.detectors import (FEATURE_NAMES, KINDS, load_detector,
                               train_detector)
 from dgalab.detectors import features, statistics, wordgraph
-from dgalab.detectors.base import (HP_KEYS, checked_names, fit_logistic,
-                                  hp_value)
+from dgalab.config import cast_value
+from dgalab.detectors.base import HP_DEFAULTS, checked_names, fit_logistic
 from dgalab.detectors.features import extract_many, split_core
 from dgalab.detectors.neural import VOCAB, encode
 from dgalab.detectors.forest import fit_forest
@@ -239,30 +239,51 @@ class TestDetectorContracts:
                                             "domain 'Good.com'$"):
             train_detector(kind, bad, hp={"epochs": 1}, rng_seed=0)
 
-    def test_hyperparameter_casts(self):
+    def test_hyperparameter_casts(self, monkeypatch):
         hp = {"n": "3", "m": 4.0, "x": "0.25", "on": "Yes", "off": False,
-              "frac": 2.5, "word": "abc", "flag": "maybe"}
-        assert hp_value(hp, "n", 1, int) == 3
-        assert hp_value(hp, "m", 1, int) == 4
-        assert hp_value(hp, "x", 1.0, float) == 0.25
-        assert hp_value(hp, "on", False, bool) is True
-        assert hp_value(hp, "off", True, bool) is False
-        assert hp_value(hp, "absent", 7, int) == 7
-        for key, cast in (("frac", int), ("word", int), ("word", float),
-                          ("flag", bool)):
+              "frac": 2.5, "word": "abc", "flag": "maybe", "big": "1e3",
+              "nan": "nan", "inf": float("inf")}
+
+        def cast(key, to):
+            return cast_value(f"detector hyperparameter {key}", hp[key], to)
+
+        assert cast("n", int) == 3
+        assert cast("m", int) == 4
+        assert cast("x", float) == 0.25
+        assert cast("on", bool) is True
+        assert cast("off", bool) is False
+        assert cast("big", int) == 1000
+        for key, to in (("frac", int), ("word", int), ("word", float),
+                        ("flag", bool), ("nan", float), ("inf", float),
+                        ("inf", int)):
             with pytest.raises(DataError, match=f"^detector hyperparameter "
                                                 f"{key} = "):
-                hp_value(hp, key, None, cast)
+                cast(key, to)
+        # an absent key takes its default; the kind gets every key, typed
+        got = {}
+        monkeypatch.setattr(importlib.import_module("dgalab.detectors.fanci")
+                            .FanciDetector, "train",
+                            lambda corpus, typed, seed: got.update(typed))
+        train_detector("fanci", small_corpus(20), hp={"trees": "3"})
+        assert got == {"trees": 3, "max_depth": 12, "min_leaf": 2}
 
     def test_every_key_read_is_declared(self):
         for kind in KINDS:
             module = importlib.import_module(f"dgalab.detectors.{kind}")
             source = Path(module.__file__).read_text("utf-8")
-            read = set(re.findall(r'hp_value\(hp, "(\w+)"', source))
-            assert read == set(HP_KEYS[kind]), kind
+            read = set(re.findall(r'hp\["(\w+)"\]', source))
+            assert read == set(HP_DEFAULTS[kind]), kind
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_defaults_as_text_train_the_same_model(self, kind, tmp_path):
+        corpus = small_corpus(40)
+        text = {key: str(value) for key, value in HP_DEFAULTS[kind].items()}
+        train_detector(kind, corpus, hp={}, rng_seed=1).save(tmp_path / "a")
+        train_detector(kind, corpus, hp=text, rng_seed=1).save(tmp_path / "b")
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
     @pytest.mark.parametrize("kind, key", [
-        (kind, key) for kind, keys in HP_KEYS.items() for key in keys])
+        (kind, key) for kind, keys in HP_DEFAULTS.items() for key in keys])
     def test_every_declared_key_is_read(self, kind, key):
         with pytest.raises(DataError, match=f"^detector hyperparameter "
                                             f"{key} = 'abc': "):
@@ -437,9 +458,10 @@ class TestWordGraph:
         if stats.max() > stats.min():
             labels = [1.0] * len(corpus.benign) + [0.0] * len(corpus.agd)
             w, b, mean, std = fit_logistic(stats, labels)
-            assert model.b == b
-            for got, want in ((model.w, w), (model.mean, mean),
-                              (model.std, std)):
+            assert model.logistic.b == b
+            for got, want in ((model.logistic.w, w),
+                              (model.logistic.mean, mean),
+                              (model.logistic.std, std)):
                 assert np.array_equal(got, want)
         names = probe + domains
         assert np.array_equal(model.score_many(names),

@@ -141,8 +141,7 @@ class TestBatchedStatistics:
         # the leading names' own cores as refs give exact and partial overlaps
         cores = [split_core(d)[0] for d in names[:3]]
         model = StatisticsDetector(add_one_smooth(counts), jac_refs + cores,
-                                   edit_refs + [c[:24] for c in cores],
-                                   np.zeros(3), 0.0, np.zeros(3), np.ones(3))
+                                   edit_refs + [c[:24] for c in cores])
         _assert_matches_oracle(model, names)
 
     def test_trained_detector_on_generated_names(self):

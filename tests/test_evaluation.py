@@ -8,7 +8,8 @@ from dgalab import policy
 from dgalab.baselines import kraken_generate, suppobox_generate
 from dgalab.corpora import LabeledCorpus, load_wordlist, synthesize_benign
 from dgalab.detectors import train_detector
-from dgalab.errors import ContractError, DataError, UnsupportedDetectorError
+from dgalab.errors import (ContractError, DataError, NumericError,
+                           UnsupportedDetectorError)
 from dgalab.evaluation import (GameConfig, MatrixConfig, anti_detection,
                                bench_inference, bench_tsv, detection_auc,
                                game_loop, roc_auc, run_matrix, split_dataset)
@@ -42,6 +43,12 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             roc_auc([(0.5, 1), (0.2, 1)])
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_nan_score_rejected(self, label):
+        with pytest.raises(NumericError, match="^ROC score nan is not "
+                                               "finite$"):
+            roc_auc([(0.2, 1), (float("nan"), label), (0.1, 0)])
 
     def test_curve_monotone_and_bounded(self):
         rng = stream("auc-curve")

@@ -7,7 +7,7 @@ from dgalab import policy, recurrent
 from dgalab.dnsenv import FeedbackEnv
 from dgalab.domains import DEFAULT_TOKENS, SeedSpace, TokenDict, encode_seed
 from dgalab.rng import stream
-from dgalab.errors import AssemblyError
+from dgalab.errors import AssemblyError, ContractError
 from dgalab.training import (TrainConfig, _epoch_values, _epoch_run,
                              _update_from_batch, action_values,
                              candidate_list, generate_domains, train)
@@ -249,6 +249,11 @@ class TestPolicyGradientStep:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+    def test_non_positive_lr_rejected(self, lr):
+        with pytest.raises(ContractError, match="^lr must be positive$"):
+            TrainConfig(lr=lr)
+
     def test_ceiling_env_constant_curve(self, stub_env_factory):
         env = stub_env_factory(lambda f: True)
         cfg = TrainConfig(lr=0.5, batch=4, mc=2, length=7, epochs=5,
