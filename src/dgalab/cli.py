@@ -18,7 +18,7 @@ from .baselines import gozi_generate, kraken_generate, suppobox_generate
 from .config import (cfg_date, cfg_get, parse_config, resolve_data_path,
                      write_manifest)
 from .detectors import KINDS, load_detector, train_detector
-from .detectors.base import HP_DEFAULTS
+from .detectors.base import HP_DEFAULTS, typed_hp
 from .dnsenv import FeedbackEnv
 from .domains import SeedSpace, check_tld
 from .errors import ContractError, DataError, DgaLabError, NumericError
@@ -191,11 +191,12 @@ def _seed_space(cfg: dict) -> SeedSpace:
 
 def _detector_hp(cfg: dict, kind: str) -> dict:
     """The config's values for ``kind``'s hyperparameters, as text;
-    ``detector.<kind>.<key>`` wins over ``detector.<key>`` on any line."""
+    ``detector.<kind>.<key>`` wins over ``detector.<key>`` on any line, and
+    a key with an empty value counts as absent."""
     hp = {}
     for key in HP_DEFAULTS[kind]:
         for name in (f"detector.{kind}.{key}", f"detector.{key}"):
-            if name in cfg:
+            if cfg.get(name, "") != "":   # an empty value is an absent line
                 hp[key] = cfg[name]
                 break
     return hp
@@ -340,15 +341,16 @@ def _matrix_dgas(cfg, words, tld):
 def _cmd_matrix(args, cfg):
     tld = check_tld(cfg_get(cfg, "data.tld", "com"))
     benign_path = resolve_data_path(args.benign)
-    out = Path(args.out)
-    write_manifest(out, "matrix", cfg, args.seed, inputs=[benign_path])
-    benign = corpora.load_domains(benign_path)
     detectors = tuple(s.strip() for s in
                       cfg_get(cfg, "matrix.detectors", "statistics,neural").split(","))
     for kind in detectors:
         if kind not in KINDS:
             raise DataError(
                 f"matrix.detectors: unknown detector kind {kind!r}")
+    hp = {kind: typed_hp(kind, _detector_hp(cfg, kind)) for kind in detectors}
+    out = Path(args.out)
+    write_manifest(out, "matrix", cfg, args.seed, inputs=[benign_path])
+    benign = corpora.load_domains(benign_path)
     pkdga_cfg = _train_config(cfg) if cfg_get(cfg, "matrix.pkdga", True, bool) \
         else None
     mc = evaluation.MatrixConfig(
@@ -357,7 +359,7 @@ def _cmd_matrix(args, cfg):
         eval_benign=cfg_get(cfg, "matrix.eval_benign", 400, int),
         eval_agd=cfg_get(cfg, "matrix.eval_agd", 400, int),
         include_mixed=cfg_get(cfg, "matrix.include_mixed", True, bool),
-        detector_hp={k: _detector_hp(cfg, k) for k in detectors},
+        detector_hp=hp,
         pkdga=pkdga_cfg,
         pkdga_budget=cfg_get(cfg, "matrix.pkdga_budget", 150_000, int))
     matrix = evaluation.run_matrix(_matrix_dgas(cfg, _wordlists(), tld),
@@ -366,9 +368,12 @@ def _cmd_matrix(args, cfg):
         _emit(out / f"matrix_{det}.tsv", matrix.fig_tsv(det))
     if mc.include_mixed:
         _emit(out / "anti_detection_by_detector.tsv", matrix.table_tsv())
+    for cell, err in sorted(matrix.failures.items()):
+        print(f"cell {cell} failed: {err}", file=sys.stderr)
     if matrix.failures:
-        for cell, err in sorted(matrix.failures.items()):
-            print(f"cell {cell} failed: {err}", file=sys.stderr)
+        raise DataError(f"{len(matrix.failures)} of "
+                        f"{len(matrix.rows) * len(detectors)} matrix cells "
+                        "failed")
     return 0
 
 

@@ -82,20 +82,25 @@ def train_detector(kind: str, corpus: LabeledCorpus, hp: dict | None = None,
                    rng_seed: int = 0) -> DetectorModel:
     """Train one detector kind on a labeled corpus; deterministic per seed.
 
-    The kind's ``train`` gets each of its ``HP_DEFAULTS`` keys: ``hp``'s
-    value (text or Python) cast to the default's type, or the default.
-    ``DataError`` names an invalid corpus name or a value that won't cast.
+    The kind's ``train`` gets ``typed_hp(kind, hp)``.  ``DataError`` names
+    an invalid corpus name or a value that won't cast.
     """
     cls = _detector_class(kind)
     corpus.require_both()
     for name in (*corpus.benign, *corpus.agd):
         if not validate_domain(name):
             raise DataError(f"training corpus: invalid domain {name!r}")
+    return cls.train(corpus, typed_hp(kind, hp), rng_seed)
+
+
+def typed_hp(kind: str, hp: dict | None = None) -> dict:
+    """Each of ``kind``'s ``HP_DEFAULTS`` keys: ``hp``'s value (text or
+    Python) cast to the default's type, or the default.  ``DataError``
+    names a value that won't cast."""
     hp = hp or {}
-    typed = {key: cast_value(f"detector hyperparameter {key}", hp[key],
-                             type(default)) if key in hp else default
-             for key, default in HP_DEFAULTS[kind].items()}
-    return cls.train(corpus, typed, rng_seed)
+    return {key: cast_value(f"detector hyperparameter {key}", hp[key],
+                            type(default)) if key in hp else default
+            for key, default in HP_DEFAULTS[kind].items()}
 
 
 def load_detector(path) -> DetectorModel:

@@ -31,7 +31,8 @@ from .distances import (N_CHARS, add_one_smooth, bigram_bitsets, char_counts,
                         max_jaccard)
 
 _EDIT_CAP = 24  # cores are compared on their first 24 characters
-CHUNK = 64      # names per kernel pass; bounds memory for any batch size
+CHUNK = 1024    # names per kernel pass: a whole training epoch at the
+                # benchmark sizes, and a bound on memory for any batch
 
 
 def _checked_refs(kind: str, refs, cap: int) -> tuple[str, ...]:

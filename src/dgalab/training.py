@@ -6,15 +6,15 @@ episode weights log pi(a_t | s_t) by an estimate Q(s_t, a_t) of the finished
 name's registration reward for the action taken: before the last step, ``m``
 Monte-Carlo rollouts of the same policy complete the prefix plus a_t and
 their feedback is averaged; at the last step the name's own feedback is the
-value.  ``action_values`` resumes every episode of a step from the cached
-policy state in one batched generation pass.
+value.  The rollouts of a step resume every episode from the cached policy
+state in one batched generation pass.
 
-Registration order is canonical and single-threaded: for each epoch, names
-are registered step-major, then episode, then rollout; the last step
-registers each finished name once, and its value there is the epoch's
-terminal reward.  All sampling draws come from counter-based streams keyed
-on (master seed, epoch, slot, ...), so a run is a pure function of (seed,
-config, corpora).
+Registration order is canonical and single-threaded: each epoch registers
+all of its names in one call, step-major, then episode, then rollout; the
+last step registers each finished name once, and its value there is the
+epoch's terminal reward.  All sampling draws come from counter-based
+streams keyed on (master seed, epoch, slot, ...), so a run is a pure
+function of (seed, config, corpora).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import policy as P, recurrent
 from .domains import (DEFAULT_TOKENS, SeedSpace, TokenDict, check_tld,
                       encode_seed)
 from .errors import ContractError, NumericError, QueryBudgetError
-from .rng import stream
+from .rng import uniforms
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ def train(env, cfg: TrainConfig, master_seed: int,
           space: SeedSpace | None = None,
           params: P.PolicyParams | None = None,
           on_epoch=None) -> TrainResult:
-    """Feedback-only policy-gradient training.
+    """Feedback-only policy-gradient training against ``env``, which offers
+    ``register_many``, ``query_count`` and ``budget``.
 
     Returns the final and best-reward parameters plus the per-epoch mean
     terminal reward curve.  A numeric abort or an exhausted query budget
@@ -128,9 +129,8 @@ def train(env, cfg: TrainConfig, master_seed: int,
             break
         if on_epoch:
             on_epoch(epoch, curve[-1])
-    queries = getattr(env, "query_count", 0)
-    return TrainResult(params, best_params, curve, best_epoch, queries,
-                       stopped, registered)
+    return TrainResult(params, best_params, curve, best_epoch,
+                       env.query_count, stopped, registered)
 
 
 def _epoch_run(params, cfg, dct, space, master_seed, epoch):
@@ -139,62 +139,52 @@ def _epoch_run(params, cfg, dct, space, master_seed, epoch):
     T, B = cfg.length, cfg.batch
     dates = [space.date_at(epoch * B + i) for i in range(B)]
     seed_vecs = np.stack([encode_seed(d, dct, space)[0] for d in dates])
-    uniforms = np.stack([stream("episode", master_seed, epoch, i).random(T)
-                         for i in range(B)])
-    run = P.run_batch(params, dct, T, seed_vecs=seed_vecs, uniforms=uniforms,
-                      want_cache=True)
+    run = P.run_batch(params, dct, T, seed_vecs=seed_vecs, want_cache=True,
+                      uniforms=np.stack([uniforms(T, "episode", master_seed,
+                                                  epoch, i)
+                                         for i in range(B)]))
     return seed_vecs, run
 
 
 def _epoch_values(env, params, cfg, dct, master_seed, epoch, run,
                   registered=None):
-    """Values Q(s_t, a_t) of one epoch's taken tokens, shape (T, B); step t's
-    rollouts resume from the state step t + 1 of ``run`` started from."""
-    T, B = cfg.length, cfg.batch
-    mc_u = np.stack([stream("mc-train", master_seed, epoch, i)
-                     .random((cfg.mc, T, T)) for i in range(B)])
-    taken = np.empty((T, B))
-    for t in range(T):
-        hidden = None if t == T - 1 else \
-            recurrent.cache_state(run.caches[t + 1])
-        taken[t] = action_values(env, params, cfg, dct, run.tokens[:, :t],
-                                 hidden, run.tokens[:, t], mc_u, registered)
-    return taken
+    """Values Q(s_t, a_t) of one epoch's taken tokens, shape (T, B).
 
-
-def action_values(env, params: P.PolicyParams, cfg: TrainConfig,
-                  dct: TokenDict, prefix: np.ndarray, hidden,
-                  actions: np.ndarray, mc_u: np.ndarray,
-                  registered: list | None = None) -> np.ndarray:
-    """Estimated reward Q(s_t, a) of one action per episode, shape (B,).
-
-    ``prefix`` (B, t) holds the tokens emitted before step t and ``hidden``
-    the per-layer ``(h, c)`` state that produced step t's distribution
-    (unused at the last step); ``actions`` (B,) are the actions valued and
-    ``mc_u`` (B, m, T, T) the epoch's rollout uniforms.  Before the last
-    step, m rollouts complete each [prefix, a] in one generation pass, using
-    the uniforms of (i, j, t).  At the last step each name is registered
-    once.  Names are registered episode-major, then rollout; accepted ones
-    are appended to ``registered``.
+    Before the last step, m rollouts complete each episode's prefix plus
+    a_t in one generation pass: they resume from the state step t + 1 of
+    ``run`` started from and use the ``mc-train`` uniforms of (i, j, t).
+    The last step values each finished name by its own feedback.  The names
+    of every step are built first and registered in one call, step-major,
+    then episode, then rollout; accepted ones are appended to
+    ``registered``.  When the rest of the query budget cannot take them all,
+    the longest run of whole steps that fits is registered, and then
+    ``QueryBudgetError`` is raised.
     """
-    B, t = prefix.shape
-    T, m = cfg.length, cfg.mc
-    heads = np.concatenate([prefix, actions.reshape(-1, 1)], axis=1)
-    if t < T - 1:
-        suffix = T - t - 1
-        heads = np.repeat(heads, m, axis=0)
-        u = mc_u[:, :, t, :suffix].reshape(-1, suffix)
+    T, B, m = cfg.length, cfg.batch, cfg.mc
+    mc_u = np.stack([uniforms((m, T, T), "mc-train", master_seed, epoch, i)
+                     for i in range(B)])
+    names = []
+    for t in range(T - 1):
+        heads = np.repeat(run.tokens[:, :t + 1], m, axis=0)
         init = [(np.repeat(h, m, axis=0), np.repeat(c, m, axis=0))
-                for h, c in hidden]
+                for h, c in recurrent.cache_state(run.caches[t + 1])]
         ro = P.run_batch(params, dct, T, init_hidden=init,
                          first_tokens=heads[:, -1], start_pos=t + 1,
-                         uniforms=u)
-        heads = np.concatenate([heads, ro.tokens], axis=1)
-    names = dct.fqdns(heads, cfg.tld)
-    outcome = env.register_many(names).outcome
+                         uniforms=mc_u[:, :, t, :T - t - 1].reshape(B * m, -1))
+        names.append(dct.fqdns(np.concatenate([heads, ro.tokens], axis=1),
+                               cfg.tld))
+    names.append(dct.fqdns(run.tokens, cfg.tld))
+    ends = np.cumsum([len(step) for step in names])
+    fit = int(np.searchsorted(ends, env.budget - env.query_count, "right"))
+    batch = [name for step in names[:fit] for name in step]
+    outcome = env.register_many(batch).outcome if batch else []
     if registered is not None:
-        registered.extend(compress(names, outcome))
-    return outcome.reshape(B, -1).mean(axis=1)
+        registered.extend(compress(batch, outcome))
+    if fit < T:
+        raise QueryBudgetError(f"budget {env.budget} exhausted at "
+                               f"{env.query_count} queries")
+    return np.stack([step.reshape(B, -1).mean(axis=1)
+                     for step in np.split(outcome, ends[:-1])])
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +212,9 @@ def _sampled_candidates(params, date, count, T, dct, tld, space):
     if count < 1:
         return []
     seed_vec, day_seed = encode_seed(date, dct, space)
-    uniforms = np.stack([stream("candidate", day_seed, j).random(T)
-                         for j in range(1, count + 1)])
-    run = P.run_batch(params, dct, T, uniforms=uniforms,
+    run = P.run_batch(params, dct, T,
+                      uniforms=np.stack([uniforms(T, "candidate", day_seed, j)
+                                         for j in range(1, count + 1)]),
                       seed_vecs=np.repeat(seed_vec[None, :], count, axis=0))
     return dct.fqdns(run.tokens, tld)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import settings
 
 from dgalab.detectors.features import extract_many
 from dgalab.dnsenv import feedback_records
+from dgalab.errors import QueryBudgetError
 from dgalab.policy import params_from_tensors
 
 # CI selects this with --hypothesis-profile=ci: the same examples on every
@@ -22,21 +24,26 @@ def extract_features(domain: str) -> np.ndarray:
 
 
 class StubEnv:
-    """Deterministic rule-based environment without novelty or budget.
+    """Deterministic rule-based environment without novelty.
 
     ``rule(fqdn) -> bool`` decides the detector factor; novelty is always 1,
     so repeated registration of a rewarded name keeps succeeding.  Used by
-    closed-world trainer tests where the optimum must stay reachable.
+    closed-world trainer tests where the optimum must stay reachable.  The
+    budget, unlimited by default, refuses a whole batch as ``FeedbackEnv``
+    does.
     """
 
-    def __init__(self, rule):
+    def __init__(self, rule, budget=math.inf):
         self.rule = rule
+        self.budget = budget
         self.query_count = 0
 
     def register(self, fqdn):
         return self.register_many([fqdn])[0]
 
     def register_many(self, fqdns):
+        if self.query_count + len(fqdns) > self.budget:
+            raise QueryBudgetError(f"budget {self.budget} exhausted")
         self.query_count += len(fqdns)
         return feedback_records([bool(self.rule(f)) for f in fqdns],
                                 [1] * len(fqdns))

@@ -9,10 +9,13 @@ the recurrent step with one sigmoid per gate; the teacher-forced policy
 pass along fixed tokens, whose caches ``run_batch(want_cache=True)`` must
 reproduce; the one-episode reward-weighted log-likelihood with its gradient,
 the pair that finite differences check ``policy.grad_from_coeffs`` through;
-and the recursive CART grower against ``forest.fit_forest``."""
+the per-step reward estimate, one ``register_many`` per step, against
+``training._epoch_values``; and the recursive CART grower against
+``forest.fit_forest``."""
 
 import math
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -24,8 +27,8 @@ from dgalab.detectors.neural import PAD, VOCAB
 from dgalab.domains import LABEL_CHARS, assemble_fqdn
 from dgalab.errors import ContractError
 from dgalab.policy import (BatchRun, action_probs, embed_seed, embed_tokens,
-                           grad_from_coeffs, masked_index_at)
-from dgalab.recurrent import sigmoid, stack_forward
+                           grad_from_coeffs, masked_index_at, run_batch)
+from dgalab.recurrent import cache_state, sigmoid, stack_forward
 from dgalab.rng import stream
 
 _CHAR_INDEX = {c: i for i, c in enumerate(LABEL_CHARS)}
@@ -154,6 +157,55 @@ def weighted_logprob(params, dct, seed_vec, tokens, weights) -> float:
     picked = dists[np.arange(T), 0, tokens[0]]
     return float(np.dot(np.asarray(weights, dtype=np.float64),
                         np.log(picked.astype(np.float64))))
+
+
+def action_values(env, params, cfg, dct, prefix, hidden, actions, mc_u,
+                  registered=None) -> np.ndarray:
+    """Estimated reward Q(s_t, a) of one action per episode, shape (B,),
+    with one ``register_many`` call.
+
+    ``prefix`` (B, t) holds the tokens emitted before step t and ``hidden``
+    the per-layer ``(h, c)`` state that produced step t's distribution
+    (unused at the last step); ``actions`` (B,) are the actions valued and
+    ``mc_u`` (B, m, T, T) the epoch's rollout uniforms.  Before the last
+    step, m rollouts complete each [prefix, a] in one generation pass, using
+    the uniforms of (i, j, t).  At the last step each name is registered
+    once.  Names are registered episode-major, then rollout; accepted ones
+    are appended to ``registered``.
+    """
+    B, t = prefix.shape
+    T, m = cfg.length, cfg.mc
+    heads = np.concatenate([prefix, actions.reshape(-1, 1)], axis=1)
+    if t < T - 1:
+        suffix = T - t - 1
+        heads = np.repeat(heads, m, axis=0)
+        u = mc_u[:, :, t, :suffix].reshape(-1, suffix)
+        init = [(np.repeat(h, m, axis=0), np.repeat(c, m, axis=0))
+                for h, c in hidden]
+        ro = run_batch(params, dct, T, init_hidden=init,
+                       first_tokens=heads[:, -1], start_pos=t + 1,
+                       uniforms=u)
+        heads = np.concatenate([heads, ro.tokens], axis=1)
+    names = dct.fqdns(heads, cfg.tld)
+    outcome = env.register_many(names).outcome
+    if registered is not None:
+        registered.extend(compress(names, outcome))
+    return outcome.reshape(B, -1).mean(axis=1)
+
+
+def epoch_values(env, params, cfg, dct, master_seed, epoch, run,
+                 registered=None) -> np.ndarray:
+    """(T, B) values of one epoch's taken tokens, one ``action_values`` call
+    and so one registration per step; the env raises the budget error."""
+    T, B = cfg.length, cfg.batch
+    mc_u = np.stack([stream("mc-train", master_seed, epoch, i)
+                     .random((cfg.mc, T, T)) for i in range(B)])
+    taken = np.empty((T, B))
+    for t in range(T):
+        hidden = None if t == T - 1 else cache_state(run.caches[t + 1])
+        taken[t] = action_values(env, params, cfg, dct, run.tokens[:, :t],
+                                 hidden, run.tokens[:, t], mc_u, registered)
+    return taken
 
 
 # ---------------------------------------------------------------------------

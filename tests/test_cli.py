@@ -22,6 +22,12 @@ detector.epochs = 3
 """
 
 
+# a small matrix over the workspace's 300 benign names, without pkdga cells
+MATRIX_CFG = ("matrix.dgas = kraken\nmatrix.pkdga = false\n"
+              "matrix.train_per_class = 100\nmatrix.eval_benign = 50\n"
+              "matrix.eval_agd = 50\n")
+
+
 def run_cli(*argv):
     """In-process invocation; returns (exit code, stdout text)."""
     import io
@@ -315,6 +321,59 @@ class TestExitCodes:
             f"data error: detector hyperparameter {message}"]
         assert not (tmp_path / "d" / "detector.ckpt").exists()
 
+    @pytest.mark.parametrize("kind,line,message", [
+        ("fanci", "detector.fanci.trees = 2.5", "trees = '2.5': expected int"),
+        ("fanci", "detector.trees = -1.5", "trees = '-1.5': expected int"),
+        ("neural", "detector.neural.lr = nan",
+         "lr = 'nan': expected a finite float"),
+    ])
+    def test_matrix_refuses_bad_hyperparameter_first(self, kind, line,
+                                                      message, workspace,
+                                                      tmp_path, capsys):
+        cfg = tmp_path / "hp.cfg"
+        cfg.write_text(MATRIX_CFG + f"matrix.detectors = statistics,{kind}\n"
+                       f"{line}\n")
+        capsys.readouterr()
+        code, _ = run_cli("matrix", "--benign",
+                          str(workspace / "prep" / "benign.txt"), "--config",
+                          str(cfg), "--out", str(tmp_path / "mx"))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: detector hyperparameter {message}"]
+        assert not (tmp_path / "mx").exists()
+
+    def test_matrix_with_failed_cells_exits_2(self, workspace, tmp_path,
+                                              capsys):
+        # the value casts, but statistics training refuses zero edit refs
+        cfg = tmp_path / "cells.cfg"
+        cfg.write_text(MATRIX_CFG + "matrix.detectors = statistics\n"
+                       "detector.statistics.edit_refs = 0\n")
+        capsys.readouterr()
+        code, _ = run_cli("matrix", "--benign",
+                          str(workspace / "prep" / "benign.txt"), "--config",
+                          str(cfg), "--out", str(tmp_path / "mx"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err[-1] == "data error: 2 of 2 matrix cells failed"
+        assert [line.split(":")[0] for line in err[-3:-1]] == [
+            "cell ('kraken', 'statistics') failed",
+            "cell ('mixed', 'statistics') failed"]
+        cells = (tmp_path / "mx" / "matrix_statistics.tsv").read_text()
+        assert cells.splitlines()[1:] == ["kraken\tnan", "mixed\tnan"]
+        assert (tmp_path / "mx" / "anti_detection_by_detector.tsv").is_file()
+
+    def test_empty_detector_value_means_default(self, workspace, tmp_path,
+                                                capsys):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("detector.epochs =\n")
+        capsys.readouterr()
+        code, _ = run_cli("detector-train", "--kind", "neural",
+                          "--benign", str(workspace / "prep" / "benign.txt"),
+                          "--agd", str(workspace / "prep" / "kraken.txt"),
+                          "--config", str(cfg), "--out", str(tmp_path / "d"))
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "d" / "detector.ckpt").is_file()
+
     @pytest.mark.parametrize("command,line", [
         ("train", "train.lr = nan"),
         ("train", "env.threshold = inf"),
@@ -363,6 +422,14 @@ class TestConfigKeys:
         assert cli._detector_hp(parsed, "neural") == {"epochs": "2"}
         assert cli._detector_hp(parsed, "fanci") == {"trees": "4"}
         assert cli._detector_hp(parsed, "statistics") == {}
+
+    def test_empty_value_counts_as_absent(self, tmp_path):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("detector.neural.epochs =\ndetector.epochs = 2\n"
+                       "detector.fanci.trees =\ndetector.trees =\n")
+        parsed = parse_config(cfg)
+        assert cli._detector_hp(parsed, "neural") == {"epochs": "2"}
+        assert cli._detector_hp(parsed, "fanci") == {}
 
     def test_detector_and_unsectioned_keys_pass(self, tmp_path):
         cfg = tmp_path / "open.cfg"

@@ -70,10 +70,13 @@ def name_pool() -> tuple:
     """Fixed valid names, enough to push a batch past any chunk size."""
     words_a = load_wordlist(bundled="words_a.txt")
     words_b = load_wordlist(bundled="words_b.txt")
-    return tuple(synthesize_benign(150, rng_seed=8)
-                 + [core + ".net" for core in kraken_generate(8, 100)]
-                 + [core + ".org" for core in
-                    suppobox_generate(words_a, words_b, 8, 100)])
+    pool = (synthesize_benign(150, rng_seed=8)
+            + [core + ".net" for core in kraken_generate(8, 100)]
+            + [core + ".org" for core in
+               suppobox_generate(words_a, words_b, 8, 100)])
+    chunk = max(statistics.CHUNK, features.CHUNK, wordgraph.CHUNK)
+    extra = max(0, chunk + 2 - len(pool))
+    return tuple(pool + [core + ".com" for core in kraken_generate(9, extra)])
 
 
 class TestFeatures:
@@ -398,6 +401,15 @@ class TestStatisticsDetector:
                      for lo in range(0, len(names), size)]
             assert np.array_equal(np.concatenate(parts), whole), size
         assert np.array_equal([model.score(d) for d in names], whole)
+
+    def test_whole_batch_pass_equals_64_name_passes(self, monkeypatch):
+        model = train_detector("statistics", small_corpus(80), rng_seed=2)
+        corpus = small_corpus(1250, seed=6)
+        names = list(corpus.benign) + list(corpus.agd)
+        whole = model.distances_many(names), model.score_many(names)
+        monkeypatch.setattr(statistics, "CHUNK", 64)
+        assert np.array_equal(model.distances_many(names), whole[0])
+        assert np.array_equal(model.score_many(names), whole[1])
 
     @pytest.mark.parametrize("where", [0, CHUNK, -1])
     def test_invalid_name_anywhere_in_batch(self, where):

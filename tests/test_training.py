@@ -1,16 +1,20 @@
 import datetime as dt
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dgalab import policy, recurrent
+from dgalab import policy, recurrent, training
 from dgalab.dnsenv import FeedbackEnv
 from dgalab.domains import DEFAULT_TOKENS, SeedSpace, TokenDict, encode_seed
 from dgalab.rng import stream
-from dgalab.errors import AssemblyError, ContractError
+from dgalab.errors import AssemblyError, ContractError, QueryBudgetError
 from dgalab.training import (TrainConfig, _epoch_values, _epoch_run,
-                             _update_from_batch, action_values,
-                             candidate_list, generate_domains, train)
+                             _update_from_batch, candidate_list,
+                             generate_domains, train)
 import scalar_oracles as oracle
 from conftest import FixedScoreDetector, StubEnv, cast
 
@@ -52,10 +56,10 @@ def values(env, p, cfg, prefix, action, seed_vec=np.eye(2)[0],
     """Q(s_t, a) for one episode with the given prefix and action."""
     mc_u = stream("mc-train", master_seed).random(
         (1, cfg.mc, cfg.length, cfg.length))
-    return action_values(env, p, cfg, AB,
-                         np.asarray([prefix], np.int64).reshape(1, -1),
-                         state_after(p, seed_vec, prefix),
-                         np.array([action]), mc_u)[0]
+    return oracle.action_values(env, p, cfg, AB,
+                                np.asarray([prefix], np.int64).reshape(1, -1),
+                                state_after(p, seed_vec, prefix),
+                                np.array([action]), mc_u)[0]
 
 
 class RecordingEnv(StubEnv):
@@ -303,8 +307,9 @@ class TestTrain:
                     policy.embed_seed(p, seeds)[None],
                     policy.embed_tokens(p, run.tokens[:, :t].T)])
                 _, hidden, _ = recurrent.stack_forward(p.w_x, p.w_h, p.b, xs)
-                q = action_values(StubEnv(rule), p, cfg, AB, run.tokens[:, :t],
-                                  hidden, run.tokens[:, t], mc_u)
+                q = oracle.action_values(StubEnv(rule), p, cfg, AB,
+                                         run.tokens[:, :t], hidden,
+                                         run.tokens[:, t], mc_u)
                 assert np.array_equal(taken[t], q)
             assert taken.shape == (T, B)
 
@@ -323,13 +328,97 @@ class TestTrain:
         env = Recording(FixedScoreDetector(lambda d: 1.0), budget=10_000)
         res = train(env, cfg, master_seed=4, dct=dct)
         B, m, T = cfg.batch, cfg.mc, cfg.length
-        assert len(calls) == T
+        assert len(calls) == cfg.epochs     # one registration per epoch
         assert env.query_count == B * (m * (T - 1) + 1)
         p0 = policy.init_params(1, 6, 8, dct.n, rng_seed=4)
         _, run = _epoch_run(p0, cfg, dct, SeedSpace(), 4, 0)
         finished = [f"{dct.detokenize(row)}.com" for row in run.tokens]
-        assert [name for name, _ in calls[-1]] == finished
-        assert res.curve[0] == np.mean([fb.outcome for _, fb in calls[-1]])
+        assert [name for name, _ in calls[-1][-B:]] == finished
+        assert res.curve[0] == np.mean([fb.outcome
+                                        for _, fb in calls[-1][-B:]])
+
+
+def _even_a(fqdn):
+    return fqdn.split(".")[0].count("a") % 2 == 0
+
+
+class TestEpochRegistration:
+    """One registration per epoch against the per-step oracle, which
+    registers each step on its own and lets the env raise the budget
+    error."""
+
+    @staticmethod
+    def _env(kind, budget, audit):
+        if kind == "stub":
+            return StubEnv(_even_a, budget)
+        return FeedbackEnv(FixedScoreDetector(lambda d: float(_even_a(d))),
+                           budget=budget, audit_path=audit)
+
+    @staticmethod
+    def _values(epoch_values, env, p, cfg, dct, run):
+        registered = []
+        try:
+            taken = epoch_values(env, p, cfg, dct, 5, 0, run, registered)
+        except QueryBudgetError:
+            taken = None
+        if isinstance(env, FeedbackEnv):
+            env.close()
+        return taken, registered, env.query_count
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_matches_per_step_oracle(self, data):
+        # small alphabets repeat names, so novelty rejects them in the env
+        dct = TokenDict(data.draw(st.sampled_from(["ab", "abc", "abcdefgh"])))
+        cfg = TrainConfig(batch=data.draw(st.integers(1, 4)),
+                          mc=data.draw(st.integers(1, 3)),
+                          length=data.draw(st.integers(7, 8)), epochs=3,
+                          d_e=6, d_h=8)
+        B, m, T = cfg.batch, cfg.mc, cfg.length
+        kind = data.draw(st.sampled_from(["stub", "feedback"]))
+        seed = data.draw(st.integers(0, 40))
+        # k whole epochs and j whole steps, then on a step boundary, inside
+        # the next step, or (j = 0) before an epoch's first step
+        k = data.draw(st.integers(0, cfg.epochs))
+        j = data.draw(st.integers(0, T - 1))
+        budget = (k * (B * m * (T - 1) + B) + j * B * m
+                  + data.draw(st.sampled_from([0, 1, B * m - 1])))
+        p = policy.init_params(1, 6, 8, dct.n, rng_seed=seed)
+        _, run = _epoch_run(p, cfg, dct, SeedSpace(), 5, 0)
+        with tempfile.TemporaryDirectory() as tmp:
+            audits = [Path(tmp) / "epoch.tsv", Path(tmp) / "oracle.tsv"]
+            got, want = (
+                self._values(fn, self._env(kind, budget, audit), p, cfg,
+                             dct, run)
+                for fn, audit in zip((_epoch_values, oracle.epoch_values),
+                                     audits))
+            if got[0] is None or want[0] is None:
+                assert got[0] is want[0] is None
+            else:
+                assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+            if kind == "feedback":
+                assert audits[0].read_text() == audits[1].read_text()
+
+            results = []
+            for fn, audit in zip((_epoch_values, oracle.epoch_values),
+                                 audits):
+                audit.unlink(missing_ok=True)
+                env = self._env(kind, budget, audit)
+                with mock.patch.object(training, "_epoch_values", fn):
+                    results.append(train(env, cfg, seed, dct=dct))
+                if kind == "feedback":
+                    env.close()
+            got, want = results
+            assert (got.curve, got.best_epoch, got.queries_used, got.stopped,
+                    got.registered) == (want.curve, want.best_epoch,
+                                        want.queries_used, want.stopped,
+                                        want.registered)
+            for a, b in zip(got.params.tensors().values(),
+                            want.params.tensors().values()):
+                assert np.array_equal(a, b)
+            if kind == "feedback":
+                assert audits[0].read_text() == audits[1].read_text()
 
 
 class TestGeneration:
