@@ -79,7 +79,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for existing scripts and ignored: "
-                            "every command runs in one thread")
+                            "matrix runs one worker process per usable CPU, "
+                            "every other command one thread")
 
     p = sub.add_parser("prep", help="write benign and baseline-DGA corpora")
     common(p)

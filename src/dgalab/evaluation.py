@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -148,6 +149,53 @@ class ExperimentMatrix:
         return "\n".join(lines) + "\n"
 
 
+def _matrix_cell(row, kind, benign_train, agd_train, benign_eval,
+                 test_samples, cfg: MatrixConfig, master_seed) -> dict:
+    """One cell of the matrix: {testing DGA: 1 - AUC} for the ``kind``
+    detector trained on ``benign_train`` against row ``row``'s ``agd_train``.
+    """
+    cell_seed = ("matrix-cell", master_seed, row, kind)
+    corpus = LabeledCorpus(tuple(benign_train), tuple(agd_train))
+    model = train_detector(kind, corpus, hp=cfg.detector_hp.get(kind),
+                           rng_seed=cell_seed)
+    # every test set of the cell is ranked against one scoring of the
+    # cell's benign names
+    benign_scores = model.score_many(benign_eval)
+    out = {}
+    for test, samples in test_samples.items():
+        auc = _scores_auc(benign_scores, model.score_many(samples)).auc
+        out[test] = anti_detection(auc)
+    if cfg.pkdga is not None:
+        env = FeedbackEnv(model, seed_corpus=benign_train,
+                          budget=cfg.pkdga_budget)
+        result = training.train(env, cfg.pkdga, master_seed=cell_seed)
+        fresh = training.generate_domains(
+            result.best_params, cfg.eval_agd,
+            start_date=_dt.date(2030, 1, 1), T=cfg.pkdga.length,
+            tld=cfg.pkdga.tld)
+        auc = _scores_auc(benign_scores, model.score_many(fresh)).auc
+        out["pkdga"] = anti_detection(auc)
+    return out
+
+
+def _cell_outcome(args):
+    """``_matrix_cell(*args)``, or the repr of the exception it raised, so
+    that no exception object crosses back from a pool worker."""
+    try:
+        return _matrix_cell(*args)
+    except Exception as exc:    # cell failures must not kill the matrix
+        return repr(exc)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
                master_seed: int = 0) -> ExperimentMatrix:
     """Train a detector per (training DGA, detector) pair and score every
@@ -158,6 +206,11 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
     against that very cell's detector (partial-knowledge protocol) with the
     configured register-call budget.  Per-cell failures are recorded and the
     rest of the matrix completes.
+
+    Cells share no state, so they run in forked worker processes, one per
+    usable CPU and never more than there are cells; every cell is a pure
+    function of its inputs and results are collected in (row, detector)
+    order, so the matrix does not depend on the worker count.
     """
     benign_pool = list(benign_pool)
     need = cfg.train_per_class + cfg.eval_benign
@@ -166,10 +219,9 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
     benign_train = benign_pool[:cfg.train_per_class]
     benign_eval = benign_pool[cfg.train_per_class:need]
 
-    has_pkdga = cfg.pkdga is not None
     names = list(dgas)
     rows = names + (["mixed"] if cfg.include_mixed else [])
-    tests = names + (["pkdga"] if has_pkdga else [])
+    tests = names + (["pkdga"] if cfg.pkdga is not None else [])
 
     row_samples = {}
     for name in names:
@@ -185,45 +237,52 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
                                      ("matrix-test", master_seed, name))
                     for name in names}
 
-    def run_cell(row, det_kind):
-        cell_seed = ("matrix-cell", master_seed, row, det_kind)
-        corpus = LabeledCorpus(tuple(benign_train), tuple(row_samples[row]))
-        model = train_detector(det_kind, corpus,
-                               hp=cfg.detector_hp.get(det_kind),
-                               rng_seed=cell_seed)
-        # every test set of the cell is ranked against one scoring of the
-        # cell's benign names
-        benign_scores = model.score_many(benign_eval)
-        out = {}
-        for test in names:
-            auc = _scores_auc(benign_scores,
-                              model.score_many(test_samples[test])).auc
-            out[test] = anti_detection(auc)
-        if has_pkdga:
-            env = FeedbackEnv(model, seed_corpus=benign_train,
-                              budget=cfg.pkdga_budget)
-            result = training.train(env, cfg.pkdga, master_seed=cell_seed)
-            fresh = training.generate_domains(
-                result.best_params, cfg.eval_agd,
-                start_date=_dt.date(2030, 1, 1), T=cfg.pkdga.length,
-                tld=cfg.pkdga.tld)
-            auc = _scores_auc(benign_scores, model.score_many(fresh)).auc
-            out["pkdga"] = anti_detection(auc)
-        return out
+    keys = [(row, kind) for row in rows for kind in cfg.detectors]
+    jobs = [(row, kind, benign_train, row_samples[row], benign_eval,
+             test_samples, cfg, master_seed) for row, kind in keys]
+    workers = min(_usable_cpus(), len(jobs))
+    outcomes = (_pool_map(_cell_outcome, jobs, workers) if workers > 1
+                else list(map(_cell_outcome, jobs)))
 
     failures = {}
     cells = {}
-    for row in rows:
-        for det in cfg.detectors:
-            try:
-                outcome = run_cell(row, det)
-            except Exception as exc:    # cell failures must not kill the matrix
-                failures[(row, det)] = repr(exc)
-                outcome = dict.fromkeys(tests, float("nan"))
-            for test, val in outcome.items():
-                cells[(row, test, det)] = val
+    for (row, kind), outcome in zip(keys, outcomes):
+        if isinstance(outcome, str):
+            failures[(row, kind)] = outcome
+            outcome = dict.fromkeys(tests, float("nan"))
+        for test, val in outcome.items():
+            cells[(row, test, kind)] = val
     return ExperimentMatrix(cells, tuple(rows), tuple(tests),
                             tuple(cfg.detectors), failures)
+
+
+def _pool_map(fn, jobs, workers: int) -> list:
+    """``[fn(job) for job in jobs]`` over ``workers`` forked processes.
+
+    ``fork`` starts every worker before the executor's manager thread, so
+    the parent forks while it runs one thread, and no worker re-imports the
+    caller's ``__main__``.  A job whose worker died yields the repr of the
+    ``BrokenProcessPool`` error; on any exception in the parent the pending
+    jobs are cancelled, and the ``with`` block joins every worker.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        try:
+            futures = [pool.submit(fn, job) for job in jobs]
+            outcomes = []
+            for future in futures:
+                try:
+                    outcomes.append(future.result())
+                except BrokenProcessPool as exc:
+                    outcomes.append(repr(exc))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -100,22 +100,25 @@ def read_manifest(path) -> dict:
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def python_subprocess(args, hash_seed=None):
+def python_subprocess(args, hash_seed=None, preexec_fn=None):
     """Run ``python *args`` in a child with a scrubbed env.
 
     The env holds only ``PATH``, ``HOME``, ``PYTHONPATH`` pointing at this
     checkout's ``src`` and, if given, ``PYTHONHASHSEED``, so the child runs
     the repo's ``dgalab`` whether or not the package is pip-installed and
-    whatever the parent's env holds.
+    whatever the parent's env holds.  ``preexec_fn`` runs in the child
+    before it starts Python.
     """
     env = {"PATH": "/usr/bin:/bin", "HOME": "/tmp",
            "PYTHONPATH": str(REPO_ROOT / "src")}
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, cwd=str(REPO_ROOT))
+                          text=True, env=env, cwd=str(REPO_ROOT),
+                          preexec_fn=preexec_fn)
 
 
-def cli_subprocess(argv, hash_seed=None):
+def cli_subprocess(argv, hash_seed=None, preexec_fn=None):
     """Run ``python -m dgalab.cli *argv`` through ``python_subprocess``."""
-    return python_subprocess(["-m", "dgalab.cli", *argv], hash_seed)
+    return python_subprocess(["-m", "dgalab.cli", *argv], hash_seed,
+                             preexec_fn)

@@ -7,6 +7,7 @@ the feedback-trained generator) are built once in module-scoped fixtures.
 """
 
 import datetime as dt
+import os
 import sys
 import time
 
@@ -187,8 +188,8 @@ class TestCriterion5NoveltySemantics:
 
 
 class TestCriterion6Determinism:
-    def _run(self, argv, hash_seed):
-        proc = cli_subprocess(argv, hash_seed)
+    def _run(self, argv, hash_seed, preexec_fn=None):
+        proc = cli_subprocess(argv, hash_seed, preexec_fn)
         assert proc.returncode == 0, proc.stderr
         return proc
 
@@ -220,19 +221,27 @@ class TestCriterion6Determinism:
         train_same = all(
             (outs["a"] / f).read_bytes() == (outs["b"] / f).read_bytes()
             for f in ("policy.ckpt", "reward_curve.tsv"))
+        # one matrix child runs on a single CPU, so in one worker; the
+        # other runs one worker per CPU of this process, at most one per
+        # cell (kraken, suppobox and mixed rows, one detector)
+        cpus = os.sched_getaffinity(0)
+        one_cpu = {min(cpus)}
+        workers = min(len(cpus), 3)
         mouts = {}
-        for tag, threads, hs in (("a", "1", "303"), ("b", "8", "404")):
+        for tag, pin, hs in (("a", True, "303"), ("b", False, "404")):
             out = tmp_path / f"matrix-{tag}"
             self._run(["matrix", "--benign", str(tmp_path / "prep" / "benign.txt"),
                        "--out", str(out), "--config", str(cfgfile),
-                       "--seed", "5", "--threads", threads], hs)
+                       "--seed", "5"], hs,
+                      (lambda: os.sched_setaffinity(0, one_cpu)) if pin
+                      else None)
             mouts[tag] = out
         matrix_same = all(
             (mouts["a"] / f).read_bytes() == (mouts["b"] / f).read_bytes()
             for f in ("matrix_statistics.tsv", "anti_detection_by_detector.tsv"))
         judge(emit, "criterion 6 (determinism)", train_same and matrix_same,
               f"train byte-identical: {train_same}, matrix byte-identical "
-              f"across threads 1/8: {matrix_same}")
+              f"across 1/{workers} workers: {matrix_same}")
 
 
 class TestCriterion7GameDefense:

@@ -9,7 +9,7 @@ import pytest
 from dgalab import checkpoint, cli, evaluation, policy, training
 from dgalab.cli import main
 from dgalab.config import parse_config
-from conftest import cli_subprocess, read_manifest
+from conftest import cli_subprocess, python_subprocess, read_manifest
 
 RUN_CFG = """
 train.lr = 1.0
@@ -361,6 +361,42 @@ class TestExitCodes:
         cells = (tmp_path / "mx" / "matrix_statistics.tsv").read_text()
         assert cells.splitlines()[1:] == ["kraken\tnan", "mixed\tnan"]
         assert (tmp_path / "mx" / "anti_detection_by_detector.tsv").is_file()
+
+    def test_matrix_with_dead_worker_exits_2(self, workspace, tmp_path):
+        # a worker that dies takes its unfinished cells with it; the parent
+        # reports them as failed cells, prints no traceback and leaves no
+        # worker behind
+        code = (
+            "import multiprocessing, os, sys\n"
+            "from dgalab import evaluation\n"
+            "from dgalab.cli import main\n"
+            "cell = evaluation._matrix_cell\n"
+            "def dying(row, kind, *args):\n"
+            "    if row == 'mixed':\n"
+            "        os._exit(1)\n"
+            "    return cell(row, kind, *args)\n"
+            "evaluation._matrix_cell = dying\n"
+            "evaluation._usable_cpus = lambda: 2\n"
+            "status = main(sys.argv[1:])\n"
+            "print(len(multiprocessing.active_children()))\n"
+            "sys.exit(status)\n")
+        cfg = tmp_path / "dead.cfg"
+        cfg.write_text(MATRIX_CFG + "matrix.detectors = statistics\n")
+        proc = python_subprocess(
+            ["-c", code, "matrix", "--benign",
+             str(workspace / "prep" / "benign.txt"), "--config", str(cfg),
+             "--out", str(tmp_path / "mx")])
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 2
+        assert proc.stdout == "0\n"
+        assert all(line.startswith(("wrote ", "cell ")) for line in err[:-1])
+        failed = [line for line in err if line.startswith("cell ")]
+        assert err[-1] == f"data error: {len(failed)} of 2 matrix cells failed"
+        assert "cell ('mixed', 'statistics') failed: BrokenProcessPool(" \
+            in "\n".join(failed)
+        assert all(re.fullmatch(r"cell \('\w+', 'statistics'\) failed: "
+                                r"BrokenProcessPool\(.*\)", line)
+                   for line in failed)
 
     def test_empty_detector_value_means_default(self, workspace, tmp_path,
                                                 capsys):

@@ -169,6 +169,9 @@ class TestMatrix:
             return model
 
         monkeypatch.setattr(evaluation, "train_detector", recording)
+        # the calls are recorded in this process, so no cell may run in a
+        # forked worker
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
         benign = synthesize_benign(260, rng_seed=3)
         cfg = MatrixConfig(detectors=("statistics",), train_per_class=160,
                            eval_benign=80, eval_agd=80, include_mixed=False,
@@ -205,6 +208,53 @@ class TestMatrix:
         assert ("kraken", "not-a-kind") in matrix.failures
         assert np.isnan(matrix.cells[("kraken", "kraken", "not-a-kind")])
         assert np.isfinite(matrix.cells[("kraken", "kraken", "statistics")])
+
+    def test_cells_identical_across_worker_counts(self, monkeypatch):
+        from dgalab import evaluation
+        benign = synthesize_benign(260, rng_seed=3)
+        cfg = MatrixConfig(detectors=("statistics", "not-a-kind"),
+                           train_per_class=120, eval_benign=60, eval_agd=60,
+                           include_mixed=True,
+                           pkdga=TrainConfig(lr=1.0, batch=4, mc=2, length=8,
+                                             epochs=3),
+                           pkdga_budget=2_000)
+        matrices = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(evaluation, "_usable_cpus", lambda: workers)
+            matrices[workers] = run_matrix(_dga_map(), benign, cfg,
+                                           master_seed=2)
+        one, two = matrices[1], matrices[2]
+        assert list(one.cells) == list(two.cells)
+        values = [np.array(list(m.cells.values())) for m in (one, two)]
+        assert values[0].tobytes() == values[1].tobytes()
+        assert np.isnan(values[0]).sum() == len(one.rows) * len(one.tests)
+        assert one.failures == two.failures
+        assert set(one.failures) == {(row, "not-a-kind") for row in one.rows}
+
+    def test_dead_worker_fails_its_cells(self, monkeypatch):
+        import multiprocessing
+        import os
+        from dgalab import evaluation
+        cell = evaluation._matrix_cell
+
+        def dying(row, kind, *args):
+            if (row, kind) == ("suppobox", "statistics"):
+                os._exit(1)
+            return cell(row, kind, *args)
+
+        monkeypatch.setattr(evaluation, "_matrix_cell", dying)
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        benign = synthesize_benign(260, rng_seed=3)
+        cfg = MatrixConfig(detectors=("statistics",), train_per_class=120,
+                           eval_benign=60, eval_agd=60, include_mixed=True,
+                           pkdga=None)
+        matrix = run_matrix(_dga_map(), benign, cfg, master_seed=0)
+        assert ("suppobox", "statistics") in matrix.failures
+        assert all(err.startswith("BrokenProcessPool(")
+                   for err in matrix.failures.values())
+        for row, kind in matrix.failures:
+            assert np.isnan(matrix.cells[(row, "kraken", kind)])
+        assert multiprocessing.active_children() == []
 
     def test_pkdga_column_dominates_zero_knowledge_on_average(self):
         # per-cell feedback training adapts to every detector, so the
