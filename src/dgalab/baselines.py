@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domains import MAX_LABEL
 from .errors import ContractError
 
@@ -75,17 +77,31 @@ class WordDict:
 _LENGTH_STREAM_OFFSET = 0x5851
 
 
+def _lcg_states(seed: int, n: int) -> np.ndarray:
+    """The first ``n`` states ``Lcg(seed).step()`` returns, by jump-ahead
+    doubling: the states so far, advanced by their own count, are the next
+    as many.  Exact in uint64, as every product stays below 2^62."""
+    states = np.array([Lcg(seed).step()], dtype=np.uint64)
+    mult, inc = _MULTIPLIER, _INCREMENT     # advance len(states) steps
+    while len(states) < n:
+        states = np.concatenate([states, (mult * states + inc) % _MODULUS])
+        mult, inc = mult * mult % _MODULUS, (mult * inc + inc) % _MODULUS
+    return states[:n]
+
+
 def kraken_generate(seed: int, count: int) -> list[str]:
+    """``count`` cores: each takes a length of 7-12 from the length stream's
+    ``below_mixed(6)``, then that many letters from the character stream's
+    ``below(26)``."""
     if count < 1:
         raise ContractError("count must be at least 1")
-    chars = Lcg(seed)
-    lengths = Lcg(seed + _LENGTH_STREAM_OFFSET)
-    out = []
-    for _ in range(count):
-        length = 7 + lengths.below_mixed(6)        # 7-12 letters
-        core = "".join(chr(ord("a") + chars.below(26)) for _ in range(length))
-        out.append(core)
-    return out
+    lengths = 7 + (_lcg_states(seed + _LENGTH_STREAM_OFFSET, count)
+                   >> 16) % 6
+    ends = np.cumsum(lengths).tolist()
+    letters = _lcg_states(seed, ends[-1]) % 26 + ord("a")
+    text = letters.astype(np.uint8).tobytes().decode("ascii")
+    return [text[end - length:end]
+            for end, length in zip(ends, lengths.tolist())]
 
 
 def gozi_generate(words: WordDict, seed: int, count: int,

@@ -9,13 +9,14 @@ Data goes to stdout or files under --out; logs go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as _dt
 import sys
 from pathlib import Path
 
 from . import checkpoint, corpora, evaluation, training
 from .baselines import gozi_generate, kraken_generate, suppobox_generate
-from .config import (cfg_date, cfg_get, parse_config, resolve_data_path,
+from .config import (cast_setting, parse_config, resolve_data_path,
                      write_manifest)
 from .detectors import KINDS, load_detector, train_detector
 from .detectors.base import HP_DEFAULTS, typed_hp
@@ -132,62 +133,74 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# every key of these sections that some command reads; any other key there
-# ends the run
-_CONFIG_KEYS = {
-    "train": ("lr", "batch", "mc", "length", "epochs", "n_layers", "d_e",
-              "d_h"),
-    "env": ("threshold", "budget", "audit"),
-    "seeds": ("start_date", "end_date"),
-    "data": ("tld",),
-    "matrix": ("dgas", "detectors", "pkdga", "train_per_class",
-               "eval_benign", "eval_agd", "include_mixed", "pkdga_budget"),
-    "game": ("stage_budget", "fresh", "incr_epochs", "incr_lr"),
+def _keyed_fields(cls, section: str, **keys) -> dict:
+    """{config key: field} for the fields of ``cls`` with a plain default:
+    ``section.<field>``, or the key ``keys`` gives it (``None``: no key)."""
+    return {key: f for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING
+            and (key := keys.get(f.name, f"{section}.{f.name}"))}
+
+
+# dataclass -> {config key: the field it sets}
+_FIELD_KEYS = {
+    training.TrainConfig: _keyed_fields(training.TrainConfig, "train",
+                                        tld="data.tld"),
+    evaluation.GameConfig: _keyed_fields(evaluation.GameConfig, "game",
+                                         fresh_samples="game.fresh"),
+    evaluation.MatrixConfig: _keyed_fields(evaluation.MatrixConfig, "matrix",
+                                           pkdga=None),
 }
-# detector.<kind>.<key> for a key the kind reads, and detector.<key> for the
-# split or a key some kind reads (it goes to every kind that reads it)
-_DETECTOR_KEYS = {"split", *(name for kind, keys in HP_DEFAULTS.items()
-                             for key in keys
-                             for name in (key, f"{kind}.{key}"))}
+# every config key some command reads -> its default, whose type is the
+# key's type (a comma list for a tuple, a float for None)
+SETTINGS = {
+    **{key: f.default for keyed in _FIELD_KEYS.values()
+       for key, f in keyed.items()},
+    "matrix.dgas": tuple(BASELINES),
+    "matrix.pkdga": True,
+    "env.threshold": None,          # the detector's own threshold
+    "env.budget": 1_000_000,
+    "env.audit": False,
+    "seeds.start_date": _dt.date(2020, 1, 1),
+    "seeds.end_date": _dt.date(2039, 12, 31),
+    "detector.split": 0.8,
+}
+# any key of a settings section that is neither a setting nor, under
+# detector., a hyperparameter some kind reads ends the run
+_SECTIONS = {key.partition(".")[0] for key in SETTINGS}
+_KNOWN_KEYS = {*SETTINGS, *(f"detector.{name}"
+                            for kind, keys in HP_DEFAULTS.items()
+                            for key in keys
+                            for name in (key, f"{kind}.{key}"))}
 
 
-def _load_cfg(args) -> dict:
-    cfg = parse_config(args.config) if args.config else {}
+def _config(cls, settings: dict, **fields):
+    """``cls`` with each keyed field set from ``settings``."""
+    return cls(**{f.name: settings[key]
+                  for key, f in _FIELD_KEYS[cls].items()}, **fields)
+
+
+def _load_cfg(path) -> tuple[dict, dict]:
+    """The config file's lines, raw, and every setting, cast from them or
+    its default, once each check that needs only the config has passed."""
+    cfg = parse_config(path) if path else {}
     for key in cfg:
-        section, _, name = key.partition(".")
-        known = (_DETECTOR_KEYS if section == "detector"
-                 else _CONFIG_KEYS.get(section))
-        if known is not None and name not in known:
+        if key.partition(".")[0] in _SECTIONS and key not in _KNOWN_KEYS:
             raise UsageError(f"config key {key!r} is not read by any command")
-    return cfg
-
-
-def _train_config(cfg: dict) -> training.TrainConfig:
-    return training.TrainConfig(
-        lr=cfg_get(cfg, "train.lr", 1.0, float),
-        batch=cfg_get(cfg, "train.batch", 32, int),
-        mc=cfg_get(cfg, "train.mc", 4, int),
-        length=cfg_get(cfg, "train.length", 10, int),
-        epochs=cfg_get(cfg, "train.epochs", 300, int),
-        n_layers=cfg_get(cfg, "train.n_layers", 1, int),
-        d_e=cfg_get(cfg, "train.d_e", 32, int),
-        d_h=cfg_get(cfg, "train.d_h", 64, int),
-        tld=cfg_get(cfg, "data.tld", "com"),
-    )
-
-
-def _game_config(cfg: dict) -> evaluation.GameConfig:
-    return evaluation.GameConfig(
-        train_cfg=_train_config(cfg),
-        stage_budget=cfg_get(cfg, "game.stage_budget", 150_000, int),
-        fresh_samples=cfg_get(cfg, "game.fresh", 400, int),
-        incr_epochs=cfg_get(cfg, "game.incr_epochs", 8, int),
-        incr_lr=cfg_get(cfg, "game.incr_lr", 0.3, float))
-
-
-def _seed_space(cfg: dict) -> SeedSpace:
-    return SeedSpace(cfg_date(cfg, "seeds.start_date", _dt.date(2020, 1, 1)),
-                     cfg_date(cfg, "seeds.end_date", _dt.date(2039, 12, 31)))
+    settings = {key: cast_setting(key, cfg.get(key, ""), default)
+                for key, default in SETTINGS.items()}
+    for kind in KINDS:
+        typed_hp(kind, _detector_hp(cfg, kind))
+    _config(training.TrainConfig, settings)
+    SeedSpace(settings["seeds.start_date"], settings["seeds.end_date"])
+    check_tld(settings["data.tld"])
+    if not 0 < settings["detector.split"] < 1:
+        raise ContractError("detector.split must lie in (0, 1)")
+    for key, known, what in (("matrix.detectors", KINDS, "detector kind"),
+                             ("matrix.dgas", BASELINES, "generator")):
+        for name in settings[key]:
+            if name not in known:
+                raise DataError(f"{key}: unknown {what} {name!r}")
+    return cfg, settings
 
 
 def _detector_hp(cfg: dict, kind: str) -> dict:
@@ -220,31 +233,30 @@ def _emit(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_prep(args, cfg):
-    tld = check_tld(cfg_get(cfg, "data.tld", "com"))
+def _cmd_prep(args, cfg, settings):
     out = Path(args.out)
     write_manifest(out, "prep", {**cfg, "benign": str(args.benign),
                                  "agd": str(args.agd), "dga": args.dga},
-                   args.seed)
+                   settings, args.seed)
     benign = corpora.synthesize_benign(args.benign, rng_seed=args.seed)
     corpora.save_domains(out / "benign.txt", benign)
     gen_seed = stream_key("prep", args.seed) % (2 ** 31)
-    names = _baseline_names(args.dga, _wordlists(), gen_seed, args.agd, tld)
+    names = _baseline_names(args.dga, _wordlists(), gen_seed, args.agd,
+                            settings["data.tld"])
     corpora.save_domains(out / f"{args.dga}.txt", names)
     return 0
 
 
-def _cmd_detector_train(args, cfg):
+def _cmd_detector_train(args, cfg, settings):
     benign_path = resolve_data_path(args.benign)
     agd_path = resolve_data_path(args.agd)
     out = Path(args.out)
-    write_manifest(out, "detector-train",
-                   {**cfg, "kind": args.kind}, args.seed,
-                   inputs=[benign_path, agd_path])
+    write_manifest(out, "detector-train", {**cfg, "kind": args.kind},
+                   settings, args.seed, inputs=[benign_path, agd_path])
     corpus = corpora.LabeledCorpus(tuple(corpora.load_domains(benign_path)),
                                    tuple(corpora.load_domains(agd_path)))
-    ratio = cfg_get(cfg, "detector.split", 0.8, float)
-    train_part, test_part = evaluation.split_dataset(corpus, ratio, args.seed)
+    train_part, test_part = evaluation.split_dataset(
+        corpus, settings["detector.split"], args.seed)
     model = train_detector(args.kind, train_part,
                            hp=_detector_hp(cfg, args.kind), rng_seed=args.seed)
     model.save(out / "detector.ckpt")
@@ -258,23 +270,23 @@ def _cmd_detector_train(args, cfg):
     return 0
 
 
-def _cmd_train(args, cfg):
+def _cmd_train(args, cfg, settings):
     det_path = resolve_data_path(args.env)
     benign_path = resolve_data_path(args.benign)
     out = Path(args.out)
-    write_manifest(out, "train", cfg, args.seed,
+    write_manifest(out, "train", cfg, settings, args.seed,
                    inputs=[det_path, benign_path])
     detector = load_detector(det_path)
     benign = corpora.load_domains(benign_path)
-    tc = _train_config(cfg)
+    tc = _config(training.TrainConfig, settings)
     env = FeedbackEnv(detector, seed_corpus=benign,
-                      threshold=cfg_get(cfg, "env.threshold", None, float),
-                      budget=cfg_get(cfg, "env.budget", 1_000_000, int),
+                      threshold=settings["env.threshold"],
+                      budget=settings["env.budget"],
                       audit_path=out / "audit.tsv"
-                      if cfg_get(cfg, "env.audit", False, bool) else None)
+                      if settings["env.audit"] else None)
+    space = SeedSpace(settings["seeds.start_date"], settings["seeds.end_date"])
     try:
-        result = training.train(env, tc, master_seed=args.seed,
-                                space=_seed_space(cfg))
+        result = training.train(env, tc, master_seed=args.seed, space=space)
     finally:
         env.close()
     checkpoint.save_policy(out / "policy.ckpt", result.best_params,
@@ -290,7 +302,7 @@ def _cmd_train(args, cfg):
     return 0
 
 
-def _cmd_generate(args, cfg):
+def _cmd_generate(args, cfg, settings):
     if args.dga == "pkdga":
         if not args.ckpt:
             raise UsageError("--ckpt is required for --dga pkdga")
@@ -304,12 +316,12 @@ def _cmd_generate(args, cfg):
     return 0
 
 
-def _cmd_eval(args, cfg):
+def _cmd_eval(args, cfg, settings):
     det_path = resolve_data_path(args.detector)
     benign_path = resolve_data_path(args.benign)
     agd_path = resolve_data_path(args.agd)
     out = Path(args.out)
-    write_manifest(out, "eval", cfg, args.seed,
+    write_manifest(out, "eval", cfg, settings, args.seed,
                    inputs=[det_path, benign_path, agd_path])
     model = load_detector(det_path)
     benign = corpora.load_domains(benign_path)
@@ -324,47 +336,29 @@ def _cmd_eval(args, cfg):
     return 0
 
 
-def _matrix_dgas(cfg, words, tld):
-    """matrix.dgas as {family: generator(count, rng_key) -> names}."""
+def _matrix_dgas(families, words, tld):
+    """{family: generator(count, rng_key) -> names} for ``families``."""
     def generator(family):
         return lambda count, key: _baseline_names(
             family, words, stream_key(key) % 2 ** 31, count, tld)
 
-    out = {}
-    for name in cfg_get(cfg, "matrix.dgas", "kraken,gozi,suppobox").split(","):
-        name = name.strip()
-        if name not in BASELINES:
-            raise DataError(f"matrix.dgas: unknown generator {name!r}")
-        out[name] = generator(name)
-    return out
+    return {family: generator(family) for family in families}
 
 
-def _cmd_matrix(args, cfg):
-    tld = check_tld(cfg_get(cfg, "data.tld", "com"))
+def _cmd_matrix(args, cfg, settings):
     benign_path = resolve_data_path(args.benign)
-    detectors = tuple(s.strip() for s in
-                      cfg_get(cfg, "matrix.detectors", "statistics,neural").split(","))
-    for kind in detectors:
-        if kind not in KINDS:
-            raise DataError(
-                f"matrix.detectors: unknown detector kind {kind!r}")
-    hp = {kind: typed_hp(kind, _detector_hp(cfg, kind)) for kind in detectors}
     out = Path(args.out)
-    write_manifest(out, "matrix", cfg, args.seed, inputs=[benign_path])
+    write_manifest(out, "matrix", cfg, settings, args.seed,
+                   inputs=[benign_path])
     benign = corpora.load_domains(benign_path)
-    pkdga_cfg = _train_config(cfg) if cfg_get(cfg, "matrix.pkdga", True, bool) \
-        else None
-    mc = evaluation.MatrixConfig(
-        detectors=detectors,
-        train_per_class=cfg_get(cfg, "matrix.train_per_class", 1000, int),
-        eval_benign=cfg_get(cfg, "matrix.eval_benign", 400, int),
-        eval_agd=cfg_get(cfg, "matrix.eval_agd", 400, int),
-        include_mixed=cfg_get(cfg, "matrix.include_mixed", True, bool),
-        detector_hp=hp,
-        pkdga=pkdga_cfg,
-        pkdga_budget=cfg_get(cfg, "matrix.pkdga_budget", 150_000, int))
-    matrix = evaluation.run_matrix(_matrix_dgas(cfg, _wordlists(), tld),
-                                   benign, mc, master_seed=args.seed)
+    detectors = settings["matrix.detectors"]
+    pkdga = (_config(training.TrainConfig, settings)
+             if settings["matrix.pkdga"] else None)
+    mc = _config(evaluation.MatrixConfig, settings, pkdga=pkdga, detector_hp={
+        kind: typed_hp(kind, _detector_hp(cfg, kind)) for kind in detectors})
+    matrix = evaluation.run_matrix(
+        _matrix_dgas(settings["matrix.dgas"], _wordlists(),
+                     settings["data.tld"]), benign, mc, master_seed=args.seed)
     for det in detectors:
         _emit(out / f"matrix_{det}.tsv", matrix.fig_tsv(det))
     if mc.include_mixed:
@@ -378,17 +372,19 @@ def _cmd_matrix(args, cfg):
     return 0
 
 
-def _cmd_game(args, cfg):
+def _cmd_game(args, cfg, settings):
     det_path = resolve_data_path(args.detector)
     benign_path = resolve_data_path(args.benign)
     out = Path(args.out)
     write_manifest(out, "game", {**cfg, "stages": str(args.stages)},
-                   args.seed, inputs=[det_path, benign_path])
+                   settings, args.seed, inputs=[det_path, benign_path])
     detector = load_detector(det_path)
     benign = corpora.load_domains(benign_path)
     cut = max(1, int(len(benign) * 0.8))
+    game_cfg = _config(evaluation.GameConfig, settings,
+                       train_cfg=_config(training.TrainConfig, settings))
     results = evaluation.game_loop(detector, benign[:cut], benign[cut:],
-                                   stages=args.stages, cfg=_game_config(cfg),
+                                   stages=args.stages, cfg=game_cfg,
                                    master_seed=args.seed)
     lines = ["stage\tdetector_auc\tpkdga_reward\tagds"]
     for r in results:
@@ -398,12 +394,12 @@ def _cmd_game(args, cfg):
     return 0
 
 
-def _cmd_bench(args, cfg):
+def _cmd_bench(args, cfg, settings):
     ckpt = resolve_data_path(args.ckpt)
     out = Path(args.out)
     write_manifest(out, "bench",
                    {**cfg, "batches": ",".join(map(str, args.batches))},
-                   args.seed, inputs=[ckpt])
+                   settings, args.seed, inputs=[ckpt])
     params, T = checkpoint.load_policy(ckpt)
     rows = evaluation.bench_inference(params, args.batches, T=T)
     _emit(out / "bench.tsv", evaluation.bench_tsv(rows))
@@ -428,8 +424,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             parser.error("a subcommand is required")
-        cfg = _load_cfg(args)
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args, *_load_cfg(args.config))
     except (UsageError, ContractError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

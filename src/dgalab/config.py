@@ -2,9 +2,9 @@
 
 Config lines look like ``section.key = value``; ``#`` starts a comment.
 Command-line flags override file values.  Every run directory gets a
-``manifest.json`` written before any result file: config snapshot, master
-seed, input digests, tool version, and timestamps.  Result files themselves
-carry no timestamps, so a rerun from the same manifest is byte-identical.
+``manifest.json`` written before any result file: config, resolved settings,
+master seed, input digests, tool version, timestamps.  Result files carry no
+timestamps, so a rerun from the same manifest is byte-identical.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 def cast_value(name: str, value, cast):
     """``value``, config text or a Python value, as ``cast``: a bool takes
-    the ``_BOOLS`` spellings in any case, an int only integral values and a
-    float only finite ones.  ``DataError`` reads ``name = value: reason``."""
+    the ``_BOOLS`` spellings in any case, an int only integral values, a
+    float only finite ones and a date only ``YYYY-MM-DD``.  ``DataError``
+    reads ``name = value: reason``."""
     if cast is str:
         return str(value)
     if cast is bool:
@@ -49,6 +50,11 @@ def cast_value(name: str, value, cast):
         if spelled in _BOOLS:
             return _BOOLS[spelled]
         reason = f"expected one of {', '.join(_BOOLS)}"
+    elif cast is _dt.date:
+        try:
+            return _dt.date.fromisoformat(str(value))
+        except ValueError:
+            reason = "expected YYYY-MM-DD"
     else:
         try:
             number = float(value)
@@ -60,20 +66,15 @@ def cast_value(name: str, value, cast):
     raise DataError(f"{name} = {value!r}: {reason}")
 
 
-def cfg_get(cfg: dict, key: str, default=None, cast=str):
-    if key not in cfg or cfg[key] == "":
+def cast_setting(key: str, text: str, default):
+    """Config ``text`` for ``key`` as its default's type, or the default if
+    empty; a tuple default takes a comma list, and a ``None`` one a float."""
+    if text == "":
         return default
-    return cast_value(f"config {key}", cfg[key], cast)
-
-
-def cfg_date(cfg: dict, key: str, default):
-    raw = cfg.get(key)
-    if not raw:
-        return default
-    try:
-        return _dt.date.fromisoformat(raw)
-    except ValueError:
-        raise DataError(f"config {key} = {raw!r}: expected YYYY-MM-DD") from None
+    if isinstance(default, tuple):
+        return tuple(item.strip() for item in text.split(","))
+    return cast_value(f"config {key}", text,
+                      float if default is None else type(default))
 
 
 def resolve_data_path(path) -> Path:
@@ -97,8 +98,8 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir, command: str, config: dict, master_seed,
-                   inputs=()) -> Path:
+def write_manifest(out_dir, command: str, config: dict, settings: dict,
+                   master_seed, inputs=()) -> Path:
     """Must be called before any result file lands in ``out_dir``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -108,9 +109,10 @@ def write_manifest(out_dir, command: str, config: dict, master_seed,
         "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "master_seed": master_seed,
         "config": dict(sorted(config.items())),
+        "settings": settings,
         "inputs": {str(p): sha256_file(p) for p in inputs},
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    "utf-8")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True,
+                               default=_dt.date.isoformat) + "\n", "utf-8")
     return path

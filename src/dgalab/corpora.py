@@ -9,6 +9,7 @@ brandable names with a realistic mix of lengths, digits, and hyphens.
 from __future__ import annotations
 
 import importlib.resources as _resources
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -95,7 +96,7 @@ def synthesize_benign(count: int, rng_seed: int = 20160801) -> list[str]:
     rng = stream("benign-pool", rng_seed, count)
     tld_names = [t for t, _ in _TLD_WEIGHTS]
     tld_cum = np.cumsum([w for _, w in _TLD_WEIGHTS])
-    tld_cum = tld_cum / tld_cum[-1]
+    tld_cum = (tld_cum / tld_cum[-1]).tolist()
 
     def word():
         return words[rng.integers(len(words))]
@@ -134,7 +135,8 @@ def synthesize_benign(count: int, rng_seed: int = 20160801) -> list[str]:
             if u <= bound:
                 core = fn()[:24]
                 break
-        tld = tld_names[int((tld_cum < rng.random()).sum())]
+        # bisect_left counts the cumulative weights below the draw
+        tld = tld_names[bisect_left(tld_cum, rng.random())]
         name = f"{core}.{tld}"
         if name not in seen and validate_domain(name):
             seen.add(name)

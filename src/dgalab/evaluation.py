@@ -187,6 +187,11 @@ def _cell_outcome(args):
         return repr(exc)
 
 
+# kind -> rank of its cells' cost: neural fits take longest, then fanci's
+# forests; every other kind ranks 2
+_COST_RANK = {"neural": 0, "fanci": 1}
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one, else every CPU."""
@@ -238,15 +243,19 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
                     for name in names}
 
     keys = [(row, kind) for row in rows for kind in cfg.detectors]
+    # the slowest kinds' cells start first (a stable sort); the outcomes
+    # are read back in (row, detector) order
+    order = sorted(keys, key=lambda key: _COST_RANK.get(key[1], 2))
     jobs = [(row, kind, benign_train, row_samples[row], benign_eval,
-             test_samples, cfg, master_seed) for row, kind in keys]
+             test_samples, cfg, master_seed) for row, kind in order]
     workers = min(_usable_cpus(), len(jobs))
-    outcomes = (_pool_map(_cell_outcome, jobs, workers) if workers > 1
-                else list(map(_cell_outcome, jobs)))
+    outcomes = dict(zip(order, _pool_map(_cell_outcome, jobs, workers)
+                        if workers > 1 else map(_cell_outcome, jobs)))
 
     failures = {}
     cells = {}
-    for (row, kind), outcome in zip(keys, outcomes):
+    for row, kind in keys:
+        outcome = outcomes[(row, kind)]
         if isinstance(outcome, str):
             failures[(row, kind)] = outcome
             outcome = dict.fromkeys(tests, float("nan"))

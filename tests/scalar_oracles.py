@@ -10,8 +10,9 @@ pass along fixed tokens, whose caches ``run_batch(want_cache=True)`` must
 reproduce; the one-episode reward-weighted log-likelihood with its gradient,
 the pair that finite differences check ``policy.grad_from_coeffs`` through;
 the per-step reward estimate, one ``register_many`` per step, against
-``training._epoch_values``; and the recursive CART grower against
-``forest.fit_forest``."""
+``training._epoch_values``; the recursive CART grower against
+``forest.fit_forest``; and the step-by-step kraken generator against
+``baselines.kraken_generate``."""
 
 import math
 from functools import lru_cache
@@ -19,6 +20,7 @@ from itertools import compress
 
 import numpy as np
 
+from dgalab.baselines import _LENGTH_STREAM_OFFSET, Lcg
 from dgalab.corpora import bundled_tlds, load_wordlist
 from dgalab.detectors.distances import edit_distance
 from dgalab.detectors.features import split_core
@@ -458,3 +460,16 @@ def forest_trees(X, y, rng_seed, n_trees, max_depth, min_leaf) -> list:
         trees.append(_grow_tree(X[boot], y[boot], rng, max_depth, min_leaf,
                                 n_sub))
     return trees
+
+
+def kraken_cores(seed: int, count: int) -> list[str]:
+    """Kraken cores one LCG step at a time: a length from the length
+    stream, then that many letters from the character stream."""
+    chars = Lcg(seed)
+    lengths = Lcg(seed + _LENGTH_STREAM_OFFSET)
+    out = []
+    for _ in range(count):
+        length = 7 + lengths.below_mixed(6)        # 7-12 letters
+        out.append("".join(chr(ord("a") + chars.below(26))
+                           for _ in range(length)))
+    return out

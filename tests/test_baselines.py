@@ -8,6 +8,8 @@ from dgalab.corpora import load_wordlist
 from dgalab.domains import assemble_fqdn, validate_domain
 from dgalab.errors import ContractError
 
+import scalar_oracles as oracle
+
 # chi-square critical value at p = 0.001, 25 degrees of freedom
 _CHI2_CRIT_25 = 52.62
 
@@ -55,6 +57,13 @@ class TestKraken:
     def test_count_contract(self):
         with pytest.raises(ContractError):
             kraken_generate(1, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 12345, 2 ** 31 - 1, 2 ** 31,
+                                      2 ** 40 + 7, -3])
+    def test_matches_step_oracle(self, seed):
+        for count in (1, 2, 3, 17, 1000, 5000):
+            assert kraken_generate(seed, count) == \
+                oracle.kraken_cores(seed, count)
 
 
 class TestGozi:

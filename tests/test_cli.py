@@ -429,8 +429,78 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             f"data error: config {key} = '{value}': expected a finite float"]
-        assert [p.name for p in (tmp_path / "out").iterdir()] == \
-            ["manifest.json"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestBadConfigWritesNothing:
+    """A config that cannot run is refused by every command while it
+    loads, whether or not the command reads the bad value: one stderr line
+    and no --out directory."""
+
+    def run(self, capsys, tmp_path, lines, *argv):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines)
+        capsys.readouterr()
+        code, out = run_cli(*argv, "--config", str(cfg))
+        err = capsys.readouterr().err.splitlines()
+        assert out == "" and len(err) == 1, err
+        assert not (tmp_path / "out").exists()
+        return code, err[0]
+
+    def test_unknown_matrix_family(self, workspace, tmp_path, capsys):
+        code, err = self.run(capsys, tmp_path, "matrix.dgas = kraken,nope\n",
+                             "matrix", "--benign",
+                             str(workspace / "prep" / "benign.txt"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err == "data error: matrix.dgas: unknown generator 'nope'"
+
+    def test_non_finite_detector_rate(self, workspace, tmp_path, capsys):
+        code, err = self.run(capsys, tmp_path, "detector.neural.lr = nan\n",
+                             "detector-train", "--kind", "neural",
+                             "--benign", str(workspace / "prep" / "benign.txt"),
+                             "--agd", str(workspace / "prep" / "kraken.txt"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err == ("data error: detector hyperparameter lr = 'nan': "
+                       "expected a finite float")
+
+    def test_seed_dates_out_of_order(self, workspace, tmp_path, capsys):
+        code, err = self.run(capsys, tmp_path,
+                             "seeds.start_date = 2030-01-01\n"
+                             "seeds.end_date = 2029-12-31\n",
+                             "train", "--env",
+                             str(workspace / "det" / "detector.ckpt"),
+                             "--benign", str(workspace / "prep" / "benign.txt"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == "usage error: start_date must not exceed end_date"
+
+    def test_split_outside_unit_interval(self, workspace, tmp_path, capsys):
+        code, err = self.run(capsys, tmp_path, "detector.split = 1\n",
+                             "detector-train", "--kind", "statistics",
+                             "--benign", str(workspace / "prep" / "benign.txt"),
+                             "--agd", str(workspace / "prep" / "kraken.txt"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == "usage error: detector.split must lie in (0, 1)"
+
+    def test_training_contract_for_eval(self, workspace, tmp_path, capsys):
+        code, err = self.run(capsys, tmp_path, "train.length = 30\n",
+                             "eval", "--detector",
+                             str(workspace / "det" / "detector.ckpt"),
+                             "--benign", str(workspace / "prep" / "benign.txt"),
+                             "--agd", str(workspace / "prep" / "kraken.txt"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == "usage error: episode length must lie in [7, 24]"
+
+    def test_setting_the_command_does_not_read(self, tmp_path, capsys):
+        code, err = self.run(capsys, tmp_path, "game.incr_lr = x\n",
+                             "generate", "--dga", "kraken", "--count", "3")
+        assert code == 2
+        assert err == ("data error: config game.incr_lr = 'x': expected a "
+                       "finite float")
 
 
 def usage_errors(capsys) -> list[str]:
@@ -441,12 +511,12 @@ def usage_errors(capsys) -> list[str]:
 
 class TestConfigKeys:
     def test_known_keys_are_the_keys_the_cli_reads(self):
+        # a command reads a key by name, or through the dataclass field
+        # that the key sets
         source = Path(cli.__file__).read_text("utf-8")
-        read = set(re.findall(r'cfg_(?:get|date)\(cfg, "([a-z_.]+)"', source))
-        known = {f"{section}.{name}"
-                 for section, names in cli._CONFIG_KEYS.items()
-                 for name in names}
-        assert known == {k for k in read if not k.startswith("detector.")}
+        read = set(re.findall(r'settings\["([a-z_.]+)"\]', source))
+        read |= {key for keyed in cli._FIELD_KEYS.values() for key in keyed}
+        assert set(cli.SETTINGS) == read
 
     @pytest.mark.parametrize("lines", [
         ("detector.neural.epochs = 2", "detector.epochs = 5"),
@@ -476,12 +546,44 @@ class TestConfigKeys:
         assert code == 0
 
 
+def settings_table() -> str:
+    """README's table of every setting: its key, default and type."""
+    def shown(default):
+        if default is None:
+            return "the detector's threshold"
+        if isinstance(default, bool):
+            return f"`{str(default).lower()}`"
+        if isinstance(default, tuple):
+            return f"`{','.join(default)}`"
+        return f"`{default}`"
+
+    def kind(default):
+        if default is None:
+            return "float"
+        return "comma list" if isinstance(default, tuple) \
+            else type(default).__name__
+
+    rows = ["| key | default | type |", "|---|---|---|"]
+    rows += [f"| `{key}` | {shown(default)} | {kind(default)} |"
+             for key, default in sorted(cli.SETTINGS.items())]
+    return "\n".join(rows) + "\n"
+
+
 class TestDefaults:
     def test_train_defaults_match_train_config(self):
-        assert cli._train_config({}) == training.TrainConfig()
+        _, settings = cli._load_cfg(None)
+        assert cli._config(training.TrainConfig, settings) == \
+            training.TrainConfig()
+
+    def test_readme_lists_every_setting(self):
+        readme = Path(cli.__file__).parents[2] / "README.md"
+        assert settings_table() in readme.read_text("utf-8")
 
     def test_game_defaults_match_game_config(self):
-        assert cli._game_config({}) == \
+        _, settings = cli._load_cfg(None)
+        train_cfg = cli._config(training.TrainConfig, settings)
+        assert cli._config(evaluation.GameConfig, settings,
+                           train_cfg=train_cfg) == \
             evaluation.GameConfig(training.TrainConfig())
 
 
@@ -506,6 +608,25 @@ class TestManifestOptions:
         assert code == 0
         assert read_manifest(out / "manifest.json")["config"] == \
             {"batches": "2,3"}
+
+    def test_records_every_resolved_setting(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("train.lr = 2\nmatrix.dgas = gozi, kraken\n"
+                       "seeds.end_date = 2030-06-01\n")
+        out = tmp_path / "prep"
+        code, _ = run_cli("prep", "--out", str(out), "--benign", "20",
+                          "--agd", "5", "--config", str(cfg))
+        assert code == 0
+        manifest = read_manifest(out / "manifest.json")
+        settings = manifest["settings"]
+        assert set(settings) == set(cli.SETTINGS)
+        assert settings["train.lr"] == 2.0 and settings["train.batch"] == 32
+        assert settings["matrix.dgas"] == ["gozi", "kraken"]
+        assert settings["matrix.detectors"] == ["statistics", "neural"]
+        assert settings["seeds.start_date"] == "2020-01-01"
+        assert settings["seeds.end_date"] == "2030-06-01"
+        assert settings["env.threshold"] is None
+        assert manifest["config"]["train.lr"] == "2"
 
 
 class TestBooleans:

@@ -212,7 +212,8 @@ class TestMatrix:
     def test_cells_identical_across_worker_counts(self, monkeypatch):
         from dgalab import evaluation
         benign = synthesize_benign(260, rng_seed=3)
-        cfg = MatrixConfig(detectors=("statistics", "not-a-kind"),
+        # fanci's cells run before statistics' and the failing kind's
+        cfg = MatrixConfig(detectors=("statistics", "not-a-kind", "fanci"),
                            train_per_class=120, eval_benign=60, eval_agd=60,
                            include_mixed=True,
                            pkdga=TrainConfig(lr=1.0, batch=4, mc=2, length=8,
@@ -224,7 +225,9 @@ class TestMatrix:
             matrices[workers] = run_matrix(_dga_map(), benign, cfg,
                                            master_seed=2)
         one, two = matrices[1], matrices[2]
-        assert list(one.cells) == list(two.cells)
+        assert list(one.cells) == list(two.cells) == [
+            (row, test, kind) for row in one.rows for kind in cfg.detectors
+            for test in one.tests]
         values = [np.array(list(m.cells.values())) for m in (one, two)]
         assert values[0].tobytes() == values[1].tobytes()
         assert np.isnan(values[0]).sum() == len(one.rows) * len(one.tests)
