@@ -9,6 +9,7 @@ import time
 
 from dgalab import (LabeledCorpus, bundled_benign, detection_auc,
                     kraken_generate, split_dataset, train_detector)
+from dgalab.detectors import KINDS
 
 benign = bundled_benign(1500)
 agds = [core + ".com" for core in kraken_generate(5, 1500)]
@@ -18,7 +19,7 @@ print(f"corpus: {len(train_part.benign)}+{len(train_part.agd)} train, "
       f"{len(test_part.benign)}+{len(test_part.agd)} held out")
 
 print(f"\n{'kind':12s}{'train s':>8s}{'AUC':>8s}{'1-AUC':>8s}")
-for kind in ("statistics", "fanci", "wordgraph", "neural"):
+for kind in KINDS:
     t0 = time.time()
     model = train_detector(kind, train_part, rng_seed=1)
     took = time.time() - t0

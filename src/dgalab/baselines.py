@@ -13,15 +13,14 @@ function of the integer seed:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .corpora import WordDict, bundled_words
 from .domains import MAX_LABEL
 from .errors import ContractError
 
-_WORD_RE = re.compile(f"[a-z0-9]{{1,{MAX_LABEL}}}")
 _MULTIPLIER, _INCREMENT, _MODULUS = 1103515245, 12345, 2 ** 31
 
 
@@ -44,31 +43,6 @@ class Lcg:
         # have short periods (bit 0 strictly alternates), so small even
         # bounds would otherwise collapse to a two-value cycle
         return (self.step() >> 16) % bound
-
-
-@dataclass(frozen=True)
-class WordDict:
-    """Ordered list of lowercase alphanumeric label fragments, each short
-    enough to be a label on its own."""
-
-    words: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.words:
-            raise ContractError("word dictionary is empty")
-        for w in self.words:
-            if not _WORD_RE.fullmatch(w):
-                raise ContractError(f"word {w!r} is not 1-{MAX_LABEL} "
-                                    "characters of a-z and 0-9")
-
-    def __len__(self):
-        return len(self.words)
-
-    def pick(self, lcg: Lcg) -> str:
-        return self.words[lcg.below(len(self.words))]
-
-    def pick_mixed(self, lcg: Lcg) -> str:
-        return self.words[lcg.below_mixed(len(self.words))]
 
 
 # Lengths come from their own LCG instance: the glibc recurrence alternates
@@ -116,7 +90,7 @@ def gozi_generate(words: WordDict, seed: int, count: int,
         parts = []
         total = 0
         for _ in range(k):
-            w = words.pick(lcg)
+            w = words.words[lcg.below(len(words))]
             if total + len(w) > MAX_LABEL:
                 break  # stay a legal label; at least one word always fits
             parts.append(w)
@@ -130,6 +104,17 @@ def suppobox_generate(first: WordDict, second: WordDict, seed: int,
     lcg = Lcg(seed)
     out = []
     for _ in range(count):
-        core = (first.pick_mixed(lcg) + second.pick_mixed(lcg))[:MAX_LABEL]
-        out.append(core)
+        out.append((first.words[lcg.below_mixed(len(first))]
+                    + second.words[lcg.below_mixed(len(second))])[:MAX_LABEL])
     return out
+
+
+# family -> generate(seed, count) -> cores, over the bundled wordlists; each
+# entry looks its generator up by module-level name at call time, so a
+# wrapper installed there sees each call
+FAMILIES = {
+    "kraken": lambda seed, count: kraken_generate(seed, count),
+    "gozi": lambda seed, count: gozi_generate(bundled_words()[0], seed, count),
+    "suppobox": lambda seed, count: suppobox_generate(*bundled_words(), seed,
+                                                      count),
+}

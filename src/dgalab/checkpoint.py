@@ -22,9 +22,7 @@ from .policy import PolicyParams, params_from_tensors, tensor_shapes
 MAGIC = b"PKDG"
 VERSION = 2
 
-KIND_IDS = {"statistics": 1, "fanci": 2, "wordgraph": 3, "neural": 4,
-            "policy": 5}
-_KIND_NAMES = {v: k for k, v in KIND_IDS.items()}
+POLICY_ID = 5  # the kind id of a policy; detectors.base holds the others
 
 F32, I64, TEXT = 0, 1, 2
 _DTYPES = {F32: np.dtype("<f4"), I64: np.dtype("<i8")}
@@ -33,15 +31,15 @@ _DTYPES = {F32: np.dtype("<f4"), I64: np.dtype("<i8")}
 def save_policy(path, params: PolicyParams, length: int) -> None:
     """Write the policy weights and the episode length they generate."""
     dims = [params.n_layers, params.d_e, params.d_h, params.d_y, length]
-    save_blobs(path, "policy", {"dims": np.array(dims, dtype=np.int64),
-                                **params.tensors()})
+    save_blobs(path, POLICY_ID, {"dims": np.array(dims, dtype=np.int64),
+                                 **params.tensors()})
 
 
 def load_policy(path) -> tuple[PolicyParams, int]:
     """(params, episode length) of a policy checkpoint."""
-    kind, blobs = load_blobs(path)
-    if kind != "policy":
-        raise DataError(f"{path}: expected a policy checkpoint, got {kind}")
+    kind_id, blobs = load_blobs(path)
+    if kind_id != POLICY_ID:
+        raise DataError(f"{path}: expected a policy, got kind id {kind_id}")
     dims = [int(v) for v in record(blobs, "dims", I64, 5)]
     n_layers, d_e, d_h, d_y, length = dims
     # n_layers cannot exceed the records present, so shapes stay few; the
@@ -54,10 +52,10 @@ def load_policy(path) -> tuple[PolicyParams, int]:
     return params_from_tensors(arrays, n_layers), length
 
 
-def save_blobs(path, kind: str, blobs: dict) -> None:
+def save_blobs(path, kind_id: int, blobs: dict) -> None:
     """Write named float/int arrays and text (bytes) as one container."""
     with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<H4I", VERSION, KIND_IDS[kind], 0, 0, 0))
+        fh.write(MAGIC + struct.pack("<H4I", VERSION, kind_id, 0, 0, 0))
         for name, value in blobs.items():
             raw = name.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)) + raw)
@@ -72,8 +70,8 @@ def save_blobs(path, kind: str, blobs: dict) -> None:
                                               dtype=_DTYPES[tag]).tobytes())
 
 
-def load_blobs(path) -> tuple[str, dict]:
-    """(kind, {name: f32 array | i64 array | bytes}) of a container."""
+def load_blobs(path) -> tuple[int, dict]:
+    """(kind id, {name: f32 array | i64 array | bytes}) of a container."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC or len(blob) < 22:
@@ -83,8 +81,6 @@ def load_blobs(path) -> tuple[str, dict]:
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version} "
                         f"(expected {VERSION}); retrain to rewrite it")
-    if kind_id not in _KIND_NAMES:
-        raise DataError(f"{path}: unknown checkpoint kind id {kind_id}")
     off = 6 + 16
 
     def take(size):
@@ -111,7 +107,7 @@ def load_blobs(path) -> tuple[str, dict]:
                                    f"{name!r}")
         else:
             raise DataError(f"{path}: unknown record tag {tag}")
-    return _KIND_NAMES[kind_id], out
+    return kind_id, out
 
 
 def record(blobs: dict, name: str, tag: int, shape=None):

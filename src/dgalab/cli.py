@@ -15,25 +15,17 @@ import sys
 from pathlib import Path
 
 from . import checkpoint, corpora, evaluation, training
-from .baselines import gozi_generate, kraken_generate, suppobox_generate
+from .baselines import FAMILIES
 from .config import (cast_setting, parse_config, resolve_data_path,
                      write_manifest)
 from .detectors import KINDS, load_detector, train_detector
-from .detectors.base import HP_DEFAULTS, typed_hp
+from .detectors.base import KIND_TABLE, typed_hp
 from .dnsenv import FeedbackEnv
 from .domains import SeedSpace, check_tld
 from .errors import ContractError, DataError, DgaLabError, NumericError
 from .rng import stream_key
 
-# family -> generate(words, seed, count); entries look their generator up by
-# module-level name at call time, so a wrapper installed there sees each call
-BASELINES = {
-    "kraken": lambda words, seed, count: kraken_generate(seed, count),
-    "gozi": lambda words, seed, count: gozi_generate(words[0], seed, count),
-    "suppobox": lambda words, seed, count: suppobox_generate(*words, seed,
-                                                             count),
-}
-DGA_NAMES = (*BASELINES, "pkdga")
+DGA_NAMES = (*FAMILIES, "pkdga")
 
 
 class UsageError(Exception):
@@ -87,7 +79,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--benign", type=_positive_int, default=5000)
     p.add_argument("--agd", type=_positive_int, default=5000)
-    p.add_argument("--dga", choices=tuple(BASELINES), default="kraken")
+    p.add_argument("--dga", choices=tuple(FAMILIES), default="kraken")
 
     p = sub.add_parser("detector-train", help="train one detector kind")
     common(p)
@@ -155,7 +147,7 @@ _FIELD_KEYS = {
 SETTINGS = {
     **{key: f.default for keyed in _FIELD_KEYS.values()
        for key, f in keyed.items()},
-    "matrix.dgas": tuple(BASELINES),
+    "matrix.dgas": tuple(FAMILIES),
     "matrix.pkdga": True,
     "env.threshold": None,          # the detector's own threshold
     "env.budget": 1_000_000,
@@ -168,8 +160,8 @@ SETTINGS = {
 # detector., a hyperparameter some kind reads ends the run
 _SECTIONS = {key.partition(".")[0] for key in SETTINGS}
 _KNOWN_KEYS = {*SETTINGS, *(f"detector.{name}"
-                            for kind, keys in HP_DEFAULTS.items()
-                            for key in keys
+                            for kind, entry in KIND_TABLE.items()
+                            for key in entry.hp
                             for name in (key, f"{kind}.{key}"))}
 
 
@@ -195,8 +187,13 @@ def _load_cfg(path) -> tuple[dict, dict]:
     check_tld(settings["data.tld"])
     if not 0 < settings["detector.split"] < 1:
         raise ContractError("detector.split must lie in (0, 1)")
+    for key, low in (("matrix.train_per_class", 1), ("matrix.eval_benign", 1),
+                     ("matrix.eval_agd", 1), ("game.fresh", 1),
+                     ("env.budget", 0)):
+        if settings[key] < low:
+            raise ContractError(f"{key} must be at least {low}")
     for key, known, what in (("matrix.detectors", KINDS, "detector kind"),
-                             ("matrix.dgas", BASELINES, "generator")):
+                             ("matrix.dgas", FAMILIES, "generator")):
         for name in settings[key]:
             if name not in known:
                 raise DataError(f"{key}: unknown {what} {name!r}")
@@ -208,7 +205,7 @@ def _detector_hp(cfg: dict, kind: str) -> dict:
     ``detector.<kind>.<key>`` wins over ``detector.<key>`` on any line, and
     a key with an empty value counts as absent."""
     hp = {}
-    for key in HP_DEFAULTS[kind]:
+    for key in KIND_TABLE[kind].hp:
         for name in (f"detector.{kind}.{key}", f"detector.{key}"):
             if cfg.get(name, "") != "":   # an empty value is an absent line
                 hp[key] = cfg[name]
@@ -216,13 +213,8 @@ def _detector_hp(cfg: dict, kind: str) -> dict:
     return hp
 
 
-def _wordlists():
-    return (corpora.load_wordlist(bundled="words_a.txt"),
-            corpora.load_wordlist(bundled="words_b.txt"))
-
-
-def _baseline_names(family, words, seed, count, tld) -> list[str]:
-    return [f"{core}.{tld}" for core in BASELINES[family](words, seed, count)]
+def _baseline_names(family, seed, count, tld) -> list[str]:
+    return [f"{core}.{tld}" for core in FAMILIES[family](seed, count)]
 
 
 def _emit(path: Path, text: str) -> None:
@@ -241,8 +233,7 @@ def _cmd_prep(args, cfg, settings):
     benign = corpora.synthesize_benign(args.benign, rng_seed=args.seed)
     corpora.save_domains(out / "benign.txt", benign)
     gen_seed = stream_key("prep", args.seed) % (2 ** 31)
-    names = _baseline_names(args.dga, _wordlists(), gen_seed, args.agd,
-                            settings["data.tld"])
+    names = _baseline_names(args.dga, gen_seed, args.agd, settings["data.tld"])
     corpora.save_domains(out / f"{args.dga}.txt", names)
     return 0
 
@@ -310,8 +301,8 @@ def _cmd_generate(args, cfg, settings):
         names = training.generate_domains(params, args.count, args.start_date,
                                           T=T, tld=args.tld, mode=args.mode)
     else:
-        names = _baseline_names(args.dga, _wordlists(), args.seed,
-                                args.count, check_tld(args.tld))
+        names = _baseline_names(args.dga, args.seed, args.count,
+                                check_tld(args.tld))
     sys.stdout.write("\n".join(names) + "\n")
     return 0
 
@@ -336,13 +327,10 @@ def _cmd_eval(args, cfg, settings):
     return 0
 
 
-def _matrix_dgas(families, words, tld):
+def _matrix_dgas(families, tld):
     """{family: generator(count, rng_key) -> names} for ``families``."""
-    def generator(family):
-        return lambda count, key: _baseline_names(
-            family, words, stream_key(key) % 2 ** 31, count, tld)
-
-    return {family: generator(family) for family in families}
+    return {family: lambda count, key, family=family: _baseline_names(
+        family, stream_key(key) % 2 ** 31, count, tld) for family in families}
 
 
 def _cmd_matrix(args, cfg, settings):
@@ -357,8 +345,8 @@ def _cmd_matrix(args, cfg, settings):
     mc = _config(evaluation.MatrixConfig, settings, pkdga=pkdga, detector_hp={
         kind: typed_hp(kind, _detector_hp(cfg, kind)) for kind in detectors})
     matrix = evaluation.run_matrix(
-        _matrix_dgas(settings["matrix.dgas"], _wordlists(),
-                     settings["data.tld"]), benign, mc, master_seed=args.seed)
+        _matrix_dgas(settings["matrix.dgas"], settings["data.tld"]), benign,
+        mc, master_seed=args.seed)
     for det in detectors:
         _emit(out / f"matrix_{det}.tsv", matrix.fig_tsv(det))
     if mc.include_mixed:

@@ -9,6 +9,7 @@ brandable names with a realistic mix of lengths, digits, and hyphens.
 from __future__ import annotations
 
 import importlib.resources as _resources
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import WordDict
-from .domains import validate_domain
-from .errors import DataError
+from .domains import MAX_LABEL, validate_domain
+from .errors import ContractError, DataError
 from .rng import stream
 
 _TLD_WEIGHTS = [("com", 50), ("net", 10), ("org", 10), ("io", 7), ("co", 5),
@@ -29,6 +29,26 @@ _SUFFIXES = ["ify", "ly", "hub", "lab", "box", "kit", "zone", "spot", "base",
 _PREFIXES = ["my", "the", "go", "get", "top", "best", "pro", "all"]
 _CONSONANTS = "bcdfghjklmnpqrstvwz"
 _VOWELS = "aeiou"
+_WORD_RE = re.compile(f"[a-z0-9]{{1,{MAX_LABEL}}}")
+
+
+@dataclass(frozen=True)
+class WordDict:
+    """Ordered list of lowercase alphanumeric label fragments, each short
+    enough to be a label on its own."""
+
+    words: tuple[str, ...]
+
+    def __post_init__(self):
+        if not self.words:
+            raise ContractError("word dictionary is empty")
+        for w in self.words:
+            if not _WORD_RE.fullmatch(w):
+                raise ContractError(f"word {w!r} is not 1-{MAX_LABEL} "
+                                    "characters of a-z and 0-9")
+
+    def __len__(self):
+        return len(self.words)
 
 
 def _data_text(name: str) -> str:
@@ -39,6 +59,12 @@ def load_wordlist(bundled: str = "words_a.txt") -> WordDict:
     lines = _data_text(bundled).splitlines()
     return WordDict(tuple(w for w in (line.strip() for line in lines)
                           if w and not w.startswith("#")))
+
+
+@lru_cache(maxsize=1)
+def bundled_words() -> tuple[WordDict, WordDict]:
+    """The bundled wordlists words_a and words_b, loaded once per process."""
+    return load_wordlist("words_a.txt"), load_wordlist("words_b.txt")
 
 
 def bundled_tlds() -> tuple[str, ...]:
@@ -91,8 +117,8 @@ class LabeledCorpus:
 
 def synthesize_benign(count: int, rng_seed: int = 20160801) -> list[str]:
     """Deterministic popular-domain stand-ins (full names with TLDs)."""
-    words = load_wordlist(bundled="words_a.txt").words + \
-        load_wordlist(bundled="words_b.txt").words
+    first, second = bundled_words()
+    words = first.words + second.words
     rng = stream("benign-pool", rng_seed, count)
     tld_names = [t for t, _ in _TLD_WEIGHTS]
     tld_cum = np.cumsum([w for _, w in _TLD_WEIGHTS])

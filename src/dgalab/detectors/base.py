@@ -18,27 +18,28 @@ from ..corpora import LabeledCorpus
 from ..domains import validate_domain
 from ..errors import DataError, ScoringError
 
-# kind -> detector class, defined in the module named after the kind; the
-# modules are imported on first use
-_CLASS_NAMES = {"statistics": "StatisticsDetector", "fanci": "FanciDetector",
-                "wordgraph": "WordGraphDetector", "neural": "NeuralDetector"}
-KINDS = tuple(_CLASS_NAMES)
-# kind -> the hyperparameters its ``train`` reads and their defaults; a
-# config's detector.* keys must name one of them
-HP_DEFAULTS = {
-    "statistics": {"jaccard_refs": 64, "edit_refs": 8},
-    "fanci": {"trees": 25, "max_depth": 12, "min_leaf": 2},
-    "wordgraph": {"repeat_threshold": 3},
-    "neural": {"d_e": 24, "d_h": 32, "layers": 1, "bidirectional": False,
-               "max_len": 32, "epochs": 6, "batch": 64, "lr": 0.5},
+# kind -> its checkpoint kind id, the name of its class in the module named
+# after the kind (imported on first use), and the hyperparameters its
+# ``train`` reads with their defaults; a config's detector.* keys name these
+Kind = NamedTuple("Kind", [("id", int), ("class_name", str), ("hp", dict)])
+KIND_TABLE = {
+    "statistics": Kind(1, "StatisticsDetector",
+                       {"jaccard_refs": 64, "edit_refs": 8}),
+    "fanci": Kind(2, "FanciDetector",
+                  {"trees": 25, "max_depth": 12, "min_leaf": 2}),
+    "wordgraph": Kind(3, "WordGraphDetector", {"repeat_threshold": 3}),
+    "neural": Kind(4, "NeuralDetector",
+                   {"d_e": 24, "d_h": 32, "layers": 1, "bidirectional": False,
+                    "max_len": 32, "epochs": 6, "batch": 64, "lr": 0.5}),
 }
+KINDS = tuple(KIND_TABLE)
 
 
 def _detector_class(kind: str) -> type:
-    if kind not in _CLASS_NAMES:
+    if kind not in KIND_TABLE:
         raise DataError(f"{kind!r} is not a detector kind")
     module = importlib.import_module(f"{__package__}.{kind}")
-    return getattr(module, _CLASS_NAMES[kind])
+    return getattr(module, KIND_TABLE[kind].class_name)
 
 
 def checked_names(domains) -> list:
@@ -75,7 +76,7 @@ class DetectorModel:
         raise NotImplementedError
 
     def save(self, path) -> None:
-        save_blobs(path, self.kind, self.to_blobs())
+        save_blobs(path, KIND_TABLE[self.kind].id, self.to_blobs())
 
 
 def train_detector(kind: str, corpus: LabeledCorpus, hp: dict | None = None,
@@ -94,18 +95,21 @@ def train_detector(kind: str, corpus: LabeledCorpus, hp: dict | None = None,
 
 
 def typed_hp(kind: str, hp: dict | None = None) -> dict:
-    """Each of ``kind``'s ``HP_DEFAULTS`` keys: ``hp``'s value (text or
+    """Each of ``kind``'s hyperparameter keys: ``hp``'s value (text or
     Python) cast to the default's type, or the default.  ``DataError``
     names a value that won't cast."""
     hp = hp or {}
     return {key: cast_value(f"detector hyperparameter {key}", hp[key],
                             type(default)) if key in hp else default
-            for key, default in HP_DEFAULTS[kind].items()}
+            for key, default in KIND_TABLE[kind].hp.items()}
 
 
 def load_detector(path) -> DetectorModel:
-    kind, blobs = load_blobs(path)
-    return _detector_class(kind).from_blobs(blobs)
+    kind_id, blobs = load_blobs(path)
+    for kind, entry in KIND_TABLE.items():
+        if entry.id == kind_id:
+            return _detector_class(kind).from_blobs(blobs)
+    raise DataError(f"{path}: kind id {kind_id} is not a detector kind")
 
 
 class Logistic(NamedTuple):

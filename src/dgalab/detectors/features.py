@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..corpora import bundled_tlds, load_wordlist
+from ..corpora import bundled_tlds, bundled_words
 from ..domains import LABEL_CHARS, MAX_LABEL, validate_domain
 from ..errors import DataError, ScoringError
 from .distances import (ID_BASE, MAX_PACKED, N_CHARS, char_counts, encode,
@@ -72,8 +72,8 @@ class _Reference(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _reference() -> _Reference:
-    words = (load_wordlist(bundled="words_a.txt").words
-             + load_wordlist(bundled="words_b.txt").words)
+    first, second = bundled_words()
+    words = first.words + second.words
     # each n-gram's share of all the words' n-grams, by packed id
     grams = ngram_ids(*encode(words), 3)
     freqs = [np.bincount(ids, minlength=ID_BASE ** k) / len(ids)

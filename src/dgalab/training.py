@@ -51,6 +51,8 @@ class TrainConfig:
             raise ContractError("batch, mc and epochs must be >= 1")
         if not 7 <= self.length <= 24:
             raise ContractError("episode length must lie in [7, 24]")
+        if min(self.n_layers, self.d_e, self.d_h) < 1:
+            raise ContractError("n_layers, d_e and d_h must be >= 1")
 
 
 @dataclass

@@ -9,6 +9,7 @@ from dgalab import checkpoint, policy
 from dgalab.baselines import kraken_generate
 from dgalab.corpora import LabeledCorpus, synthesize_benign
 from dgalab.detectors import KINDS, load_detector, train_detector
+from dgalab.detectors.base import KIND_TABLE
 from dgalab.errors import DataError, NumericError
 from dgalab.training import generate_domains
 
@@ -130,7 +131,7 @@ class TestPolicyContainer:
             slot = {"n_layers": 0, "d_e": 1, "T": 4}[what]
             blobs["dims"][slot] = 2 ** 62 if arg == "huge" else int(arg)
         path = tmp_path / "bad.ckpt"
-        checkpoint.save_blobs(path, "policy", blobs)
+        checkpoint.save_blobs(path, checkpoint.POLICY_ID, blobs)
         with pytest.raises(DataError):
             checkpoint.load_policy(path)
 
@@ -151,14 +152,14 @@ class TestBlobContainer:
             "names": b"alpha\nbeta\n",
         }
         path = tmp_path / "det.ckpt"
-        checkpoint.save_blobs(path, "statistics", blobs)
-        kind, loaded = checkpoint.load_blobs(path)
-        assert kind == "statistics"
+        checkpoint.save_blobs(path, KIND_TABLE["statistics"].id, blobs)
+        kind_id, loaded = checkpoint.load_blobs(path)
+        assert kind_id == KIND_TABLE["statistics"].id
         assert np.array_equal(loaded["weights"], blobs["weights"])
         assert np.array_equal(loaded["sizes"], blobs["sizes"])
         assert loaded["names"] == blobs["names"]
         path2 = tmp_path / "det2.ckpt"
-        checkpoint.save_blobs(path2, kind, loaded)
+        checkpoint.save_blobs(path2, kind_id, loaded)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_version_cross_check(self, tmp_path, checkpoints):
@@ -170,6 +171,23 @@ class TestBlobContainer:
         with pytest.raises(DataError, match="expected a policy"):
             checkpoint.load_policy(det)
 
+    def test_kind_ids_are_pinned(self, checkpoints):
+        # the u32 after the magic and version: README "Checkpoints"
+        ids = {kind: struct.unpack_from("<I", blob, 6)[0]
+               for kind, blob in checkpoints.items()}
+        assert ids == {"statistics": 1, "fanci": 2, "wordgraph": 3,
+                       "neural": 4, "policy": 5}
+
+    def test_unknown_kind_id(self, tmp_path, checkpoints):
+        blob = bytearray(checkpoints["fanci"])
+        struct.pack_into("<I", blob, 6, 9)
+        path = tmp_path / "nine.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="not a detector kind"):
+            load_detector(path)
+        with pytest.raises(DataError, match="expected a policy"):
+            checkpoint.load_policy(path)
+
     def test_every_truncation_is_a_data_error(self, tmp_path, checkpoints):
         cut = tmp_path / "cut.ckpt"
         for kind, blob in checkpoints.items():
@@ -180,7 +198,7 @@ class TestBlobContainer:
 
     def test_non_finite_record_is_numeric_error(self, tmp_path):
         path = tmp_path / "inf.ckpt"
-        checkpoint.save_blobs(path, "fanci",
+        checkpoint.save_blobs(path, KIND_TABLE["fanci"].id,
                               {"prob": np.array([0.5, np.inf])})
         with pytest.raises(NumericError, match="'prob'"):
             checkpoint.load_blobs(path)
@@ -208,11 +226,11 @@ class TestBlobContainer:
                                       name, damage):
         path = tmp_path / "d.ckpt"
         path.write_bytes(checkpoints[kind])
-        _, blobs = checkpoint.load_blobs(path)
+        kind_id, blobs = checkpoint.load_blobs(path)
         changed = damage(blobs[name])
         if changed is not None:
             blobs[name] = changed
-        checkpoint.save_blobs(path, kind, blobs)
+        checkpoint.save_blobs(path, kind_id, blobs)
         with pytest.raises(DataError):
             load_detector(path)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dgalab import checkpoint, cli, evaluation, policy, training
+from dgalab.baselines import FAMILIES
 from dgalab.cli import main
 from dgalab.config import parse_config
 from conftest import cli_subprocess, python_subprocess, read_manifest
@@ -80,9 +81,9 @@ def fanci_ckpt(workspace):
 
 def resaved(ckpt, path, damage):
     """Copy of a checkpoint whose records went through ``damage``."""
-    kind, blobs = checkpoint.load_blobs(ckpt)
+    kind_id, blobs = checkpoint.load_blobs(ckpt)
     damage(blobs)
-    checkpoint.save_blobs(path, kind, blobs)
+    checkpoint.save_blobs(path, kind_id, blobs)
     return path
 
 
@@ -495,6 +496,33 @@ class TestBadConfigWritesNothing:
         assert code == 1
         assert err == "usage error: episode length must lie in [7, 24]"
 
+    # sizes no run can use: unchecked, each would fail the command that
+    # reads it after --out exists, or (env.budget) train nothing and exit 0
+    @pytest.mark.parametrize("key, value, command, message", [
+        pytest.param(*case, id=case[0]) for case in (
+            ("train.n_layers", 0, "train",
+             "n_layers, d_e and d_h must be >= 1"),
+            ("train.d_e", 0, "train", "n_layers, d_e and d_h must be >= 1"),
+            ("train.d_h", 0, "train", "n_layers, d_e and d_h must be >= 1"),
+            ("matrix.train_per_class", 0, "matrix",
+             "matrix.train_per_class must be at least 1"),
+            ("matrix.eval_benign", 0, "matrix",
+             "matrix.eval_benign must be at least 1"),
+            ("matrix.eval_agd", 0, "matrix",
+             "matrix.eval_agd must be at least 1"),
+            ("game.fresh", 0, "game", "game.fresh must be at least 1"),
+            ("env.budget", -5, "train", "env.budget must be at least 0"))])
+    def test_unusable_size(self, workspace, tmp_path, capsys, key, value,
+                           command, message):
+        ckpt = str(workspace / "det" / "detector.ckpt")
+        code, err = self.run(capsys, tmp_path, f"{key} = {value}\n", command,
+                             *{"train": ["--env", ckpt], "matrix": [],
+                               "game": ["--detector", ckpt]}[command],
+                             "--benign", str(workspace / "prep" / "benign.txt"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == f"usage error: {message}"
+
     def test_setting_the_command_does_not_read(self, tmp_path, capsys):
         code, err = self.run(capsys, tmp_path, "game.incr_lr = x\n",
                              "generate", "--dga", "kraken", "--count", "3")
@@ -655,7 +683,7 @@ class TestGenerate:
         assert len(out1.strip().split("\n")) == 10
 
     def test_all_family_names(self):
-        for dga in ("kraken", "gozi", "suppobox"):
+        for dga in FAMILIES:
             code, out = run_cli("generate", "--dga", dga, "--seed", "2",
                                 "--count", "5")
             assert code == 0 and len(out.strip().split("\n")) == 5
@@ -786,7 +814,7 @@ class TestBadTld:
         assert not (tmp_path / "prep" / "kraken.txt").exists()
         assert not (tmp_path / "prep" / "benign.txt").exists()
 
-    @pytest.mark.parametrize("dga", ["kraken", "gozi", "suppobox", "pkdga"])
+    @pytest.mark.parametrize("dga", [*FAMILIES, "pkdga"])
     def test_generate(self, dga, tmp_path, capsys):
         ckpt = ["--ckpt", str(tiny_policy(tmp_path / "p.ckpt"))] \
             if dga == "pkdga" else []

@@ -16,7 +16,7 @@ from dgalab.detectors import (FEATURE_NAMES, KINDS, load_detector,
                               train_detector)
 from dgalab.detectors import features, statistics, wordgraph
 from dgalab.config import cast_value
-from dgalab.detectors.base import HP_DEFAULTS, checked_names, fit_logistic
+from dgalab.detectors.base import KIND_TABLE, checked_names, fit_logistic
 from dgalab.detectors.features import extract_many, split_core
 from dgalab.detectors.neural import VOCAB, encode
 from dgalab.detectors.forest import fit_forest
@@ -215,8 +215,7 @@ class TestForest:
 
 
 class TestDetectorContracts:
-    @pytest.mark.parametrize("kind", ["statistics", "fanci", "wordgraph",
-                                      "neural"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_scores_in_range_and_deterministic(self, kind):
         corpus = small_corpus(60)
         hp = {"epochs": 2} if kind == "neural" else {"trees": 5}
@@ -275,18 +274,18 @@ class TestDetectorContracts:
             module = importlib.import_module(f"dgalab.detectors.{kind}")
             source = Path(module.__file__).read_text("utf-8")
             read = set(re.findall(r'hp\["(\w+)"\]', source))
-            assert read == set(HP_DEFAULTS[kind]), kind
+            assert read == set(KIND_TABLE[kind].hp), kind
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_defaults_as_text_train_the_same_model(self, kind, tmp_path):
         corpus = small_corpus(40)
-        text = {key: str(value) for key, value in HP_DEFAULTS[kind].items()}
+        text = {key: str(value) for key, value in KIND_TABLE[kind].hp.items()}
         train_detector(kind, corpus, hp={}, rng_seed=1).save(tmp_path / "a")
         train_detector(kind, corpus, hp=text, rng_seed=1).save(tmp_path / "b")
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
     @pytest.mark.parametrize("kind, key", [
-        (kind, key) for kind, keys in HP_DEFAULTS.items() for key in keys])
+        (kind, key) for kind, entry in KIND_TABLE.items() for key in entry.hp])
     def test_every_declared_key_is_read(self, kind, key):
         with pytest.raises(DataError, match=f"^detector hyperparameter "
                                             f"{key} = 'abc': "):
@@ -333,8 +332,7 @@ class TestDetectorContracts:
             with pytest.raises(ScoringError):
                 checked_names(["abc.com", name])
 
-    @pytest.mark.parametrize("kind", ["statistics", "fanci", "wordgraph",
-                                      "neural"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_checkpoint_round_trip(self, kind, tmp_path):
         corpus = small_corpus(50)
         hp = {"epochs": 2} if kind == "neural" else {"trees": 4}
