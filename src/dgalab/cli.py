@@ -53,6 +53,11 @@ def _batch_sizes(text: str) -> list[int]:
     return [_positive_int(b) for b in text.split(",")]
 
 
+class _InputFile(str):
+    """An input file option as typed; ``main`` resolves it, against the
+    working directory and then ``$DGALAB_DATA``, before the command runs."""
+
+
 def _iso_date(text: str) -> _dt.date:
     try:
         return _dt.date.fromisoformat(text)
@@ -65,8 +70,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dgalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p, out_required=True):
-        p.add_argument("--out", required=out_required,
+    def command(name, run, help, out_required=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--out", type=Path, required=out_required,
                        help="output directory (manifest + results)")
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -74,53 +81,53 @@ def _build_parser() -> _Parser:
                        help="accepted for existing scripts and ignored: "
                             "matrix runs one worker process per usable CPU, "
                             "every other command one thread")
+        return p
 
-    p = sub.add_parser("prep", help="write benign and baseline-DGA corpora")
-    common(p)
+    p = command("prep", _cmd_prep, "write benign and baseline-DGA corpora")
     p.add_argument("--benign", type=_positive_int, default=5000)
     p.add_argument("--agd", type=_positive_int, default=5000)
     p.add_argument("--dga", choices=tuple(FAMILIES), default="kraken")
 
-    p = sub.add_parser("detector-train", help="train one detector kind")
-    common(p)
+    p = command("detector-train", _cmd_detector_train,
+                "train one detector kind")
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--benign", required=True, help="benign corpus file")
-    p.add_argument("--agd", required=True, help="AGD corpus file")
+    p.add_argument("--benign", type=_InputFile, required=True,
+                   help="benign corpus file")
+    p.add_argument("--agd", type=_InputFile, required=True,
+                   help="AGD corpus file")
 
-    p = sub.add_parser("train", help="feedback-train the generator")
-    common(p)
-    p.add_argument("--env", required=True, help="detector checkpoint")
-    p.add_argument("--benign", required=True,
+    p = command("train", _cmd_train, "feedback-train the generator")
+    p.add_argument("--env", type=_InputFile, required=True,
+                   help="detector checkpoint")
+    p.add_argument("--benign", type=_InputFile, required=True,
                    help="benign corpus seeding the registry")
 
-    p = sub.add_parser("generate", help="emit domains to stdout")
-    common(p, out_required=False)
+    p = command("generate", _cmd_generate, "emit domains to stdout",
+                out_required=False)
     p.add_argument("--dga", required=True, choices=DGA_NAMES)
     p.add_argument("--count", type=_positive_int, default=10)
-    p.add_argument("--ckpt", help="policy checkpoint (pkdga only)")
+    p.add_argument("--ckpt", type=_InputFile,
+                   help="policy checkpoint (pkdga only)")
     p.add_argument("--start-date", type=_iso_date, default="2030-01-01")
     p.add_argument("--tld", default="com")
     p.add_argument("--mode", choices=("sample", "argmax"), default="sample")
 
-    p = sub.add_parser("eval", help="score a corpus pair against a detector")
-    common(p)
-    p.add_argument("--detector", required=True)
-    p.add_argument("--benign", required=True)
-    p.add_argument("--agd", required=True)
+    p = command("eval", _cmd_eval, "score a corpus pair against a detector")
+    p.add_argument("--detector", type=_InputFile, required=True)
+    p.add_argument("--benign", type=_InputFile, required=True)
+    p.add_argument("--agd", type=_InputFile, required=True)
 
-    p = sub.add_parser("matrix", help="anti-detection experiment matrix")
-    common(p)
-    p.add_argument("--benign", required=True)
+    p = command("matrix", _cmd_matrix, "anti-detection experiment matrix")
+    p.add_argument("--benign", type=_InputFile, required=True)
 
-    p = sub.add_parser("game", help="game-based defense loop")
-    common(p)
-    p.add_argument("--detector", required=True, help="neural detector ckpt")
-    p.add_argument("--benign", required=True)
+    p = command("game", _cmd_game, "game-based defense loop")
+    p.add_argument("--detector", type=_InputFile, required=True,
+                   help="neural detector ckpt")
+    p.add_argument("--benign", type=_InputFile, required=True)
     p.add_argument("--stages", type=int, default=3)
 
-    p = sub.add_parser("bench", help="inference throughput")
-    common(p)
-    p.add_argument("--ckpt", required=True)
+    p = command("bench", _cmd_bench, "inference throughput")
+    p.add_argument("--ckpt", type=_InputFile, required=True)
     p.add_argument("--batches", type=_batch_sizes, default="8,32,128")
     return parser
 
@@ -171,33 +178,35 @@ def _config(cls, settings: dict, **fields):
                   for key, f in _FIELD_KEYS[cls].items()}, **fields)
 
 
-def _load_cfg(path) -> tuple[dict, dict]:
-    """The config file's lines, raw, and every setting, cast from them or
-    its default, once each check that needs only the config has passed."""
+def _load_cfg(path) -> tuple[dict, dict, dict]:
+    """The config file's lines, raw; every setting, cast from them or its
+    default; and each kind's typed hyperparameters, once each check that
+    needs only the config has passed."""
     cfg = parse_config(path) if path else {}
     for key in cfg:
         if key.partition(".")[0] in _SECTIONS and key not in _KNOWN_KEYS:
             raise UsageError(f"config key {key!r} is not read by any command")
     settings = {key: cast_setting(key, cfg.get(key, ""), default)
                 for key, default in SETTINGS.items()}
-    for kind in KINDS:
-        typed_hp(kind, _detector_hp(cfg, kind))
-    _config(training.TrainConfig, settings)
+    hp = {kind: typed_hp(kind, _detector_hp(cfg, kind)) for kind in KINDS}
+    _config(evaluation.GameConfig, settings,
+            train_cfg=_config(training.TrainConfig, settings))
+    _config(evaluation.MatrixConfig, settings)
     SeedSpace(settings["seeds.start_date"], settings["seeds.end_date"])
     check_tld(settings["data.tld"])
     if not 0 < settings["detector.split"] < 1:
         raise ContractError("detector.split must lie in (0, 1)")
-    for key, low in (("matrix.train_per_class", 1), ("matrix.eval_benign", 1),
-                     ("matrix.eval_agd", 1), ("game.fresh", 1),
-                     ("env.budget", 0)):
-        if settings[key] < low:
-            raise ContractError(f"{key} must be at least {low}")
+    if settings["env.threshold"] is not None \
+            and not 0 <= settings["env.threshold"] <= 1:
+        raise ContractError("env.threshold must lie in [0, 1]")
+    if settings["env.budget"] < 0:
+        raise ContractError("env.budget must be at least 0")
     for key, known, what in (("matrix.detectors", KINDS, "detector kind"),
                              ("matrix.dgas", FAMILIES, "generator")):
         for name in settings[key]:
             if name not in known:
                 raise DataError(f"{key}: unknown {what} {name!r}")
-    return cfg, settings
+    return cfg, settings, hp
 
 
 def _detector_hp(cfg: dict, kind: str) -> dict:
@@ -223,67 +232,55 @@ def _emit(path: Path, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: ``main`` has resolved every input file in ``args`` and written
+# the manifest under ``args.out``; each also gets the settings and every
+# kind's typed hyperparameters
 
-def _cmd_prep(args, cfg, settings):
-    out = Path(args.out)
-    write_manifest(out, "prep", {**cfg, "benign": str(args.benign),
-                                 "agd": str(args.agd), "dga": args.dga},
-                   settings, args.seed)
+def _cmd_prep(args, settings, hp):
     benign = corpora.synthesize_benign(args.benign, rng_seed=args.seed)
-    corpora.save_domains(out / "benign.txt", benign)
+    corpora.save_domains(args.out / "benign.txt", benign)
     gen_seed = stream_key("prep", args.seed) % (2 ** 31)
     names = _baseline_names(args.dga, gen_seed, args.agd, settings["data.tld"])
-    corpora.save_domains(out / f"{args.dga}.txt", names)
+    corpora.save_domains(args.out / f"{args.dga}.txt", names)
     return 0
 
 
-def _cmd_detector_train(args, cfg, settings):
-    benign_path = resolve_data_path(args.benign)
-    agd_path = resolve_data_path(args.agd)
-    out = Path(args.out)
-    write_manifest(out, "detector-train", {**cfg, "kind": args.kind},
-                   settings, args.seed, inputs=[benign_path, agd_path])
-    corpus = corpora.LabeledCorpus(tuple(corpora.load_domains(benign_path)),
-                                   tuple(corpora.load_domains(agd_path)))
+def _cmd_detector_train(args, settings, hp):
+    corpus = corpora.LabeledCorpus(tuple(corpora.load_domains(args.benign)),
+                                   tuple(corpora.load_domains(args.agd)))
     train_part, test_part = evaluation.split_dataset(
         corpus, settings["detector.split"], args.seed)
-    model = train_detector(args.kind, train_part,
-                           hp=_detector_hp(cfg, args.kind), rng_seed=args.seed)
-    model.save(out / "detector.ckpt")
+    model = train_detector(args.kind, train_part, hp=hp[args.kind],
+                           rng_seed=args.seed)
+    model.save(args.out / "detector.ckpt")
     roc = evaluation.detection_auc(model, train_part.benign, train_part.agd)
     roc_test = evaluation.detection_auc(model, test_part.benign, test_part.agd)
-    _emit(out / "metrics.tsv",
+    _emit(args.out / "metrics.tsv",
           "split\tauc\tanti_detection\n"
           f"train\t{roc.auc:.6f}\t{1 - roc.auc:.6f}\n"
           f"test\t{roc_test.auc:.6f}\t{1 - roc_test.auc:.6f}\n")
-    print(f"wrote {out / 'detector.ckpt'}", file=sys.stderr)
+    print(f"wrote {args.out / 'detector.ckpt'}", file=sys.stderr)
     return 0
 
 
-def _cmd_train(args, cfg, settings):
-    det_path = resolve_data_path(args.env)
-    benign_path = resolve_data_path(args.benign)
-    out = Path(args.out)
-    write_manifest(out, "train", cfg, settings, args.seed,
-                   inputs=[det_path, benign_path])
-    detector = load_detector(det_path)
-    benign = corpora.load_domains(benign_path)
+def _cmd_train(args, settings, hp):
+    detector = load_detector(args.env)
+    benign = corpora.load_domains(args.benign)
     tc = _config(training.TrainConfig, settings)
     env = FeedbackEnv(detector, seed_corpus=benign,
                       threshold=settings["env.threshold"],
                       budget=settings["env.budget"],
-                      audit_path=out / "audit.tsv"
+                      audit_path=args.out / "audit.tsv"
                       if settings["env.audit"] else None)
     space = SeedSpace(settings["seeds.start_date"], settings["seeds.end_date"])
     try:
         result = training.train(env, tc, master_seed=args.seed, space=space)
     finally:
         env.close()
-    checkpoint.save_policy(out / "policy.ckpt", result.best_params,
+    checkpoint.save_policy(args.out / "policy.ckpt", result.best_params,
                            tc.length)
     curve = "".join(f"{i}\t{r:.6f}\n" for i, r in enumerate(result.curve))
-    _emit(out / "reward_curve.tsv", "epoch\tmean_reward\n" + curve)
+    _emit(args.out / "reward_curve.tsv", "epoch\tmean_reward\n" + curve)
     best = (f"best reward {result.best_reward:.4f} at epoch "
             f"{result.best_epoch}" if result.curve else "no epoch completed")
     print(f"{best}; {result.queries_used} register calls; stopped: "
@@ -293,11 +290,9 @@ def _cmd_train(args, cfg, settings):
     return 0
 
 
-def _cmd_generate(args, cfg, settings):
+def _cmd_generate(args, settings, hp):
     if args.dga == "pkdga":
-        if not args.ckpt:
-            raise UsageError("--ckpt is required for --dga pkdga")
-        params, T = checkpoint.load_policy(resolve_data_path(args.ckpt))
+        params, T = checkpoint.load_policy(args.ckpt)
         names = training.generate_domains(params, args.count, args.start_date,
                                           T=T, tld=args.tld, mode=args.mode)
     else:
@@ -307,20 +302,14 @@ def _cmd_generate(args, cfg, settings):
     return 0
 
 
-def _cmd_eval(args, cfg, settings):
-    det_path = resolve_data_path(args.detector)
-    benign_path = resolve_data_path(args.benign)
-    agd_path = resolve_data_path(args.agd)
-    out = Path(args.out)
-    write_manifest(out, "eval", cfg, settings, args.seed,
-                   inputs=[det_path, benign_path, agd_path])
-    model = load_detector(det_path)
-    benign = corpora.load_domains(benign_path)
-    agd = corpora.load_domains(agd_path)
+def _cmd_eval(args, settings, hp):
+    model = load_detector(args.detector)
+    benign = corpora.load_domains(args.benign)
+    agd = corpora.load_domains(args.agd)
     roc = evaluation.detection_auc(model, benign, agd)
     points = "\n".join(f"{fpr:.6f},{tpr:.6f}" for fpr, tpr in roc.points)
-    _emit(out / "roc.csv", "fpr,tpr\n" + points + "\n")
-    _emit(out / "summary.tsv",
+    _emit(args.out / "roc.csv", "fpr,tpr\n" + points + "\n")
+    _emit(args.out / "summary.tsv",
           "auc\tanti_detection\n"
           f"{roc.auc:.6f}\t{1 - roc.auc:.6f}\n")
     print(f"auc {roc.auc:.6f}", file=sys.stderr)
@@ -333,24 +322,20 @@ def _matrix_dgas(families, tld):
         family, stream_key(key) % 2 ** 31, count, tld) for family in families}
 
 
-def _cmd_matrix(args, cfg, settings):
-    benign_path = resolve_data_path(args.benign)
-    out = Path(args.out)
-    write_manifest(out, "matrix", cfg, settings, args.seed,
-                   inputs=[benign_path])
-    benign = corpora.load_domains(benign_path)
+def _cmd_matrix(args, settings, hp):
+    benign = corpora.load_domains(args.benign)
     detectors = settings["matrix.detectors"]
     pkdga = (_config(training.TrainConfig, settings)
              if settings["matrix.pkdga"] else None)
-    mc = _config(evaluation.MatrixConfig, settings, pkdga=pkdga, detector_hp={
-        kind: typed_hp(kind, _detector_hp(cfg, kind)) for kind in detectors})
+    mc = _config(evaluation.MatrixConfig, settings, pkdga=pkdga,
+                 detector_hp=hp)
     matrix = evaluation.run_matrix(
         _matrix_dgas(settings["matrix.dgas"], settings["data.tld"]), benign,
         mc, master_seed=args.seed)
     for det in detectors:
-        _emit(out / f"matrix_{det}.tsv", matrix.fig_tsv(det))
+        _emit(args.out / f"matrix_{det}.tsv", matrix.fig_tsv(det))
     if mc.include_mixed:
-        _emit(out / "anti_detection_by_detector.tsv", matrix.table_tsv())
+        _emit(args.out / "anti_detection_by_detector.tsv", matrix.table_tsv())
     for cell, err in sorted(matrix.failures.items()):
         print(f"cell {cell} failed: {err}", file=sys.stderr)
     if matrix.failures:
@@ -360,14 +345,9 @@ def _cmd_matrix(args, cfg, settings):
     return 0
 
 
-def _cmd_game(args, cfg, settings):
-    det_path = resolve_data_path(args.detector)
-    benign_path = resolve_data_path(args.benign)
-    out = Path(args.out)
-    write_manifest(out, "game", {**cfg, "stages": str(args.stages)},
-                   settings, args.seed, inputs=[det_path, benign_path])
-    detector = load_detector(det_path)
-    benign = corpora.load_domains(benign_path)
+def _cmd_game(args, settings, hp):
+    detector = load_detector(args.detector)
+    benign = corpora.load_domains(args.benign)
     cut = max(1, int(len(benign) * 0.8))
     game_cfg = _config(evaluation.GameConfig, settings,
                        train_cfg=_config(training.TrainConfig, settings))
@@ -378,32 +358,15 @@ def _cmd_game(args, cfg, settings):
     for r in results:
         reward = "" if r.reward is None else f"{r.reward:.6f}"
         lines.append(f"{r.stage}\t{r.detector_auc:.6f}\t{reward}\t{r.agds_used}")
-    _emit(out / "stages.tsv", "\n".join(lines) + "\n")
+    _emit(args.out / "stages.tsv", "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_bench(args, cfg, settings):
-    ckpt = resolve_data_path(args.ckpt)
-    out = Path(args.out)
-    write_manifest(out, "bench",
-                   {**cfg, "batches": ",".join(map(str, args.batches))},
-                   settings, args.seed, inputs=[ckpt])
-    params, T = checkpoint.load_policy(ckpt)
+def _cmd_bench(args, settings, hp):
+    params, T = checkpoint.load_policy(args.ckpt)
     rows = evaluation.bench_inference(params, args.batches, T=T)
-    _emit(out / "bench.tsv", evaluation.bench_tsv(rows))
+    _emit(args.out / "bench.tsv", evaluation.bench_tsv(rows))
     return 0
-
-
-_COMMANDS = {
-    "prep": _cmd_prep,
-    "detector-train": _cmd_detector_train,
-    "train": _cmd_train,
-    "generate": _cmd_generate,
-    "eval": _cmd_eval,
-    "matrix": _cmd_matrix,
-    "game": _cmd_game,
-    "bench": _cmd_bench,
-}
 
 
 def main(argv=None) -> int:
@@ -412,7 +375,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             parser.error("a subcommand is required")
-        return _COMMANDS[args.command](args, *_load_cfg(args.config))
+        cfg, settings, hp = _load_cfg(args.config)
+        if args.command == "generate" and args.dga == "pkdga" \
+                and not args.ckpt:
+            raise UsageError("--ckpt is required for --dga pkdga")
+        options = {k: v for k, v in vars(args).items()
+                   if k not in ("command", "run")}
+        inputs = {name: resolve_data_path(value)
+                  for name, value in options.items()
+                  if isinstance(value, _InputFile)}
+        if args.out is not None:
+            write_manifest(args.out, args.command, args.seed, config=cfg,
+                           options=options, settings=settings,
+                           hyperparameters=hp, inputs=inputs.values())
+        vars(args).update(inputs)
+        return args.run(args, settings, hp)
     except (UsageError, ContractError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,19 @@
 """Flat key=value config files and the per-run manifest.
 
 Config lines look like ``section.key = value``; ``#`` starts a comment.
-Command-line flags override file values.  Every run directory gets a
-``manifest.json`` written before any result file: config, resolved settings,
-master seed, input digests, tool version, timestamps.  Result files carry no
-timestamps, so a rerun from the same manifest is byte-identical.
+Command-line flags override file values.  Every run directory, that of
+``generate --out`` too, gets a ``manifest.json`` written before any result
+file.  It holds the command, master seed, tool version and a timestamp, and:
+
+* ``config``: the config file's lines, raw, and nothing else;
+* ``options``: every command-line option as parsed (dates and paths as
+  text);
+* ``settings``: every setting, resolved from the config or its default;
+* ``hyperparameters``: each detector kind's typed hyperparameters;
+* ``inputs``: the SHA-256 of each input file, by its resolved path.
+
+Result files carry no timestamps, so a rerun from the same manifest (its
+``config`` lines as a config file, and its ``options``) is byte-identical.
 """
 
 from __future__ import annotations
@@ -98,8 +107,9 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir, command: str, config: dict, settings: dict,
-                   master_seed, inputs=()) -> Path:
+def write_manifest(out_dir, command: str, master_seed, *, config: dict,
+                   options: dict, settings: dict, hyperparameters: dict,
+                   inputs=()) -> Path:
     """Must be called before any result file lands in ``out_dir``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -108,11 +118,14 @@ def write_manifest(out_dir, command: str, config: dict, settings: dict,
         "command": command,
         "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "master_seed": master_seed,
-        "config": dict(sorted(config.items())),
+        "config": config,
+        "options": options,
         "settings": settings,
+        "hyperparameters": hyperparameters,
         "inputs": {str(p): sha256_file(p) for p in inputs},
     }
     path = out_dir / "manifest.json"
+    # a date or a path is written as its text
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True,
-                               default=_dt.date.isoformat) + "\n", "utf-8")
+                               default=str) + "\n", "utf-8")
     return path

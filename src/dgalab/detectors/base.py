@@ -16,7 +16,7 @@ from ..checkpoint import F32, load_blobs, record, save_blobs
 from ..config import cast_value
 from ..corpora import LabeledCorpus
 from ..domains import validate_domain
-from ..errors import DataError, ScoringError
+from ..errors import ContractError, DataError, ScoringError
 
 # kind -> its checkpoint kind id, the name of its class in the module named
 # after the kind (imported on first use), and the hyperparameters its
@@ -33,6 +33,9 @@ KIND_TABLE = {
                     "max_len": 32, "epochs": 6, "batch": 64, "lr": 0.5}),
 }
 KINDS = tuple(KIND_TABLE)
+# the least value of an integer hyperparameter where it is not 1; a float
+# one must be positive
+HP_FLOORS = {("wordgraph", "repeat_threshold"): 0}
 
 
 def _detector_class(kind: str) -> type:
@@ -97,11 +100,21 @@ def train_detector(kind: str, corpus: LabeledCorpus, hp: dict | None = None,
 def typed_hp(kind: str, hp: dict | None = None) -> dict:
     """Each of ``kind``'s hyperparameter keys: ``hp``'s value (text or
     Python) cast to the default's type, or the default.  ``DataError``
-    names a value that won't cast."""
+    names a value that won't cast, ``ContractError`` one below its floor
+    (``HP_FLOORS``)."""
     hp = hp or {}
-    return {key: cast_value(f"detector hyperparameter {key}", hp[key],
-                            type(default)) if key in hp else default
-            for key, default in KIND_TABLE[kind].hp.items()}
+    typed = {key: cast_value(f"detector hyperparameter {key}", hp[key],
+                             type(default)) if key in hp else default
+             for key, default in KIND_TABLE[kind].hp.items()}
+    for key, value in typed.items():
+        if isinstance(value, float) and not value > 0:
+            raise ContractError(f"detector hyperparameter {key} = {value}: "
+                                "must be positive")
+        floor = HP_FLOORS.get((kind, key), 1)
+        if type(value) is int and value < floor:
+            raise ContractError(f"detector hyperparameter {key} = {value}: "
+                                f"must be at least {floor}")
+    return typed
 
 
 def load_detector(path) -> DetectorModel:

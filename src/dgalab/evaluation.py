@@ -9,11 +9,13 @@ equals the tie-corrected pairwise rank statistic.  Anti-detection ability is
 
 from __future__ import annotations
 
+import ctypes
 import datetime as _dt
 import math
 import os
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -122,6 +124,12 @@ class MatrixConfig:
     detector_hp: dict = field(default_factory=dict)
     pkdga: training.TrainConfig | None = None
     pkdga_budget: int = 150_000
+
+    def __post_init__(self):
+        if min(self.train_per_class, self.eval_benign, self.eval_agd,
+               self.pkdga_budget) < 1:
+            raise ContractError("train_per_class, eval_benign, eval_agd and "
+                                "pkdga_budget must be >= 1")
 
 
 @dataclass
@@ -265,12 +273,32 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
                             tuple(cfg.detectors), failures)
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS, the wheel's
+    ``numpy.libs/libscipy_openblas64_*`` library, or None where it is not
+    found."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    path = next(libs.glob("libscipy_openblas64_*"), None)
+    return None if path is None else ctypes.CDLL(str(path))
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: this worker's OpenBLAS runs one thread, so that one
+    worker per CPU does not run a BLAS thread per CPU each.  It does nothing
+    where the library or its setter is missing."""
+    setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
 def _pool_map(fn, jobs, workers: int) -> list:
     """``[fn(job) for job in jobs]`` over ``workers`` forked processes.
 
     ``fork`` starts every worker before the executor's manager thread, so
     the parent forks while it runs one thread, and no worker re-imports the
-    caller's ``__main__``.  A job whose worker died yields the repr of the
+    caller's ``__main__``.  Each worker runs one BLAS thread; the parent's
+    count is left alone.  A job whose worker died yields the repr of the
     ``BrokenProcessPool`` error; on any exception in the parent the pending
     jobs are cancelled, and the ``with`` block joins every worker.
     """
@@ -279,7 +307,8 @@ def _pool_map(fn, jobs, workers: int) -> list:
     from concurrent.futures.process import BrokenProcessPool
 
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(workers, mp_context=context,
+                             initializer=_one_blas_thread) as pool:
         try:
             futures = [pool.submit(fn, job) for job in jobs]
             outcomes = []
@@ -309,6 +338,13 @@ class GameConfig:
     fresh_samples: int = 400
     incr_epochs: int = 8
     incr_lr: float = 0.3
+
+    def __post_init__(self):
+        if not self.incr_lr > 0:
+            raise ContractError("incr_lr must be positive")
+        if min(self.stage_budget, self.fresh_samples, self.incr_epochs) < 1:
+            raise ContractError("stage_budget, fresh_samples and incr_epochs "
+                                "must be >= 1")
 
 
 @dataclass

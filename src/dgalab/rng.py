@@ -32,7 +32,13 @@ def _key_bytes(parts) -> bytes:
         elif isinstance(part, str):
             h.update(b"s" + part.encode("utf-8"))
         elif isinstance(part, (int, np.integer)):
-            h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
+            value = int(part)
+            try:
+                h.update(b"i" + value.to_bytes(16, "little", signed=True))
+            except OverflowError:   # outside [-2**127, 2**127): its own tag
+                raw = value.to_bytes(value.bit_length() // 8 + 1, "little",
+                                     signed=True)
+                h.update(b"I" + len(raw).to_bytes(8, "little") + raw)
         else:
             raise TypeError(f"unhashable stream key part: {part!r}")
         h.update(b"\x00")

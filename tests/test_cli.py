@@ -9,7 +9,11 @@ import pytest
 from dgalab import checkpoint, cli, evaluation, policy, training
 from dgalab.baselines import FAMILIES
 from dgalab.cli import main
-from dgalab.config import parse_config
+from dgalab.config import parse_config, sha256_file
+from dgalab.corpora import LabeledCorpus
+from dgalab.detectors import KINDS, train_detector
+from dgalab.detectors.base import KIND_TABLE
+from dgalab.errors import ContractError, DataError
 from conftest import cli_subprocess, python_subprocess, read_manifest
 
 RUN_CFG = """
@@ -123,11 +127,25 @@ class TestExitCodes:
         code, _ = run_cli()
         assert code == 1
 
-    def test_missing_file_is_data_error(self, tmp_path):
+    def test_missing_file_is_data_error(self, tmp_path, capsys):
+        capsys.readouterr()
         code, _ = run_cli("eval", "--detector", "nope.ckpt",
                           "--benign", "nope.txt", "--agd", "nope.txt",
                           "--out", str(tmp_path / "x"))
         assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: input file not found: nope.ckpt"]
+        assert not (tmp_path / "x").exists()
+        # a bad config is reported before a missing input
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("train.epoch = 1\n")
+        code, _ = run_cli("eval", "--detector", "nope.ckpt",
+                          "--benign", "nope.txt", "--agd", "nope.txt",
+                          "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: config key 'train.epoch' is not read by any command"]
+        assert not (tmp_path / "x").exists()
 
 
     def test_truncated_statistics_checkpoint(self, workspace,
@@ -344,11 +362,13 @@ class TestExitCodes:
         assert not (tmp_path / "mx").exists()
 
     def test_matrix_with_failed_cells_exits_2(self, workspace, tmp_path,
-                                              capsys):
-        # the value casts, but statistics training refuses zero edit refs
+                                              capsys, monkeypatch):
+        # every cell fails (forked workers inherit the patch)
+        def refuse(*args):
+            raise DataError("refused")
+        monkeypatch.setattr(evaluation, "_matrix_cell", refuse)
         cfg = tmp_path / "cells.cfg"
-        cfg.write_text(MATRIX_CFG + "matrix.detectors = statistics\n"
-                       "detector.statistics.edit_refs = 0\n")
+        cfg.write_text(MATRIX_CFG + "matrix.detectors = statistics\n")
         capsys.readouterr()
         code, _ = run_cli("matrix", "--benign",
                           str(workspace / "prep" / "benign.txt"), "--config",
@@ -433,6 +453,12 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
 
+# the messages of the MatrixConfig and GameConfig size contracts
+MATRIX_SIZES = ("train_per_class, eval_benign, eval_agd and pkdga_budget "
+                "must be >= 1")
+GAME_SIZES = "stage_budget, fresh_samples and incr_epochs must be >= 1"
+
+
 class TestBadConfigWritesNothing:
     """A config that cannot run is refused by every command while it
     loads, whether or not the command reads the bad value: one stderr line
@@ -497,20 +523,23 @@ class TestBadConfigWritesNothing:
         assert err == "usage error: episode length must lie in [7, 24]"
 
     # sizes no run can use: unchecked, each would fail the command that
-    # reads it after --out exists, or (env.budget) train nothing and exit 0
+    # reads it after --out exists, or train or update nothing and exit 0
     @pytest.mark.parametrize("key, value, command, message", [
         pytest.param(*case, id=case[0]) for case in (
             ("train.n_layers", 0, "train",
              "n_layers, d_e and d_h must be >= 1"),
             ("train.d_e", 0, "train", "n_layers, d_e and d_h must be >= 1"),
             ("train.d_h", 0, "train", "n_layers, d_e and d_h must be >= 1"),
-            ("matrix.train_per_class", 0, "matrix",
-             "matrix.train_per_class must be at least 1"),
-            ("matrix.eval_benign", 0, "matrix",
-             "matrix.eval_benign must be at least 1"),
-            ("matrix.eval_agd", 0, "matrix",
-             "matrix.eval_agd must be at least 1"),
-            ("game.fresh", 0, "game", "game.fresh must be at least 1"),
+            ("matrix.train_per_class", 0, "matrix", MATRIX_SIZES),
+            ("matrix.eval_benign", 0, "matrix", MATRIX_SIZES),
+            ("matrix.eval_agd", 0, "matrix", MATRIX_SIZES),
+            ("matrix.pkdga_budget", 0, "matrix", MATRIX_SIZES),
+            ("game.fresh", 0, "game", GAME_SIZES),
+            ("game.stage_budget", 0, "game", GAME_SIZES),
+            ("game.incr_epochs", 0, "game", GAME_SIZES),
+            ("game.incr_lr", 0, "game", "incr_lr must be positive"),
+            ("env.threshold", 1.5, "train",
+             "env.threshold must lie in [0, 1]"),
             ("env.budget", -5, "train", "env.budget must be at least 0"))])
     def test_unusable_size(self, workspace, tmp_path, capsys, key, value,
                            command, message):
@@ -522,6 +551,38 @@ class TestBadConfigWritesNothing:
                              "--out", str(tmp_path / "out"))
         assert code == 1
         assert err == f"usage error: {message}"
+
+    # unchecked, each of these ended after the manifest, in a traceback or
+    # in exit 2, or exited 0 with a detector that was never trained or
+    # ranks at chance
+    @pytest.mark.parametrize("kind, key, value, message", [
+        pytest.param(*case, id=f"{case[0]}.{case[1]}") for case in (
+            ("fanci", "trees", "0", "trees = 0: must be at least 1"),
+            ("fanci", "max_depth", "-2", "max_depth = -2: must be at least 1"),
+            ("neural", "batch", "0", "batch = 0: must be at least 1"),
+            ("neural", "max_len", "0", "max_len = 0: must be at least 1"),
+            ("neural", "epochs", "0", "epochs = 0: must be at least 1"),
+            ("neural", "lr", "-1", "lr = -1.0: must be positive"),
+            ("statistics", "jaccard_refs", "0",
+             "jaccard_refs = 0: must be at least 1"),
+            ("wordgraph", "repeat_threshold", "-1",
+             "repeat_threshold = -1: must be at least 0"))])
+    def test_detector_hyperparameter_below_floor(self, workspace, tmp_path,
+                                                 capsys, kind, key, value,
+                                                 message):
+        code, err = self.run(capsys, tmp_path,
+                             f"detector.{kind}.{key} = {value}\n",
+                             "detector-train", "--kind", kind,
+                             "--benign", str(workspace / "prep" / "benign.txt"),
+                             "--agd", str(workspace / "prep" / "kraken.txt"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == f"usage error: detector hyperparameter {message}"
+        # the library refuses it the same way
+        with pytest.raises(ContractError) as refused:
+            train_detector(kind, LabeledCorpus(("a.com",), ("b.com",)),
+                           hp={key: value})
+        assert str(refused.value) == f"detector hyperparameter {message}"
 
     def test_setting_the_command_does_not_read(self, tmp_path, capsys):
         code, err = self.run(capsys, tmp_path, "game.incr_lr = x\n",
@@ -599,7 +660,7 @@ def settings_table() -> str:
 
 class TestDefaults:
     def test_train_defaults_match_train_config(self):
-        _, settings = cli._load_cfg(None)
+        _, settings, _ = cli._load_cfg(None)
         assert cli._config(training.TrainConfig, settings) == \
             training.TrainConfig()
 
@@ -608,7 +669,7 @@ class TestDefaults:
         assert settings_table() in readme.read_text("utf-8")
 
     def test_game_defaults_match_game_config(self):
-        _, settings = cli._load_cfg(None)
+        _, settings, _ = cli._load_cfg(None)
         train_cfg = cli._config(training.TrainConfig, settings)
         assert cli._config(evaluation.GameConfig, settings,
                            train_cfg=train_cfg) == \
@@ -616,7 +677,8 @@ class TestDefaults:
 
 
 class TestManifestOptions:
-    """A manifest records the command-line options that shape a result."""
+    """A manifest records the config's raw lines, every command-line
+    option, every setting, each kind's hyperparameters and the inputs."""
 
     def test_game_records_stages(self, workspace, tmp_path):
         out = tmp_path / "game"
@@ -625,8 +687,9 @@ class TestManifestOptions:
                           "--benign", str(workspace / "prep" / "benign.txt"),
                           "--stages", "0", "--out", str(out))
         assert code == 0
-        assert read_manifest(out / "manifest.json")["config"] == \
-            {"stages": "0"}
+        manifest = read_manifest(out / "manifest.json")
+        assert manifest["config"] == {}
+        assert manifest["options"]["stages"] == 0
 
     def test_bench_records_batches(self, tmp_path):
         out = tmp_path / "bench"
@@ -634,8 +697,9 @@ class TestManifestOptions:
                           str(tiny_policy(tmp_path / "p.ckpt")),
                           "--batches", "2,3", "--out", str(out))
         assert code == 0
-        assert read_manifest(out / "manifest.json")["config"] == \
-            {"batches": "2,3"}
+        manifest = read_manifest(out / "manifest.json")
+        assert manifest["config"] == {}
+        assert manifest["options"]["batches"] == [2, 3]
 
     def test_records_every_resolved_setting(self, tmp_path):
         cfg = tmp_path / "s.cfg"
@@ -655,6 +719,66 @@ class TestManifestOptions:
         assert settings["seeds.end_date"] == "2030-06-01"
         assert settings["env.threshold"] is None
         assert manifest["config"]["train.lr"] == "2"
+
+    @pytest.mark.parametrize("command", [
+        "prep", "detector-train", "train", "generate", "eval", "matrix",
+        "game", "bench"])
+    def test_every_command_records_its_run(self, command, workspace,
+                                           tmp_path):
+        prep, det = workspace / "prep", workspace / "det" / "detector.ckpt"
+        policy_ckpt = tiny_policy(tmp_path / "p.ckpt")
+        benign, agd = prep / "benign.txt", prep / "kraken.txt"
+        # (argv, the options it records besides the common ones, its inputs)
+        argv, options, inputs = {
+            "prep": (["--benign", "20", "--agd", "5", "--dga", "gozi"],
+                     {"benign": 20, "agd": 5, "dga": "gozi"}, []),
+            "detector-train": (
+                ["--kind", "statistics", "--benign", str(benign), "--agd",
+                 str(agd)],
+                {"kind": "statistics", "benign": str(benign),
+                 "agd": str(agd)}, [benign, agd]),
+            "train": (["--env", str(det), "--benign", str(benign)],
+                      {"env": str(det), "benign": str(benign)},
+                      [det, benign]),
+            "generate": (
+                ["--dga", "pkdga", "--ckpt", str(policy_ckpt), "--count", "3",
+                 "--start-date", "2031-02-03"],
+                {"dga": "pkdga", "ckpt": str(policy_ckpt), "count": 3,
+                 "start_date": "2031-02-03", "tld": "com", "mode": "sample"},
+                [policy_ckpt]),
+            "eval": (["--detector", str(det), "--benign", str(benign),
+                      "--agd", str(agd)],
+                     {"detector": str(det), "benign": str(benign),
+                      "agd": str(agd)}, [det, benign, agd]),
+            "matrix": (["--benign", str(benign)], {"benign": str(benign)},
+                       [benign]),
+            "game": (["--detector", str(det), "--benign", str(benign),
+                      "--stages", "0"],
+                     {"detector": str(det), "benign": str(benign),
+                      "stages": 0}, [det, benign]),
+            "bench": (["--ckpt", str(policy_ckpt), "--batches", "2"],
+                      {"ckpt": str(policy_ckpt), "batches": [2]},
+                      [policy_ckpt]),
+        }[command]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("train.epochs = 1\ntrain.batch = 4\ntrain.mc = 1\n"
+                       + MATRIX_CFG + "matrix.detectors = statistics\n"
+                       "detector.trees = 3\n")
+        out = tmp_path / "out"
+        code, _ = run_cli(command, *argv, "--config", str(cfg),
+                          "--out", str(out), "--seed", "5")
+        assert code == 0
+        manifest = read_manifest(out / "manifest.json")
+        assert manifest["command"] == command
+        assert manifest["config"] == parse_config(cfg)
+        assert manifest["options"] == {**options, "out": str(out),
+                                       "config": str(cfg), "seed": 5,
+                                       "threads": 1}
+        hyperparameters = {kind: dict(KIND_TABLE[kind].hp) for kind in KINDS}
+        hyperparameters["fanci"]["trees"] = 3
+        assert manifest["hyperparameters"] == hyperparameters
+        assert manifest["inputs"] == {str(path): sha256_file(path)
+                                      for path in inputs}
 
 
 class TestBooleans:
@@ -688,9 +812,13 @@ class TestGenerate:
                                 "--count", "5")
             assert code == 0 and len(out.strip().split("\n")) == 5
 
-    def test_pkdga_requires_ckpt(self):
+    def test_pkdga_requires_ckpt(self, tmp_path):
         code, _ = run_cli("generate", "--dga", "pkdga", "--count", "3")
         assert code == 1
+        code, _ = run_cli("generate", "--dga", "pkdga", "--count", "3",
+                          "--out", str(tmp_path / "gen"))
+        assert code == 1
+        assert not (tmp_path / "gen").exists()
 
 
 class TestTrainCommand:

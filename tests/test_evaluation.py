@@ -259,6 +259,26 @@ class TestMatrix:
             assert np.isnan(matrix.cells[(row, "kraken", kind)])
         assert multiprocessing.active_children() == []
 
+    def test_each_worker_runs_one_blas_thread(self):
+        import ctypes
+        from dgalab import evaluation
+        lib = evaluation._openblas()
+        if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy's bundled OpenBLAS (numpy.libs/"
+                        "libscipy_openblas64_*) or its thread count getter "
+                        "was not found")
+        get = lib.scipy_openblas_get_num_threads64_
+        get.restype = ctypes.c_int
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        set_threads.argtypes = [ctypes.c_int]
+        before = get()
+        set_threads(2)  # the default on two CPUs, whatever the environment
+        try:
+            assert evaluation._pool_map(_blas_threads, [0, 1], 2) == [1, 1]
+            assert get() == 2
+        finally:
+            set_threads(before)
+
     def test_pkdga_column_dominates_zero_knowledge_on_average(self):
         # per-cell feedback training adapts to every detector, so the
         # feedback generator's anti-detection marginal should beat the
@@ -281,6 +301,15 @@ class TestMatrix:
             means[test] = float(np.mean(vals))
         assert means["pkdga"] > means["kraken"]
         assert means["pkdga"] > means["suppobox"]
+
+
+def _blas_threads(_job) -> int:
+    """The BLAS thread count of the process that runs this job."""
+    import ctypes
+    from dgalab import evaluation
+    get = evaluation._openblas().scipy_openblas_get_num_threads64_
+    get.restype = ctypes.c_int
+    return get()
 
 
 class TestGameLoop:

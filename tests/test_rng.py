@@ -1,7 +1,7 @@
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from dgalab.rng import stream, uniforms
+from dgalab.rng import stream, stream_key, uniforms
 
 # key parts as the package uses them: labels, seeds and indices, nested
 _PARTS = st.lists(st.one_of(st.text(max_size=8),
@@ -28,6 +28,9 @@ class TestUniforms:
     @given(live=_PARTS, parts=st.lists(st.tuples(_PARTS, _SHAPES),
                                        min_size=1, max_size=4),
            cuts=st.lists(st.integers(1, 9), min_size=2, max_size=5))
+    # an integer part outside the signed 128-bit range once raised
+    # OverflowError
+    @example(live=("live",), parts=[((("", 2 ** 127),), 1)], cuts=[1, 1])
     def test_interleaved_with_a_live_stream(self, live, parts, cuts):
         gen = stream(*live)
         drawn = []
@@ -38,3 +41,24 @@ class TestUniforms:
                                   stream(*key).random(shape))
         assert np.array_equal(np.concatenate(drawn),
                               stream(*live).random(sum(cuts)))
+
+
+class TestStreamKey:
+    def test_keys_are_pinned(self):
+        # every result file depends on these keys; none may move
+        assert stream_key("prep", 1) == \
+            47391887817605065149421285668397965663
+        assert stream_key("matrix-cell", 0, "kraken", "neural") == \
+            267216464407565218032238784272229006226
+        assert stream_key("matrix-train", 3, "gozi") == \
+            189856726977609052184486894274546478825
+        assert stream_key(("game-init", -2 ** 127), np.int64(7), b"x") == \
+            264774608814728035727394334274272155777
+        assert stream_key("neural-train", ("incr", 2 ** 127 - 1), 0) == \
+            131242680154813868292789538737682464108
+
+    def test_integers_outside_128_bits_get_distinct_keys(self):
+        keys = {stream_key("k", n) for n in (2 ** 127, 2 ** 127 + 1,
+                                             -2 ** 127 - 1, 2 ** 200,
+                                             2 ** 127 - 1)}
+        assert len(keys) == 5
