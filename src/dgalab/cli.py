@@ -38,19 +38,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
+def _count(text: str, low: int = 1) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = low - 1
+    if value < low:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
+            f"expected a {('non-negative', 'positive')[low]} integer, "
+            f"got {text!r}")
     return value
 
 
 def _batch_sizes(text: str) -> list[int]:
-    return [_positive_int(b) for b in text.split(",")]
+    return [_count(b) for b in text.split(",")]
 
 
 class _InputFile(str):
@@ -84,8 +85,8 @@ def _build_parser() -> _Parser:
         return p
 
     p = command("prep", _cmd_prep, "write benign and baseline-DGA corpora")
-    p.add_argument("--benign", type=_positive_int, default=5000)
-    p.add_argument("--agd", type=_positive_int, default=5000)
+    p.add_argument("--benign", type=_count, default=5000)
+    p.add_argument("--agd", type=_count, default=5000)
     p.add_argument("--dga", choices=tuple(FAMILIES), default="kraken")
 
     p = command("detector-train", _cmd_detector_train,
@@ -105,7 +106,7 @@ def _build_parser() -> _Parser:
     p = command("generate", _cmd_generate, "emit domains to stdout",
                 out_required=False)
     p.add_argument("--dga", required=True, choices=DGA_NAMES)
-    p.add_argument("--count", type=_positive_int, default=10)
+    p.add_argument("--count", type=_count, default=10)
     p.add_argument("--ckpt", type=_InputFile,
                    help="policy checkpoint (pkdga only)")
     p.add_argument("--start-date", type=_iso_date, default="2030-01-01")
@@ -124,7 +125,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--detector", type=_InputFile, required=True,
                    help="neural detector ckpt")
     p.add_argument("--benign", type=_InputFile, required=True)
-    p.add_argument("--stages", type=int, default=3)
+    p.add_argument("--stages", type=lambda text: _count(text, 0), default=3)
 
     p = command("bench", _cmd_bench, "inference throughput")
     p.add_argument("--ckpt", type=_InputFile, required=True)

@@ -9,12 +9,14 @@ is shared with the sequence policy.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .. import recurrent
 from ..checkpoint import F32, I64, record
 from ..domains import LABEL_CHARS
-from ..errors import DataError
+from ..errors import DataError, NumericError
 from ..rng import stream
 from .base import DetectorModel, checked_names
 
@@ -32,6 +34,18 @@ def encode(domains, max_len: int):
     L = int(lengths.max())
     rows = np.array(domains, dtype=f"S{L}").view(np.uint8)
     return _BYTE_TO_IDX[rows.reshape(len(domains), L)], lengths
+
+
+@contextmanager
+def _finite(what: str):
+    """An overflow or invalid value raises ``NumericError``: a rate too large
+    for the data leaves finite weights that score at chance."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"neural detector {what}: {exc}; lower "
+                           "detector.neural.lr or game.incr_lr") from None
 
 
 def _reverse_within_length(idx, lengths):
@@ -83,6 +97,7 @@ class NeuralDetector(DetectorModel):
         probs = recurrent.sigmoid(logits)
         return probs, pool, mask, caches, seqs
 
+    @_finite("scoring")
     def score_many(self, domains) -> np.ndarray:
         domains = checked_names(domains)
         out = np.empty(len(domains), dtype=np.float64)
@@ -130,6 +145,7 @@ class NeuralDetector(DetectorModel):
                         + (1 - y) * np.log(np.clip(1 - probs, 1e-9, 1)))
         return float(loss)
 
+    @_finite("training")
     def fit(self, domains, labels, epochs, batch, lr, rng_key):
         domains = list(domains)
         labels = np.asarray(labels, dtype=np.float64)

@@ -11,22 +11,24 @@ reproduce; the one-episode reward-weighted log-likelihood with its gradient,
 the pair that finite differences check ``policy.grad_from_coeffs`` through;
 the per-step reward estimate, one ``register_many`` per step, against
 ``training._epoch_values``; the recursive CART grower against
-``forest.fit_forest``; and the step-by-step kraken generator against
-``baselines.kraken_generate``."""
+``forest.fit_forest``; and the step-by-step glibc LCG with the kraken,
+gozi and suppobox generators it drives, against the jump-ahead state arrays
+of ``baselines``."""
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
 import numpy as np
 
-from dgalab.baselines import _LENGTH_STREAM_OFFSET, Lcg
+from dgalab.baselines import _LENGTH_STREAM_OFFSET
 from dgalab.corpora import bundled_tlds, load_wordlist
 from dgalab.detectors.distances import edit_distance
 from dgalab.detectors.features import split_core
 from dgalab.detectors.forest import Tree, _best_split
 from dgalab.detectors.neural import PAD, VOCAB
-from dgalab.domains import LABEL_CHARS, assemble_fqdn
+from dgalab.domains import LABEL_CHARS, MAX_LABEL, assemble_fqdn
 from dgalab.errors import ContractError
 from dgalab.policy import (BatchRun, action_probs, embed_seed, embed_tokens,
                            grad_from_coeffs, masked_index_at, run_batch)
@@ -462,6 +464,30 @@ def forest_trees(X, y, rng_seed, n_trees, max_depth, min_leaf) -> list:
     return trees
 
 
+# ---------------------------------------------------------------------------
+# the zero-knowledge families, one LCG step at a time
+
+
+@dataclass
+class Lcg:
+    """x_{k+1} = (1103515245 * x_k + 12345) mod 2^31 from x_0 = state."""
+    state: int
+
+    def __post_init__(self):
+        self.state %= 2 ** 31
+
+    def step(self) -> int:
+        self.state = (1103515245 * self.state + 12345) % 2 ** 31
+        return self.state
+
+    def below(self, bound: int) -> int:
+        return self.step() % bound
+
+    def below_mixed(self, bound: int) -> int:
+        # the high bits: the low bits of this LCG have short periods
+        return (self.step() >> 16) % bound
+
+
 def kraken_cores(seed: int, count: int) -> list[str]:
     """Kraken cores one LCG step at a time: a length from the length
     stream, then that many letters from the character stream."""
@@ -473,3 +499,32 @@ def kraken_cores(seed: int, count: int) -> list[str]:
         out.append("".join(chr(ord("a") + chars.below(26))
                            for _ in range(length)))
     return out
+
+
+def gozi_cores(words, seed: int, count: int,
+               words_per_name=(2, 4)) -> list[str]:
+    """Gozi cores one LCG step at a time: a word count, then one word per
+    step until a word would overflow the label."""
+    lo, hi = words_per_name
+    lcg = Lcg(seed)
+    out = []
+    for _ in range(count):
+        k = lo + lcg.below(hi - lo + 1)
+        parts = []
+        total = 0
+        for _ in range(k):
+            w = words.words[lcg.below(len(words))]
+            if total + len(w) > MAX_LABEL:
+                break
+            parts.append(w)
+            total += len(w)
+        out.append("".join(parts))
+    return out
+
+
+def suppobox_cores(first, second, seed: int, count: int) -> list[str]:
+    """Suppobox cores one LCG step at a time: a word from each list."""
+    lcg = Lcg(seed)
+    return [(first.words[lcg.below_mixed(len(first))]
+             + second.words[lcg.below_mixed(len(second))])[:MAX_LABEL]
+            for _ in range(count)]

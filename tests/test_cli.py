@@ -279,6 +279,50 @@ class TestExitCodes:
             f"got {count!r}"]
         assert not (tmp_path / "prep").exists()
 
+    @pytest.mark.parametrize("stages", ["-3", "-1", "x"])
+    def test_bad_game_stages(self, stages, workspace, tmp_path, capsys):
+        # a negative count would run stage 0 alone
+        capsys.readouterr()
+        code, _ = run_cli("game", "--detector",
+                          str(workspace / "det" / "detector.ckpt"),
+                          "--benign", str(workspace / "prep" / "benign.txt"),
+                          "--stages", stages, "--out", str(tmp_path / "g"))
+        assert code == 1
+        assert usage_errors(capsys) == [
+            "usage error: argument --stages: expected a non-negative "
+            f"integer, got {stages!r}"]
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("command", ["detector-train", "game"])
+    def test_neural_overflow_is_numeric_abort(self, command, workspace,
+                                              tmp_path, capsys):
+        # at this rate training overflows float32; the weights it leaves
+        # score at chance
+        prep = workspace / "prep"
+        cfg = tmp_path / "ovf.cfg"
+        if command == "detector-train":
+            cfg.write_text("detector.neural.lr = 1e30\n"
+                           "detector.neural.epochs = 1\n")
+            args = ["--kind", "neural", "--agd", str(prep / "kraken.txt")]
+            written = ["detector.ckpt", "metrics.tsv"]
+        else:
+            cfg.write_text("train.batch = 8\ntrain.mc = 2\n"
+                           "train.length = 10\ntrain.epochs = 2\n"
+                           "game.stage_budget = 2000\ngame.fresh = 50\n"
+                           "game.incr_lr = 1e30\n")
+            args = ["--detector", str(workspace / "det" / "detector.ckpt"),
+                    "--stages", "1"]
+            written = ["stages.tsv"]
+        capsys.readouterr()
+        code, _ = run_cli(command, *args, "--benign", str(prep / "benign.txt"),
+                          "--config", str(cfg), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith(
+            "numeric abort: neural detector training: overflow")
+        assert err[0].endswith("lower detector.neural.lr or game.incr_lr")
+        assert not any((tmp_path / "o" / name).exists() for name in written)
+
     @pytest.mark.parametrize("line", ["train.epoch = 1",
                                       "train.reward_mode = shaped",
                                       "train.reward_mode = binary",
@@ -382,6 +426,24 @@ class TestExitCodes:
         cells = (tmp_path / "mx" / "matrix_statistics.tsv").read_text()
         assert cells.splitlines()[1:] == ["kraken\tnan", "mixed\tnan"]
         assert (tmp_path / "mx" / "anti_detection_by_detector.tsv").is_file()
+
+    def test_matrix_neural_overflow_fails_its_cells(self, workspace,
+                                                   tmp_path, capsys):
+        cfg = tmp_path / "ovf.cfg"
+        cfg.write_text(MATRIX_CFG + "matrix.detectors = neural\n"
+                       "detector.neural.lr = 1e30\n")
+        capsys.readouterr()
+        code, _ = run_cli("matrix", "--benign",
+                          str(workspace / "prep" / "benign.txt"), "--config",
+                          str(cfg), "--out", str(tmp_path / "mx"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err[-1] == "data error: 2 of 2 matrix cells failed"
+        assert all("failed: NumericError(" in line
+                   and "neural detector training: overflow" in line
+                   for line in err[-3:-1])
+        cells = (tmp_path / "mx" / "matrix_neural.tsv").read_text()
+        assert cells.splitlines()[1:] == ["kraken\tnan", "mixed\tnan"]
 
     def test_matrix_with_dead_worker_exits_2(self, workspace, tmp_path):
         # a worker that dies takes its unfinished cells with it; the parent

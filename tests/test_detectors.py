@@ -22,7 +22,7 @@ from dgalab.detectors.neural import VOCAB, encode
 from dgalab.detectors.forest import fit_forest
 from dgalab.detectors.statistics import CHUNK, StatisticsDetector
 from dgalab.domains import validate_domain
-from dgalab.errors import DataError, ScoringError
+from dgalab.errors import DataError, NumericError, ScoringError
 from dgalab.rng import stream
 from conftest import extract_features, python_subprocess
 
@@ -538,6 +538,28 @@ class TestNeuralDetector:
                                  lr=0.3)
         after = model.score_many(novel).mean()
         assert after < before
+
+    def test_overflowing_rate_is_numeric_error(self):
+        # at this rate the first step saturates every unit and the second
+        # overflows float32
+        corpus = small_corpus(60)
+        with pytest.raises(NumericError, match="^neural detector training: "
+                           "overflow.*detector.neural.lr"):
+            train_detector("neural", corpus, hp={"epochs": 1, "lr": 1e30,
+                                                 "batch": 32}, rng_seed=2)
+        model = train_detector("neural", corpus, hp={"epochs": 1},
+                               rng_seed=2)
+        novel = [f"zz-adv-{i:03d}.com" for i in range(30)]
+        with pytest.raises(NumericError, match="game.incr_lr"):
+            model.incremental_update(novel, list(corpus.benign[:30]),
+                                     epochs=2, lr=1e30)
+        # one step leaves weights whose next forward pass overflows
+        model = train_detector("neural", corpus, hp={"epochs": 1},
+                               rng_seed=2)
+        model.incremental_update(novel, list(corpus.benign[:30]), epochs=1,
+                                 lr=1e30)
+        with pytest.raises(NumericError, match="^neural detector scoring: "):
+            model.score_many(novel)
 
     def test_bidirectional_variant(self):
         corpus = small_corpus(60)
