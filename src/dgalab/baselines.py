@@ -61,6 +61,8 @@ def kraken_generate(seed: int, count: int) -> list[str]:
 
 def gozi_generate(words: WordDict, seed: int, count: int,
                   words_per_name: tuple[int, int] = (2, 4)) -> list[str]:
+    if count < 1:
+        raise ContractError("count must be at least 1")
     lo, hi = words_per_name
     if not 1 <= lo <= hi:
         raise ContractError("bad words-per-name range")
@@ -82,6 +84,8 @@ def gozi_generate(words: WordDict, seed: int, count: int,
 
 def suppobox_generate(first: WordDict, second: WordDict, seed: int,
                       count: int) -> list[str]:
+    if count < 1:
+        raise ContractError("count must be at least 1")
     high = _lcg_states(seed, 2 * count) >> 16    # high bits, as in kraken
     return [(first.words[i] + second.words[j])[:MAX_LABEL]
             for i, j in zip((high[0::2] % len(first)).tolist(),

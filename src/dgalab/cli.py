@@ -388,7 +388,9 @@ def main(argv=None) -> int:
         if args.out is not None:
             write_manifest(args.out, args.command, args.seed, config=cfg,
                            options=options, settings=settings,
-                           hyperparameters=hp, inputs=inputs.values())
+                           hyperparameters=hp, inputs=inputs.values(),
+                           blas_thread_setter=(
+                               evaluation.blas_thread_setter() is not None))
         vars(args).update(inputs)
         return args.run(args, settings, hp)
     except (UsageError, ContractError) as exc:

@@ -109,7 +109,7 @@ def sha256_file(path) -> str:
 
 def write_manifest(out_dir, command: str, master_seed, *, config: dict,
                    options: dict, settings: dict, hyperparameters: dict,
-                   inputs=()) -> Path:
+                   blas_thread_setter: bool, inputs=()) -> Path:
     """Must be called before any result file lands in ``out_dir``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -122,6 +122,7 @@ def write_manifest(out_dir, command: str, master_seed, *, config: dict,
         "options": options,
         "settings": settings,
         "hyperparameters": hyperparameters,
+        "blas_thread_setter": blas_thread_setter,
         "inputs": {str(p): sha256_file(p) for p in inputs},
     }
     path = out_dir / "manifest.json"

@@ -22,6 +22,7 @@ from .base import DetectorModel, checked_names
 
 VOCAB = LABEL_CHARS + "."
 PAD = len(VOCAB)
+CHUNK = 1024                   # names per scoring pass
 # byte -> VOCAB index; NUL pads rows, other bytes fall off the embedding
 _BYTE_TO_IDX = np.full(256, PAD + 1, dtype=np.int64)
 _BYTE_TO_IDX[0] = PAD
@@ -79,7 +80,9 @@ class NeuralDetector(DetectorModel):
         return self.stacks[0][1][0].shape[0]
 
     # -- forward -----------------------------------------------------------
-    def _pool(self, idx, lengths, want_cache=False):
+    def _pool(self, idx, lengths):
+        """The padded forward pass the fit trains through: every row runs
+        every step, in input order, with per-step caches."""
         mask = (np.arange(idx.shape[1])[None, :] < lengths[:, None])
         inv_len = (1.0 / lengths).astype(self.embedding.dtype)
         pools, caches, seqs = [], [], []
@@ -87,7 +90,7 @@ class NeuralDetector(DetectorModel):
             seq = idx if direction == 0 else _reverse_within_length(idx, lengths)
             xs = self.embedding[seq].transpose(1, 0, 2)
             tops, _, cache = recurrent.stack_forward(w_x, w_h, bias, xs,
-                                                     want_cache=want_cache)
+                                                     want_cache=True)
             tops = tops * mask.T[:, :, None]
             pools.append(tops.sum(axis=0) * inv_len[:, None])
             caches.append(cache)
@@ -97,22 +100,64 @@ class NeuralDetector(DetectorModel):
         probs = recurrent.sigmoid(logits)
         return probs, pool, mask, caches, seqs
 
+    def _prefix_pool(self, idx, lengths):
+        """The pooled features of ``_pool``, bit for bit, with the cell run
+        once per distinct live prefix of the rows.
+
+        Sorted rows that share a prefix are adjacent, so at step t each row
+        that begins a new prefix of length t+1 carries that prefix's state
+        and running sum, and a row that ends at step t reads its sum there.
+        A product of two or more rows gives each row the bits of the padded
+        batch product, but a one-row product takes another BLAS path; a step
+        with one live prefix therefore runs it twice, unless the batch is
+        one name, as the padded pass did."""
+        batch = len(lengths)
+        floor = min(2, batch)
+        dtype = self.embedding.dtype
+        pools = []
+        for direction, (w_x, w_h, bias) in enumerate(self.stacks):
+            seq = idx if direction == 0 else _reverse_within_length(idx, lengths)
+            order = np.lexsort(seq.T[::-1])
+            seq, ends = seq[order], lengths[order]
+            starts = np.arange(seq.shape[1])[None, :] < ends[:, None]
+            starts[1:] &= np.logical_or.accumulate(seq[1:] != seq[:-1], axis=1)
+            prefix = np.cumsum(starts, axis=0) - 1   # row -> its prefix at t
+            sums = np.empty((batch, self.d_h), dtype=dtype)
+            for t in range(seq.shape[1]):
+                rows = np.flatnonzero(starts[:, t])
+                if len(rows) < floor:
+                    rows = np.resize(rows, floor)
+                if t:
+                    parent = prefix[rows, t - 1]
+                    hidden = [(h[parent], c[parent]) for h, c in hidden]
+                else:
+                    hidden = recurrent.zero_hidden(len(w_x), len(rows),
+                                                   self.d_h, dtype)
+                top, hidden, _ = recurrent.stack_step(
+                    w_x, w_h, bias, self.embedding[seq[rows, t]], hidden)
+                running = running[parent] + top if t else top
+                done = np.flatnonzero(ends == t + 1)
+                sums[done] = running[prefix[done, t]]
+            pool = np.empty_like(sums)
+            pool[order] = sums
+            pools.append(pool)
+        inv_len = (1.0 / lengths).astype(dtype)
+        return np.concatenate(pools, axis=1) * inv_len[:, None]
+
     @_finite("scoring")
     def score_many(self, domains) -> np.ndarray:
         domains = checked_names(domains)
         out = np.empty(len(domains), dtype=np.float64)
-        for lo in range(0, len(domains), 1024):
-            chunk = domains[lo:lo + 1024]
-            idx, lengths = encode(chunk, self.max_len)
-            probs, *_ = self._pool(idx, lengths)
-            out[lo:lo + len(chunk)] = probs
+        for lo in range(0, len(domains), CHUNK):
+            chunk = domains[lo:lo + CHUNK]
+            pool = self._prefix_pool(*encode(chunk, self.max_len))
+            out[lo:lo + len(chunk)] = recurrent.sigmoid(pool @ self.w + self.b)
         return np.clip(out, 0.0, 1.0)
 
     # -- training ----------------------------------------------------------
     def _sgd_batch(self, domains, y, lr):
         idx, lengths = encode(domains, self.max_len)
-        probs, pool, mask, caches, seqs = self._pool(idx, lengths,
-                                                     want_cache=True)
+        probs, pool, mask, caches, seqs = self._pool(idx, lengths)
         batch = len(domains)
         dtype = self.embedding.dtype
         dlogit = ((probs - y) / batch).astype(dtype)

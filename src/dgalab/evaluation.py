@@ -282,13 +282,22 @@ def _openblas():
     return None if path is None else ctypes.CDLL(str(path))
 
 
+def blas_thread_setter():
+    """The thread-count setter of numpy's bundled OpenBLAS,
+    ``scipy_openblas_set_num_threads64_``, or None where the library or the
+    setter is missing; then matrix workers run the default BLAS threads."""
+    setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+    return setter
+
+
 def _one_blas_thread() -> None:
     """Pool initializer: this worker's OpenBLAS runs one thread, so that one
     worker per CPU does not run a BLAS thread per CPU each.  It does nothing
     where the library or its setter is missing."""
-    setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    setter = blas_thread_setter()
     if setter is not None:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
         setter(1)
 
 

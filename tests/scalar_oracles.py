@@ -5,6 +5,8 @@ The statistics detector's distances (Python sets, strings and a 1-D
 features and word-graph statistic (Python dicts, sets and string slices)
 against ``features.extract_many`` and the word-graph detector; per-row name
 assembly against ``TokenDict.fqdns``; the per-character neural ``encode``;
+the padded neural scorer, every row through every step, against the
+prefix-sharing ``NeuralDetector.score_many``;
 the recurrent step with one sigmoid per gate; the teacher-forced policy
 pass along fixed tokens, whose caches ``run_batch(want_cache=True)`` must
 reproduce; the one-episode reward-weighted log-likelihood with its gradient,
@@ -27,7 +29,7 @@ from dgalab.corpora import bundled_tlds, load_wordlist
 from dgalab.detectors.distances import edit_distance
 from dgalab.detectors.features import split_core
 from dgalab.detectors.forest import Tree, _best_split
-from dgalab.detectors.neural import PAD, VOCAB
+from dgalab.detectors.neural import CHUNK, PAD, VOCAB
 from dgalab.domains import LABEL_CHARS, MAX_LABEL, assemble_fqdn
 from dgalab.errors import ContractError
 from dgalab.policy import (BatchRun, action_probs, embed_seed, embed_tokens,
@@ -98,6 +100,18 @@ def neural_encode(domains, max_len: int):
         for col, ch in enumerate(d[:max_len]):
             idx[row, col] = _VOCAB_INDEX[ch]
     return idx, lengths
+
+
+def neural_padded_scores(model, domains) -> np.ndarray:
+    """P(benign) per name from the padded pass the fit trains through
+    (``NeuralDetector._pool``): each ``CHUNK``-name chunk padded to its
+    longest name, every row run through every step in input order."""
+    out = np.empty(len(domains), dtype=np.float64)
+    for lo in range(0, len(domains), CHUNK):
+        chunk = domains[lo:lo + CHUNK]
+        idx, lengths = neural_encode(chunk, model.max_len)
+        out[lo:lo + len(chunk)] = model._pool(idx, lengths)[0]
+    return np.clip(out, 0.0, 1.0)
 
 
 def stack_step(w_x, w_h, b, x, hidden):

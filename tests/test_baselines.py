@@ -100,14 +100,14 @@ class TestGozi:
                                       2 ** 40 + 7, -3])
     def test_matches_step_oracle(self, seed):
         words = bundled_words()[0]
-        for count in (0, 1, 2, 17, 1000, 5000):
+        for count in (1, 2, 17, 1000, 5000):
             assert gozi_generate(words, seed, count) == \
                 oracle.gozi_cores(words, seed, count)
         long = WordDict(("a" * 63, "bc", "d", "efghij" * 5))
         for wd, span in ((words, (1, 1)), (words, (3, 9)), (long, (2, 2)),
                          (long, (1, 70)), (WordDict(("x", "yz")), (1, 70)),
                          (WordDict(("x",)), (64, 70))):
-            for count in (0, 1, 300):
+            for count in (1, 300):
                 assert gozi_generate(wd, seed, count, span) == \
                     oracle.gozi_cores(wd, seed, count, span)
 
@@ -146,12 +146,12 @@ class TestSuppobox:
                                       2 ** 40 + 7, -3])
     def test_matches_step_oracle(self, seed):
         first, second = bundled_words()
-        for count in (0, 1, 2, 17, 1000, 5000):
+        for count in (1, 2, 17, 1000, 5000):
             assert suppobox_generate(first, second, seed, count) == \
                 oracle.suppobox_cores(first, second, seed, count)
         odd = WordDict(("ab", "cde", "f", "g" * 40, "hi", "j" * 63, "k"))
         for wd1, wd2 in ((odd, second), (second, odd), (odd, odd)):
-            for count in (0, 1, 300):
+            for count in (1, 300):
                 assert suppobox_generate(wd1, wd2, seed, count) == \
                     oracle.suppobox_cores(wd1, wd2, seed, count)
 
@@ -172,6 +172,13 @@ PINNED_CORES = {
     ("suppobox", 2 ** 31 + 5):
         "6c96d612139948a0393a3b015907d9a51af570ab6e9d037dfb501a7bcee8b5fc",
 }
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("count", [0, -5])
+def test_every_family_refuses_an_empty_count(family, count):
+    with pytest.raises(ContractError, match="^count must be at least 1$"):
+        FAMILIES[family](1, count)
 
 
 @pytest.mark.parametrize("family,seed", sorted(PINNED_CORES))

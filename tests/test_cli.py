@@ -841,6 +841,19 @@ class TestManifestOptions:
         assert manifest["hyperparameters"] == hyperparameters
         assert manifest["inputs"] == {str(path): sha256_file(path)
                                       for path in inputs}
+        assert manifest["blas_thread_setter"] is (
+            evaluation.blas_thread_setter() is not None)
+
+    def test_records_a_missing_blas_thread_setter(self, tmp_path,
+                                                  monkeypatch):
+        # without the setter, matrix workers run the default BLAS threads
+        monkeypatch.setattr(evaluation, "_openblas", lambda: None)
+        out = tmp_path / "prep"
+        code, _ = run_cli("prep", "--out", str(out), "--benign", "20",
+                          "--agd", "5")
+        assert code == 0
+        assert read_manifest(out / "manifest.json")[
+            "blas_thread_setter"] is False
 
 
 class TestBooleans:

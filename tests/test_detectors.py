@@ -18,7 +18,9 @@ from dgalab.detectors import features, statistics, wordgraph
 from dgalab.config import cast_value
 from dgalab.detectors.base import KIND_TABLE, checked_names, fit_logistic
 from dgalab.detectors.features import extract_many, split_core
-from dgalab.detectors.neural import VOCAB, encode
+from dgalab import recurrent
+from dgalab.detectors import neural
+from dgalab.detectors.neural import VOCAB, NeuralDetector, encode
 from dgalab.detectors.forest import fit_forest
 from dgalab.detectors.statistics import CHUNK, StatisticsDetector
 from dgalab.domains import validate_domain
@@ -506,7 +508,98 @@ class TestWordGraph:
         assert model.graph_stats(["q0q1q2q3q4.com"])[0] == 0.0
 
 
+def random_neural(d_e, d_h, layers, bidirectional, max_len=32, seed=0):
+    """An untrained detector with fan-scaled uniform weights."""
+    rng = np.random.default_rng(seed)
+
+    def uniform(*shape):
+        return ((rng.random(shape) * 2 - 1) / np.sqrt(shape[0])
+                ).astype(np.float32)
+
+    stacks = [([uniform(d_e if layer == 0 else d_h, 4 * d_h)
+                for layer in range(layers)],
+               [uniform(d_h, 4 * d_h) for _ in range(layers)],
+               [uniform(1, 4 * d_h)[0] for _ in range(layers)])
+              for _ in range(1 + bidirectional)]
+    return NeuralDetector(uniform(len(VOCAB) + 1, d_e), stacks,
+                          uniform(d_h * len(stacks)), 0.1, max_len)
+
+
+@st.composite
+def shared_prefix_batches(draw):
+    """1-70 names over a few stems: duplicates, names that are prefixes of
+    one another, shared suffixes and, sometimes, one unique longest name."""
+    stems = draw(st.lists(st.text("ab", min_size=1, max_size=10),
+                          min_size=1, max_size=4))
+    names = draw(st.lists(
+        st.builds(lambda stem, tail, tld: stem + tail + tld,
+                  st.sampled_from(stems), st.text("abz9", max_size=4),
+                  st.sampled_from(["", ".c", ".co", ".com"])),
+        min_size=1, max_size=70))
+    if len(names) < 70 and draw(st.booleans()):
+        names.insert(draw(st.integers(0, len(names))),
+                     max(names, key=len) + "q" * draw(st.integers(1, 30)))
+    return names
+
+
+def live_prefix_rows(names, max_len) -> int:
+    """Rows a prefix-sharing pass runs over one direction: the distinct live
+    prefixes of each step, at least two a step unless the batch is one."""
+    names = [name[:max_len] for name in names]
+    floor = min(2, len(names))
+    return sum(max(len({n[:t + 1] for n in names if len(n) > t}), floor)
+               for t in range(max(map(len, names))))
+
+
 class TestNeuralDetector:
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([8, 24, 32, 64]), st.sampled_from([8, 24, 32, 64]),
+           st.integers(1, 2), st.booleans(), st.integers(1, 40),
+           shared_prefix_batches(),
+           st.one_of(st.just(0),
+                     st.integers(neural.CHUNK - 70, neural.CHUNK + 2)))
+    @example(64, 64, 1, False, 32, ["ab.com", "ab.com", "abab.com"], 0)
+    @example(8, 64, 2, True, 40, ["a", "ab", "abz", "abz" + "q" * 30], 0)
+    @example(24, 32, 1, True, 32, ["abba"], neural.CHUNK)
+    def test_score_many_equals_padded_oracle(self, d_e, d_h, layers,
+                                             bidirectional, max_len, names,
+                                             pad):
+        model = random_neural(d_e, d_h, layers, bidirectional, max_len)
+        batch = list(name_pool()[:pad]) + names
+        got = model.score_many(batch)
+        assert np.array_equal(got, oracle.neural_padded_scores(model, batch))
+        # a float32 score can round away a changed bit of a pooled feature
+        idx, lengths = encode(names, max_len)
+        assert np.array_equal(model._prefix_pool(idx, lengths),
+                              model._pool(idx, lengths)[1])
+        assert model.score(names[0]) == model.score_many(names[:1])[0] == \
+            oracle.neural_padded_scores(model, names[:1])[0]
+
+    def test_each_distinct_live_prefix_runs_once(self, monkeypatch):
+        rows = []
+        step = recurrent.stack_step
+
+        def spy(w_x, w_h, b, x, hidden, want_cache=False):
+            rows.append(len(x))
+            return step(w_x, w_h, b, x, hidden, want_cache)
+
+        monkeypatch.setattr(recurrent, "stack_step", spy)
+        model = random_neural(8, 8, 1, False)
+        model.score_many(["abcdefghij.com"] * 3)
+        assert rows == [2] * 14                   # one prefix, two rows
+        rows.clear()
+        model.score_many(["abcdefghijk", "abcdefghijlm", "abcdefghijno.com"])
+        assert rows == [2] * 10 + [3] + [2] * 5
+        rows.clear()
+        model.score_many(["abcdefghij.com"])
+        assert rows == [1] * 14
+        model = random_neural(8, 8, 2, True, max_len=20)
+        names = list(name_pool()[:300]) + list(name_pool()[:40])
+        rows.clear()
+        model.score_many(names)
+        assert sum(rows) == (live_prefix_rows(names, 20) + live_prefix_rows(
+            [name[:20][::-1] for name in names], 20))
+
     @given(st.lists(st.text(VOCAB, min_size=1, max_size=70), min_size=1,
                     max_size=12),
            st.integers(1, 40))
