@@ -204,9 +204,11 @@ def _load_cfg(path) -> tuple[dict, dict, dict]:
         raise ContractError("env.budget must be at least 0")
     for key, known, what in (("matrix.detectors", KINDS, "detector kind"),
                              ("matrix.dgas", FAMILIES, "generator")):
-        for name in settings[key]:
+        for i, name in enumerate(settings[key]):
             if name not in known:
                 raise DataError(f"{key}: unknown {what} {name!r}")
+            if name in settings[key][:i]:
+                raise DataError(f"{key}: repeated {what} {name!r}")
     return cfg, settings, hp
 
 

@@ -30,9 +30,18 @@ from .errors import DataError
 TOOL_VERSION = "0.1.0"
 
 
+def read_text(path) -> str:
+    """The file's text; ``DataError`` gives the offset of its first byte
+    that is not UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def parse_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    for ln, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+    for ln, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_text
 from .domains import MAX_LABEL, validate_domain
 from .errors import ContractError, DataError
 from .rng import stream
@@ -86,7 +87,7 @@ def _benign_pool() -> list[str]:
 def load_domains(path) -> list[str]:
     """Read one FQDN per line; malformed entries raise DataError."""
     out = []
-    for ln, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+    for ln, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

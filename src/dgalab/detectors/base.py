@@ -15,8 +15,8 @@ import numpy as np
 from ..checkpoint import F32, load_blobs, record, save_blobs
 from ..config import cast_value
 from ..corpora import LabeledCorpus
-from ..domains import validate_domain
-from ..errors import ContractError, DataError, ScoringError
+from ..domains import checked_names, validate_domain
+from ..errors import ContractError, DataError
 
 # kind -> its checkpoint kind id, the name of its class in the module named
 # after the kind (imported on first use), and the hyperparameters its
@@ -45,15 +45,6 @@ def _detector_class(kind: str) -> type:
     return getattr(module, KIND_TABLE[kind].class_name)
 
 
-def checked_names(domains) -> list:
-    """The batch as a list; ``ScoringError`` names its first invalid name."""
-    domains = list(domains)
-    for domain in domains:
-        if not validate_domain(domain):
-            raise ScoringError(f"invalid domain {domain!r}")
-    return domains
-
-
 class DetectorModel:
     kind: str = "?"
 
@@ -67,8 +58,8 @@ class DetectorModel:
     def score_many(self, domains) -> np.ndarray:
         """P(benign) per name; deterministic, in [0, 1].
 
-        Each name is validated once, then the kind's ``_score_many`` scores
-        the whole batch.
+        Each name is validated once (a ``CheckedNames`` batch already was),
+        then the kind's ``_score_many`` scores the whole batch.
         """
         return np.clip(self._score_many(checked_names(domains)), 0.0, 1.0)
 

@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..corpora import bundled_tlds, bundled_words
-from ..domains import LABEL_CHARS, MAX_LABEL, validate_domain
-from ..errors import DataError, ScoringError
+from ..domains import LABEL_CHARS, MAX_LABEL, checked_names
+from ..errors import DataError
 from .distances import (ID_BASE, MAX_PACKED, N_CHARS, char_counts, encode,
                         id_lengths, ngram_ids, string_ids)
 
@@ -209,10 +209,7 @@ def _chunk_features(domains) -> np.ndarray:
 
 def extract_many(domains) -> np.ndarray:
     """(N, 21) float64 features; see FEATURE_NAMES for the column order."""
-    domains = list(domains)
-    for domain in domains:
-        if not validate_domain(domain):
-            raise ScoringError(f"cannot featurize invalid domain {domain!r}")
+    domains = checked_names(domains)
     out = np.empty((len(domains), len(FEATURE_NAMES)))
     for lo in range(0, len(domains), CHUNK):
         out[lo:lo + CHUNK] = _chunk_features(domains[lo:lo + CHUNK])

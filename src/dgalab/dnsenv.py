@@ -13,8 +13,8 @@ import hashlib
 
 import numpy as np
 
-from .domains import validate_domain
-from .errors import DataError, FluxingRoundError, QueryBudgetError
+from .domains import checked_names
+from .errors import FluxingRoundError, QueryBudgetError
 
 
 def feedback_records(d, n) -> np.recarray:
@@ -57,13 +57,11 @@ class FeedbackEnv:
     def register_many(self, fqdns) -> np.recarray:
         """Sequential semantics: item k sees the registry as left by k-1.
         Returns the batch's ``feedback_records``."""
-        for fqdn in fqdns:
-            if not validate_domain(fqdn):
-                raise DataError(f"cannot register invalid name {fqdn!r}")
+        fqdns = checked_names(fqdns)
         if self._count + len(fqdns) > self._budget:
             raise QueryBudgetError(
                 f"budget {self._budget} exhausted at {self._count} queries")
-        scores = self.__detector.score_many(list(fqdns))
+        scores = self.__detector.score_many(fqdns)
         d = (np.asarray(scores) >= self.__threshold).tolist()
         n = []
         for fqdn, legit in zip(fqdns, d):

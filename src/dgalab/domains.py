@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssemblyError, ContractError, SeedRangeError
+from .errors import AssemblyError, ContractError, ScoringError, SeedRangeError
 
 LABEL_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789-"
 _LABEL = r"(?!-)[a-z0-9-]{1,63}(?<!-)"
@@ -120,6 +120,21 @@ def validate_domain(s: str) -> bool:
     """
     return (isinstance(s, str) and len(s) <= MAX_NAME
             and _NAME_RE.fullmatch(s) is not None)
+
+
+class CheckedNames(list):
+    """Names that ``checked_names`` validated; only it builds one."""
+
+
+def checked_names(domains) -> CheckedNames:
+    """``domains`` as ``CheckedNames``, each name validated once; else
+    ``ScoringError`` names the first invalid name."""
+    if not isinstance(domains, CheckedNames):
+        domains = CheckedNames(domains)
+        for domain in domains:
+            if not validate_domain(domain):
+                raise ScoringError(f"invalid domain {domain!r}")
+    return domains
 
 
 def check_tld(tld: str, length: int = MAX_LABEL) -> str:

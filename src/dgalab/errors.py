@@ -29,7 +29,7 @@ class DataError(DgaLabError):
     """Corpus or input-file problem (missing class, malformed line, ...)."""
 
 
-class ScoringError(DgaLabError):
+class ScoringError(DataError):
     """A detector was asked to score an invalid domain string."""
 
 

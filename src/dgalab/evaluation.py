@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ctypes
 import datetime as _dt
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -37,35 +36,34 @@ class RocCurve:
 
 
 def roc_auc(scored) -> RocCurve:
-    """ROC over (score, label) pairs; label 1 is the positive class.
+    """ROC over (score, label) pairs, an (N, 2) array or a sequence; a
+    nonzero label is the positive class.
 
     Thresholds sweep the distinct score values; equal scores advance the
     curve in one step, which yields the tie-corrected trapezoidal area.
     ``NumericError`` names a non-finite score, which no threshold ranks.
     """
-    items = sorted(scored, key=lambda sl: -sl[0])
-    for score, _ in items:
-        if not math.isfinite(score):
-            raise NumericError(f"ROC score {score} is not finite")
-    n_pos = sum(1 for _, label in items if label)
-    n_neg = len(items) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    try:
+        pairs = np.asarray(scored, dtype=np.float64)
+        if pairs.shape[1:] != (2,) and pairs.shape != (0,):
+            raise ValueError(f"shape {pairs.shape}")
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"ROC needs (score, label) pairs: {exc}") from None
+    score, label = pairs.reshape(-1, 2).T
+    if not np.isfinite(score).all():
+        raise NumericError(f"ROC score {score[~np.isfinite(score)][0]} is "
+                           "not finite")
+    order = np.argsort(-score, kind="stable")
+    score, positive = score[order], label[order] != 0
+    n_pos = int(positive.sum())
+    if not 0 < n_pos < len(positive):
         raise DataError("ROC needs both classes present")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(items):
-        j = i
-        while j < len(items) and items[j][0] == items[i][0]:
-            tp += 1 if items[j][1] else 0
-            fp += 0 if items[j][1] else 1
-            j += 1
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        auc += (x1 - x0) * (y0 + y1) / 2.0
-    return RocCurve(tuple(points), float(auc))
+    ends = np.flatnonzero(np.append(score[1:] != score[:-1], True))
+    tp = np.cumsum(positive)[ends]
+    fpr = np.append(0.0, (ends + 1 - tp) / (len(positive) - n_pos))
+    tpr = np.append(0.0, tp / n_pos)
+    auc = np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1]
+    return RocCurve(tuple(zip(fpr.tolist(), tpr.tolist())), float(auc))
 
 
 def anti_detection(auc: float) -> float:
@@ -82,9 +80,9 @@ def detection_auc(model, benign_domains, agd_domains) -> RocCurve:
 
 def _scores_auc(benign_scores, agd_scores) -> RocCurve:
     """``detection_auc`` from the P(benign) scores of both sets."""
-    scored = ([(float(s), 1) for s in 1.0 - agd_scores]
-              + [(float(s), 0) for s in 1.0 - benign_scores])
-    return roc_auc(scored)
+    scores = 1.0 - np.concatenate([agd_scores, benign_scores])
+    return roc_auc(np.column_stack([scores,
+                                    np.arange(len(scores)) < len(agd_scores)]))
 
 
 def split_dataset(corpus: LabeledCorpus, ratio: float,

@@ -13,7 +13,9 @@ reproduce; the one-episode reward-weighted log-likelihood with its gradient,
 the pair that finite differences check ``policy.grad_from_coeffs`` through;
 the per-step reward estimate, one ``register_many`` per step, against
 ``training._epoch_values``; the recursive CART grower against
-``forest.fit_forest``; and the step-by-step glibc LCG with the kraken,
+``forest.fit_forest``; the item-by-item ROC sweep over sorted
+(score, label) tuples against ``evaluation.roc_auc``; and the step-by-step
+glibc LCG with the kraken,
 gozi and suppobox generators it drives, against the jump-ahead state arrays
 of ``baselines``."""
 
@@ -31,7 +33,8 @@ from dgalab.detectors.features import split_core
 from dgalab.detectors.forest import Tree, _best_split
 from dgalab.detectors.neural import CHUNK, PAD, VOCAB
 from dgalab.domains import LABEL_CHARS, MAX_LABEL, assemble_fqdn
-from dgalab.errors import ContractError
+from dgalab.errors import ContractError, DataError, NumericError
+from dgalab.evaluation import RocCurve
 from dgalab.policy import (BatchRun, action_probs, embed_seed, embed_tokens,
                            grad_from_coeffs, masked_index_at, run_batch)
 from dgalab.recurrent import cache_state, sigmoid, stack_forward
@@ -480,6 +483,34 @@ def forest_trees(X, y, rng_seed, n_trees, max_depth, min_leaf) -> list:
 
 # ---------------------------------------------------------------------------
 # the zero-knowledge families, one LCG step at a time
+
+
+def roc_sweep(scored) -> RocCurve:
+    """ROC over (score, label) pairs: the pairs sorted by falling score,
+    then swept one item at a time, equal scores in one step."""
+    items = sorted(scored, key=lambda sl: -sl[0])
+    for score, _ in items:
+        if not math.isfinite(score):
+            raise NumericError(f"ROC score {score} is not finite")
+    n_pos = sum(1 for _, label in items if label)
+    n_neg = len(items) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("ROC needs both classes present")
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < len(items):
+        j = i
+        while j < len(items) and items[j][0] == items[i][0]:
+            tp += 1 if items[j][1] else 0
+            fp += 0 if items[j][1] else 1
+            j += 1
+        points.append((fp / n_neg, tp / n_pos))
+        i = j
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        auc += (x1 - x0) * (y0 + y1) / 2.0
+    return RocCurve(tuple(points), float(auc))
 
 
 @dataclass

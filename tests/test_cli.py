@@ -148,6 +148,19 @@ class TestExitCodes:
         assert not (tmp_path / "x").exists()
 
 
+    def test_benign_file_not_utf8(self, workspace, statistics_ckpt,
+                                  tmp_path, capsys):
+        benign = tmp_path / "benign.txt"
+        benign.write_bytes(b"example.com\n\xffbad.com\n")
+        capsys.readouterr()
+        code, _ = run_cli("eval", "--detector", str(statistics_ckpt),
+                          "--benign", str(benign),
+                          "--agd", str(workspace / "prep" / "kraken.txt"),
+                          "--out", str(tmp_path / "eval"))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {benign}: not UTF-8 text (byte 12)"]
+
     def test_truncated_statistics_checkpoint(self, workspace,
                                              statistics_ckpt, tmp_path,
                                              capsys):
@@ -528,7 +541,7 @@ class TestBadConfigWritesNothing:
 
     def run(self, capsys, tmp_path, lines, *argv):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(lines)
+        cfg.write_bytes(lines if isinstance(lines, bytes) else lines.encode())
         capsys.readouterr()
         code, out = run_cli(*argv, "--config", str(cfg))
         err = capsys.readouterr().err.splitlines()
@@ -543,6 +556,27 @@ class TestBadConfigWritesNothing:
                              "--out", str(tmp_path / "out"))
         assert code == 2
         assert err == "data error: matrix.dgas: unknown generator 'nope'"
+
+    @pytest.mark.parametrize("key, entries, what", [
+        ("matrix.detectors", "statistics,fanci,statistics", "detector kind"),
+        ("matrix.dgas", "kraken,gozi,kraken", "generator")])
+    def test_repeated_matrix_entry(self, key, entries, what, workspace,
+                                   tmp_path, capsys):
+        code, err = self.run(capsys, tmp_path, f"{key} = {entries}\n",
+                             "matrix", "--benign",
+                             str(workspace / "prep" / "benign.txt"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 2
+        repeated = entries.partition(",")[0]
+        assert err == f"data error: {key}: repeated {what} {repeated!r}"
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        code, err = self.run(capsys, tmp_path, b"data.tld = com\n# caf\xe9\n",
+                             "prep", "--benign", "10", "--agd", "10",
+                             "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err == (f"data error: {tmp_path / 'bad.cfg'}: not UTF-8 text "
+                       "(byte 20)")
 
     def test_non_finite_detector_rate(self, workspace, tmp_path, capsys):
         code, err = self.run(capsys, tmp_path, "detector.neural.lr = nan\n",

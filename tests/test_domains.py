@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import scalar_oracles as oracle
-from dgalab.domains import (DEFAULT_TOKENS, LABEL_CHARS, SeedSpace,
-                            TokenDict, assemble_fqdn, check_tld, encode_seed,
-                            validate_domain)
-from dgalab.errors import AssemblyError, ContractError, SeedRangeError
+from dgalab import domains
+from dgalab.domains import (DEFAULT_TOKENS, LABEL_CHARS, CheckedNames,
+                            SeedSpace, TokenDict, assemble_fqdn, check_tld,
+                            checked_names, encode_seed, validate_domain)
+from dgalab.errors import (AssemblyError, ContractError, DataError,
+                           ScoringError, SeedRangeError)
 from dgalab.policy import init_params
 
 
@@ -119,6 +121,25 @@ class TestValidate:
                                       "abc.co.uk\n", "\nabc.co.uk"])
     def test_newline_rejected(self, name):
         assert validate_domain(name) is False
+
+
+class TestCheckedNames:
+    def test_checked_batch_comes_back_unchecked(self, monkeypatch):
+        batch = checked_names(name for name in ("abc.com", "x-1.org"))
+        assert type(batch) is CheckedNames
+        assert batch == ["abc.com", "x-1.org"]
+
+        def refuse(_name):
+            raise AssertionError("a checked batch was validated again")
+
+        monkeypatch.setattr(domains, "validate_domain", refuse)
+        assert checked_names(batch) is batch
+
+    def test_scoring_error_is_a_data_error(self):
+        # the env raises it for an invalid name, and the CLI exits 2
+        assert issubclass(ScoringError, DataError)
+        with pytest.raises(DataError, match="^invalid domain 'UPPER.com'$"):
+            checked_names(["abc.com", "UPPER.com"])
 
 
 class TestCheckTld:

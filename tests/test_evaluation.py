@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dgalab.evaluation import (GameConfig, MatrixConfig, anti_detection,
                                game_loop, roc_auc, run_matrix, split_dataset)
 from dgalab.rng import stream
 from dgalab.training import TrainConfig
+import scalar_oracles as oracle
 from conftest import pairwise_auc
 
 
@@ -83,6 +85,49 @@ class TestRocAuc:
         flipped = [(s, 1 - l) for s, l in scored]
         assert roc_auc(flipped).auc == pytest.approx(1.0 - roc_auc(scored).auc,
                                                      abs=1e-12)
+
+    @given(n=st.integers(2, 5000),
+           levels=st.one_of(st.integers(1, 8), st.integers(9, 5000)),
+           seed=st.integers(0, 2 ** 32 - 1), float32=st.booleans(),
+           as_array=st.booleans(),
+           bad=st.none() | st.sampled_from([float("nan"), float("inf"),
+                                            -float("inf")]))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_item_sweep_oracle(self, n, levels, seed, float32,
+                                      as_array, bad):
+        # heavy ties from few score levels, +0.0 and -0.0 in one tie group,
+        # float32-rounded scores, a list or an array, and the oracle's
+        # error for a non-finite score or for one class present
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=levels)[rng.integers(0, levels, n)]
+        zeros = rng.random(n) < 0.2
+        scores[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+        if float32:
+            scores = scores.astype(np.float32).astype(np.float64)
+        if bad is not None:
+            scores[rng.integers(n)] = bad
+        labels = (rng.random(n) < rng.random()).astype(np.int64)
+        pairs = list(zip(scores.tolist(), labels.tolist()))
+        given_ = np.column_stack([scores, labels]) if as_array else pairs
+        try:
+            want = oracle.roc_sweep(pairs)
+        except (DataError, NumericError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                roc_auc(given_)
+            return
+        got = roc_auc(given_)
+        assert got.points == want.points
+        assert (np.array(got.points).tobytes()
+                == np.array(want.points).tobytes())
+        assert got.auc.hex() == want.auc.hex()
+
+    @pytest.mark.parametrize("scored", [
+        [0.5, 0.2], [(0.5, 1, 0), (0.2, 0, 0)], [(0.5, 1), (0.2,)],
+        [("high", 1), ("low", 0)], np.zeros((2, 2, 1))])
+    def test_not_pairs_rejected(self, scored):
+        with pytest.raises(ContractError,
+                           match=re.escape("ROC needs (score, label) pairs")):
+            roc_auc(scored)
 
 
 class TestAntiDetection:

@@ -1,4 +1,5 @@
 import datetime as dt
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgalab import policy, recurrent, training
+from dgalab import domains, policy, recurrent, training
+from dgalab.baselines import kraken_generate
+from dgalab.corpora import LabeledCorpus, synthesize_benign
+from dgalab.detectors import KINDS, train_detector
 from dgalab.dnsenv import FeedbackEnv
 from dgalab.domains import DEFAULT_TOKENS, SeedSpace, TokenDict, encode_seed
 from dgalab.rng import stream
@@ -340,6 +344,35 @@ class TestTrain:
 
 def _even_a(fqdn):
     return fqdn.split(".")[0].count("a") % 2 == 0
+
+
+class TestValidationCount:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_registered_name_is_validated_once(self, kind, monkeypatch):
+        # the env checks each name and hands the detector a CheckedNames,
+        # which its score_many does not check again
+        corpus = LabeledCorpus(
+            tuple(synthesize_benign(60, rng_seed=4)),
+            tuple(core + ".com" for core in kraken_generate(4, 60)))
+        hp = {"neural": {"epochs": 1}, "fanci": {"trees": 3}}.get(kind)
+        env = FeedbackEnv(train_detector(kind, corpus, hp=hp, rng_seed=0))
+        calls = []
+        validate = domains.validate_domain
+
+        def counted(name):
+            calls.append(name)
+            return validate(name)
+
+        # wrapped in every dgalab module that binds it
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "dgalab" \
+                    and getattr(module, "validate_domain", None) is validate:
+                monkeypatch.setattr(module, "validate_domain", counted)
+        cfg = TrainConfig(batch=8, mc=2, length=8, epochs=2, d_e=6, d_h=8)
+        train(env, cfg, master_seed=1)
+        assert env.query_count > 0
+        # one call per registered name, and train's one check_tld
+        assert len(calls) == env.query_count + 1
 
 
 class TestEpochRegistration:
