@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import read_text
-from .domains import MAX_LABEL, validate_domain
+from .domains import MAX_LABEL, CheckedNames, validate_domain
 from .errors import ContractError, DataError
 from .rng import stream
 
@@ -84,9 +84,9 @@ def _benign_pool() -> list[str]:
     return synthesize_benign(50_000, rng_seed=20160801)
 
 
-def load_domains(path) -> list[str]:
-    """Read one FQDN per line; malformed entries raise DataError."""
-    out = []
+def load_domains(path) -> CheckedNames:
+    """One checked FQDN per line; malformed entries raise DataError."""
+    out = CheckedNames()
     for ln, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):

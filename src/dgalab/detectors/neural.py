@@ -29,12 +29,18 @@ _BYTE_TO_IDX[0] = PAD
 _BYTE_TO_IDX[np.frombuffer(VOCAB.encode(), np.uint8)] = np.arange(PAD)
 
 
+def _name_bytes(domains, max_len: int):
+    """(B, L) NUL-padded bytes of the names cut at max_len, plus lengths."""
+    lengths = np.array([min(len(d), max_len) for d in domains], dtype=np.int64)
+    L = int(lengths.max(initial=0))
+    rows = np.array(domains, dtype=f"S{L}").view(np.uint8)
+    return rows.reshape(len(domains), L), lengths
+
+
 def encode(domains, max_len: int):
     """(B, L) index matrix plus true lengths; long names are truncated."""
-    lengths = np.array([min(len(d), max_len) for d in domains], dtype=np.int64)
-    L = int(lengths.max())
-    rows = np.array(domains, dtype=f"S{L}").view(np.uint8)
-    return _BYTE_TO_IDX[rows.reshape(len(domains), L)], lengths
+    rows, lengths = _name_bytes(domains, max_len)
+    return _BYTE_TO_IDX[rows], lengths
 
 
 @contextmanager
@@ -51,8 +57,7 @@ def _finite(what: str):
 
 def _reverse_within_length(idx, lengths):
     """Per-row reversal of the valid prefix; padding stays trailing."""
-    B, L = idx.shape
-    cols = np.arange(L)[None, :]
+    cols = np.arange(idx.shape[1])[None, :]
     src = lengths[:, None] - 1 - cols
     src = np.where(src >= 0, src, 0)
     rev = np.take_along_axis(idx, src, axis=1)
@@ -155,50 +160,44 @@ class NeuralDetector(DetectorModel):
         return np.clip(out, 0.0, 1.0)
 
     # -- training ----------------------------------------------------------
-    def _sgd_batch(self, domains, y, lr):
-        idx, lengths = encode(domains, self.max_len)
+    def _sgd_batch(self, idx, lengths, y, lr):
+        """One SGD step on encoded rows; a row's input gradients past its end
+        are exact zeros, which leave ``PAD``'s embedding row at +0."""
         probs, pool, mask, caches, seqs = self._pool(idx, lengths)
-        batch = len(domains)
         dtype = self.embedding.dtype
-        dlogit = ((probs - y) / batch).astype(dtype)
-        gw = pool.T @ dlogit
-        gb = dlogit.sum()
-        dpool = np.outer(dlogit, self.w).astype(dtype)
+        dlogit = ((probs - y) / len(lengths)).astype(dtype)
+        dpool = np.outer(dlogit, self.w)
         g_emb = np.zeros_like(self.embedding)
         new_stacks = []
-        d_h = self.d_h
-        inv_len = (1.0 / lengths).astype(dtype)
+        # each (step, row) top's share of its row's mean pool
+        share = mask.T * (1.0 / lengths).astype(dtype)[None, :]
         for direction, (w_x, w_h, bias) in enumerate(self.stacks):
-            dp = dpool[:, direction * d_h:(direction + 1) * d_h]
-            d_tops = (dp[None, :, :] * (mask.T * inv_len[None, :])[:, :, None]
-                      ).astype(dtype)
+            dp = dpool[:, direction * self.d_h:(direction + 1) * self.d_h]
+            d_tops = dp[None, :, :] * share[:, :, None]
             gw_x, gw_h, gbias, dxs = recurrent.stack_backward(
                 w_x, w_h, caches[direction], d_tops)
-            dxs = dxs * mask.T[:, :, None]
             np.add.at(g_emb, seqs[direction].T.reshape(-1),
                       dxs.reshape(-1, self.embedding.shape[1]))
-            new_stacks.append((
-                [a - lr * g for a, g in zip(w_x, gw_x)],
-                [a - lr * g for a, g in zip(w_h, gw_h)],
-                [a - lr * g for a, g in zip(bias, gbias)],
-            ))
+            new_stacks.append(tuple(
+                [a - lr * g for a, g in zip(params, grads)] for params, grads
+                in zip((w_x, w_h, bias), (gw_x, gw_h, gbias))))
         self.embedding = self.embedding - lr * g_emb
         self.stacks = new_stacks
-        self.w = self.w - lr * gw
-        self.b = float(self.b - lr * gb)
-        loss = -np.mean(y * np.log(np.clip(probs, 1e-9, 1))
-                        + (1 - y) * np.log(np.clip(1 - probs, 1e-9, 1)))
-        return float(loss)
+        self.w = self.w - lr * (pool.T @ dlogit)
+        self.b = float(self.b - lr * dlogit.sum())
 
     @_finite("training")
     def fit(self, domains, labels, epochs, batch, lr, rng_key):
-        domains = list(domains)
+        """SGD; the names become bytes once, each batch cut to its longest."""
+        rows_bytes, lengths = _name_bytes(list(domains), self.max_len)
         labels = np.asarray(labels, dtype=np.float64)
         for epoch in range(epochs):
-            order = stream("neural-train", rng_key, epoch).permutation(len(domains))
+            order = stream("neural-train", rng_key, epoch).permutation(
+                len(lengths))
             for lo in range(0, len(order), batch):
                 rows = order[lo:lo + batch]
-                self._sgd_batch([domains[i] for i in rows], labels[rows], lr)
+                idx = _BYTE_TO_IDX[rows_bytes[rows, :lengths[rows].max()]]
+                self._sgd_batch(idx, lengths[rows], labels[rows], lr)
         return self
 
     @classmethod

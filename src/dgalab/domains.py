@@ -123,7 +123,7 @@ def validate_domain(s: str) -> bool:
 
 
 class CheckedNames(list):
-    """Names that ``checked_names`` validated; only it builds one."""
+    """Checked names; only ``checked_names`` and ``load_domains`` build one."""
 
 
 def checked_names(domains) -> CheckedNames:

@@ -74,8 +74,8 @@ def anti_detection(auc: float) -> float:
 
 def detection_auc(model, benign_domains, agd_domains) -> RocCurve:
     """Detector AUC on a benign/AGD sample set (positive class = AGD)."""
-    return _scores_auc(model.score_many(list(benign_domains)),
-                       model.score_many(list(agd_domains)))
+    return _scores_auc(model.score_many(benign_domains),
+                       model.score_many(agd_domains))
 
 
 def _scores_auc(benign_scores, agd_scores) -> RocCurve:

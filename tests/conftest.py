@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from dgalab import domains
 from dgalab.detectors.features import extract_many
 from dgalab.dnsenv import feedback_records
 from dgalab.errors import QueryBudgetError
@@ -16,6 +17,23 @@ from dgalab.policy import params_from_tensors
 # CI selects this with --hypothesis-profile=ci: the same examples on every
 # run, and no example database carried between runs
 settings.register_profile("ci", derandomize=True, database=None)
+
+
+def count_validations(monkeypatch) -> list:
+    """From now on, every name that ``validate_domain`` checks is appended
+    to the returned list; wrapped in every dgalab module that binds it."""
+    calls = []
+    validate = domains.validate_domain
+
+    def counted(name):
+        calls.append(name)
+        return validate(name)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "dgalab" \
+                and getattr(module, "validate_domain", None) is validate:
+            monkeypatch.setattr(module, "validate_domain", counted)
+    return calls
 
 
 def extract_features(domain: str) -> np.ndarray:

@@ -6,7 +6,9 @@ features and word-graph statistic (Python dicts, sets and string slices)
 against ``features.extract_many`` and the word-graph detector; per-row name
 assembly against ``TokenDict.fqdns``; the per-character neural ``encode``;
 the padded neural scorer, every row through every step, against the
-prefix-sharing ``NeuralDetector.score_many``;
+prefix-sharing ``NeuralDetector.score_many``; the neural fit that encodes
+each batch from its names and masks the input gradients past each row's
+end, against ``NeuralDetector.fit``, which reads its names into bytes once;
 the recurrent step with one sigmoid per gate; the teacher-forced policy
 pass along fixed tokens, whose caches ``run_batch(want_cache=True)`` must
 reproduce; the one-episode reward-weighted log-likelihood with its gradient,
@@ -37,7 +39,8 @@ from dgalab.errors import ContractError, DataError, NumericError
 from dgalab.evaluation import RocCurve
 from dgalab.policy import (BatchRun, action_probs, embed_seed, embed_tokens,
                            grad_from_coeffs, masked_index_at, run_batch)
-from dgalab.recurrent import cache_state, sigmoid, stack_forward
+from dgalab.recurrent import (cache_state, sigmoid, stack_backward,
+                              stack_forward)
 from dgalab.rng import stream
 
 _CHAR_INDEX = {c: i for i, c in enumerate(LABEL_CHARS)}
@@ -115,6 +118,49 @@ def neural_padded_scores(model, domains) -> np.ndarray:
         idx, lengths = neural_encode(chunk, model.max_len)
         out[lo:lo + len(chunk)] = model._pool(idx, lengths)[0]
     return np.clip(out, 0.0, 1.0)
+
+
+def neural_fit_oracle(model, domains, labels, epochs, batch, lr, rng_key):
+    """``NeuralDetector.fit`` with each shuffled batch encoded from its
+    names, the input gradients masked past each row's end and float32
+    copies of the head and top gradients; updates ``model`` in place."""
+    domains = list(domains)
+    labels = np.asarray(labels, dtype=np.float64)
+    for epoch in range(epochs):
+        order = stream("neural-train", rng_key, epoch).permutation(
+            len(domains))
+        for lo in range(0, len(order), batch):
+            rows = order[lo:lo + batch]
+            _neural_sgd_batch(model, [domains[i] for i in rows], labels[rows],
+                              lr)
+
+
+def _neural_sgd_batch(model, domains, y, lr):
+    idx, lengths = neural_encode(domains, model.max_len)
+    probs, pool, mask, caches, seqs = model._pool(idx, lengths)
+    dtype = model.embedding.dtype
+    dlogit = ((probs - y) / len(domains)).astype(dtype)
+    dpool = np.outer(dlogit, model.w).astype(dtype)
+    g_emb = np.zeros_like(model.embedding)
+    inv_len = (1.0 / lengths).astype(dtype)
+    d_h = model.d_h
+    new_stacks = []
+    for direction, (w_x, w_h, bias) in enumerate(model.stacks):
+        dp = dpool[:, direction * d_h:(direction + 1) * d_h]
+        d_tops = (dp[None, :, :] * (mask.T * inv_len[None, :])[:, :, None]
+                  ).astype(dtype)
+        gw_x, gw_h, gbias, dxs = stack_backward(w_x, w_h, caches[direction],
+                                                d_tops)
+        dxs = dxs * mask.T[:, :, None]
+        np.add.at(g_emb, seqs[direction].T.reshape(-1),
+                  dxs.reshape(-1, model.embedding.shape[1]))
+        new_stacks.append(tuple([a - lr * g for a, g in zip(arrays, grads)]
+                                for arrays, grads in ((w_x, gw_x), (w_h, gw_h),
+                                                      (bias, gbias))))
+    model.embedding = model.embedding - lr * g_emb
+    model.stacks = new_stacks
+    model.w = model.w - lr * (pool.T @ dlogit)
+    model.b = float(model.b - lr * dlogit.sum())
 
 
 def stack_step(w_x, w_h, b, x, hidden):

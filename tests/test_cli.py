@@ -14,7 +14,8 @@ from dgalab.corpora import LabeledCorpus
 from dgalab.detectors import KINDS, train_detector
 from dgalab.detectors.base import KIND_TABLE
 from dgalab.errors import ContractError, DataError
-from conftest import cli_subprocess, python_subprocess, read_manifest
+from conftest import (cli_subprocess, count_validations, python_subprocess,
+                      read_manifest)
 
 RUN_CFG = """
 train.lr = 1.0
@@ -903,6 +904,25 @@ class TestBooleans:
         assert code == 0
         model = cli.load_detector(tmp_path / "d" / "detector.ckpt")
         assert model.bidirectional is False
+
+
+class TestValidationCount:
+    def test_eval_validates_each_name_once(self, workspace, tmp_path,
+                                           monkeypatch):
+        # load_domains checks each line and returns a CheckedNames, which
+        # the detector's score_many does not check again
+        calls = count_validations(monkeypatch)
+        prep = workspace / "prep"
+        code, _ = run_cli("eval", "--detector",
+                          str(workspace / "det" / "detector.ckpt"),
+                          "--benign", str(prep / "benign.txt"),
+                          "--agd", str(prep / "kraken.txt"),
+                          "--out", str(tmp_path / "eval"))
+        assert code == 0
+        names = (prep / "benign.txt").read_text().split() \
+            + (prep / "kraken.txt").read_text().split()
+        # one call per name, and the CLI's one check_tld of data.tld
+        assert len(calls) == len(names) + 1 == 601
 
 
 class TestGenerate:

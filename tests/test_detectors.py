@@ -1,3 +1,4 @@
+import copy
 import gc
 import importlib
 import re
@@ -609,6 +610,46 @@ class TestNeuralDetector:
         assert idx.dtype == want_idx.dtype and lengths.dtype == np.int64
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(lengths, want_lengths)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from([8, 24]), st.sampled_from([8, 32]),
+           st.integers(1, 2), st.booleans(), st.integers(1, 40),
+           st.lists(st.text(VOCAB, min_size=1, max_size=30), min_size=2,
+                    max_size=40),
+           st.integers(1, 16), st.integers(0, 2 ** 31))
+    @example(24, 32, 1, False, 32, ["a", "b", "c.d", "abcdefghij", "e"], 2, 0)
+    @example(8, 8, 2, True, 12, ["abcdefghijklmnop.com", "a", "bc"] * 17, 50,
+             5)
+    @example(24, 32, 2, True, 3, ["a", "b", "c", "d", "ab.com"], 4, 1)
+    def test_fit_equals_per_batch_encoding_oracle(self, d_e, d_h, layers,
+                                                  bidirectional, max_len,
+                                                  names, batch, seed):
+        # both start from one initialisation (train at 0 epochs); the fit
+        # reads its names into bytes once, the oracle encodes each batch
+        half = len(names) // 2
+        hp = {**KIND_TABLE["neural"].hp, "d_e": d_e, "d_h": d_h,
+              "layers": layers, "bidirectional": bidirectional,
+              "max_len": max_len, "epochs": 0}
+        model = NeuralDetector.train(
+            LabeledCorpus(tuple(names[:half]), tuple(names[half:])), hp, seed)
+        want = copy.deepcopy(model)
+        labels = [1.0] * half + [0.0] * (len(names) - half)
+
+        def weight_bits(m):
+            return {**{key: value.tobytes()
+                       for key, value in m.to_blobs().items()},
+                    "b": np.float64(m.b).tobytes()}
+
+        model.fit(names, labels, 2, batch, 0.5, rng_key=seed)
+        oracle.neural_fit_oracle(want, names, labels, 2, batch, 0.5, seed)
+        assert weight_bits(model) == weight_bits(want)
+        model.incremental_update(names[half:], names[:half], epochs=2, lr=0.2,
+                                 batch=batch, rng_key=seed)
+        oracle.neural_fit_oracle(want, names, labels, 2, batch, 0.2,
+                                 ("incr", seed))
+        assert weight_bits(model) == weight_bits(want)
+        model.incremental_update([], [], batch=batch)        # no step
+        assert weight_bits(model) == weight_bits(want)
 
     def test_toy_separable_by_first_char(self):
         benign = [f"a{i:04d}x.com" for i in range(40)]

@@ -1,5 +1,4 @@
 import datetime as dt
-import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgalab import domains, policy, recurrent, training
+from dgalab import policy, recurrent, training
 from dgalab.baselines import kraken_generate
 from dgalab.corpora import LabeledCorpus, synthesize_benign
 from dgalab.detectors import KINDS, train_detector
@@ -20,7 +19,7 @@ from dgalab.training import (TrainConfig, _epoch_values, _epoch_run,
                              _update_from_batch, candidate_list,
                              generate_domains, train)
 import scalar_oracles as oracle
-from conftest import FixedScoreDetector, StubEnv, cast
+from conftest import FixedScoreDetector, StubEnv, cast, count_validations
 
 AB = TokenDict("ab")
 EPOCH_DATE = dt.date(2024, 3, 1)
@@ -356,18 +355,7 @@ class TestValidationCount:
             tuple(core + ".com" for core in kraken_generate(4, 60)))
         hp = {"neural": {"epochs": 1}, "fanci": {"trees": 3}}.get(kind)
         env = FeedbackEnv(train_detector(kind, corpus, hp=hp, rng_seed=0))
-        calls = []
-        validate = domains.validate_domain
-
-        def counted(name):
-            calls.append(name)
-            return validate(name)
-
-        # wrapped in every dgalab module that binds it
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "dgalab" \
-                    and getattr(module, "validate_domain", None) is validate:
-                monkeypatch.setattr(module, "validate_domain", counted)
+        calls = count_validations(monkeypatch)
         cfg = TrainConfig(batch=8, mc=2, length=8, epochs=2, d_e=6, d_h=8)
         train(env, cfg, master_seed=1)
         assert env.query_count > 0
