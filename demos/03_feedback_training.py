@@ -27,9 +27,9 @@ cfg = TrainConfig(lr=1.0, batch=32, mc=3, length=10, epochs=120)
 print(f"\ntraining: {cfg.epochs} epochs, batch {cfg.batch}, "
       f"{cfg.mc} rollouts/step, budget {env.budget} register calls")
 t0 = time.time()
-result = train(env, cfg, master_seed=7,
-               on_epoch=lambda e, r: print(f"  epoch {e:3d} mean reward {r:.3f}")
-               if e % 20 == 0 else None)
+result = train(env, cfg, master_seed=7)
+for e in range(0, len(result.curve), 20):
+    print(f"  epoch {e:3d} mean reward {result.curve[e]:.3f}")
 print(f"done in {time.time() - t0:.0f}s, {result.queries_used} register calls")
 print(f"reward: first epoch {result.curve[0]:.3f} -> best "
       f"{result.best_reward:.3f} (epoch {result.best_epoch})")

@@ -110,7 +110,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt", type=_InputFile,
                    help="policy checkpoint (pkdga only)")
     p.add_argument("--start-date", type=_iso_date, default="2030-01-01")
-    p.add_argument("--tld", default="com")
+    p.add_argument("--tld", help="TLD of the names; default: data.tld")
     p.add_argument("--mode", choices=("sample", "argmax"), default="sample")
 
     p = command("eval", _cmd_eval, "score a corpus pair against a detector")
@@ -249,8 +249,8 @@ def _cmd_prep(args, settings, hp):
 
 
 def _cmd_detector_train(args, settings, hp):
-    corpus = corpora.LabeledCorpus(tuple(corpora.load_domains(args.benign)),
-                                   tuple(corpora.load_domains(args.agd)))
+    corpus = corpora.LabeledCorpus(corpora.load_domains(args.benign),
+                                   corpora.load_domains(args.agd))
     train_part, test_part = evaluation.split_dataset(
         corpus, settings["detector.split"], args.seed)
     model = train_detector(args.kind, train_part, hp=hp[args.kind],
@@ -379,9 +379,11 @@ def main(argv=None) -> int:
         if not args.command:
             parser.error("a subcommand is required")
         cfg, settings, hp = _load_cfg(args.config)
-        if args.command == "generate" and args.dga == "pkdga" \
-                and not args.ckpt:
-            raise UsageError("--ckpt is required for --dga pkdga")
+        if args.command == "generate":
+            if args.dga == "pkdga" and not args.ckpt:
+                raise UsageError("--ckpt is required for --dga pkdga")
+            if args.tld is None:        # the flag overrides the file
+                args.tld = settings["data.tld"]
         options = {k: v for k, v in vars(args).items()
                    if k not in ("command", "run")}
         inputs = {name: resolve_data_path(value)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.resources as _resources
 import re
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -105,10 +106,10 @@ def save_domains(path, domains) -> None:
 
 @dataclass(frozen=True)
 class LabeledCorpus:
-    """Benign and AGD name lists, both nonempty for any training use."""
+    """Benign and AGD name sequences, both nonempty for any training use."""
 
-    benign: tuple[str, ...]
-    agd: tuple[str, ...]
+    benign: Sequence[str]
+    agd: Sequence[str]
 
     def require_both(self):
         if not self.benign or not self.agd:

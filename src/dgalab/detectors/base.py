@@ -15,8 +15,8 @@ import numpy as np
 from ..checkpoint import F32, load_blobs, record, save_blobs
 from ..config import cast_value
 from ..corpora import LabeledCorpus
-from ..domains import checked_names, validate_domain
-from ..errors import ContractError, DataError
+from ..domains import CheckedNames, checked_names
+from ..errors import ContractError, DataError, ScoringError
 
 # kind -> its checkpoint kind id, the name of its class in the module named
 # after the kind (imported on first use), and the hyperparameters its
@@ -77,15 +77,20 @@ def train_detector(kind: str, corpus: LabeledCorpus, hp: dict | None = None,
                    rng_seed: int = 0) -> DetectorModel:
     """Train one detector kind on a labeled corpus; deterministic per seed.
 
-    The kind's ``train`` gets ``typed_hp(kind, hp)``.  ``DataError`` names
-    an invalid corpus name or a value that won't cast.
+    Each class is checked once (a ``CheckedNames`` class already was), and
+    the kind's ``train`` gets one batch, the benign names then the AGD
+    names, their labels (1.0 benign, 0.0 AGD) and ``typed_hp(kind, hp)``.
+    ``DataError`` names an invalid corpus name or a value that won't cast.
     """
     cls = _detector_class(kind)
     corpus.require_both()
-    for name in (*corpus.benign, *corpus.agd):
-        if not validate_domain(name):
-            raise DataError(f"training corpus: invalid domain {name!r}")
-    return cls.train(corpus, typed_hp(kind, hp), rng_seed)
+    try:
+        benign, agd = checked_names(corpus.benign), checked_names(corpus.agd)
+    except ScoringError as exc:
+        raise DataError(f"training corpus: {exc}") from None
+    labels = np.repeat([1.0, 0.0], [len(benign), len(agd)])
+    return cls.train(CheckedNames(benign + agd), labels, typed_hp(kind, hp),
+                     rng_seed)
 
 
 def typed_hp(kind: str, hp: dict | None = None) -> dict:

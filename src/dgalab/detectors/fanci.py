@@ -22,10 +22,8 @@ class FanciDetector(DetectorModel):
         return np.clip(self.forest.predict(extract_many(domains)), 0.0, 1.0)
 
     @classmethod
-    def train(cls, corpus, hp, rng_seed):
-        X = extract_many(list(corpus.benign) + list(corpus.agd))
-        y = np.array([1.0] * len(corpus.benign) + [0.0] * len(corpus.agd))
-        forest = fit_forest(X, y, rng_seed,
+    def train(cls, names, labels, hp, rng_seed):
+        forest = fit_forest(extract_many(names), labels, rng_seed,
                             n_trees=hp["trees"], max_depth=hp["max_depth"],
                             min_leaf=hp["min_leaf"])
         return cls(forest)

@@ -201,7 +201,7 @@ class NeuralDetector(DetectorModel):
         return self
 
     @classmethod
-    def train(cls, corpus, hp, rng_seed):
+    def train(cls, names, labels, hp, rng_seed):
         d_e, d_h, n_layers = hp["d_e"], hp["d_h"], hp["layers"]
         dtype = np.float32
         rng = stream("neural-init", rng_seed)
@@ -224,9 +224,7 @@ class NeuralDetector(DetectorModel):
             stacks.append((w_x, w_h, bias))
         w = xavier((d_h * len(stacks),), d_h * len(stacks), 1)
         model = cls(embedding, stacks, w, 0.0, hp["max_len"])
-        domains = list(corpus.benign) + list(corpus.agd)
-        labels = [1.0] * len(corpus.benign) + [0.0] * len(corpus.agd)
-        model.fit(domains, labels, epochs=hp["epochs"], batch=hp["batch"],
+        model.fit(names, labels, epochs=hp["epochs"], batch=hp["batch"],
                   lr=hp["lr"], rng_key=rng_seed)
         return model
 

@@ -89,10 +89,12 @@ class StatisticsDetector(DetectorModel):
 
     # -- training ----------------------------------------------------------
     @classmethod
-    def train(cls, corpus, hp, rng_seed):
-        benign = list(dict.fromkeys(corpus.benign))
-        agd = list(dict.fromkeys(corpus.agd))
-        cores = [split_core(d)[0] for d in benign]
+    def train(cls, names, labels, hp, rng_seed):
+        # one row per (name, label), benign first: each class keeps its
+        # order, and a name in both classes stays in both
+        names, labels = zip(*dict.fromkeys(zip(names, labels)))
+        cores = [split_core(name)[0]
+                 for name, label in zip(names, labels) if label]
 
         counts = Counter("".join(cores))
         profile = add_one_smooth([counts[c] for c in LABEL_CHARS])
@@ -105,8 +107,7 @@ class StatisticsDetector(DetectorModel):
                      rng.integers(0, len(cores), size=hp["edit_refs"])]
 
         probe = cls(profile, jac_refs, edit_refs)
-        feats = probe.distances_many(benign + agd)
-        labels = np.array([1.0] * len(benign) + [0.0] * len(agd))
+        feats = probe.distances_many(names)
         return cls(profile, jac_refs, edit_refs, fit_logistic(feats, labels))
 
     # -- serialization -----------------------------------------------------

@@ -111,10 +111,7 @@ class WordGraphDetector(DetectorModel):
         return self.logistic.score(self.graph_stats(domains)[:, None])
 
     @classmethod
-    def train(cls, corpus, hp, rng_seed):
-        domains = list(corpus.benign) + list(corpus.agd)
-        labels = np.array([1.0] * len(corpus.benign) + [0.0] * len(corpus.agd))
-
+    def train(cls, domains, labels, hp, rng_seed):
         # a substring is common when more than repeat_threshold domains
         # hold it; each row lists its distinct substrings once
         subs, per_domain = np.unique(np.concatenate(

@@ -123,7 +123,8 @@ def validate_domain(s: str) -> bool:
 
 
 class CheckedNames(list):
-    """Checked names; only ``checked_names`` and ``load_domains`` build one."""
+    """Checked names; built only by ``checked_names``, ``load_domains``,
+    ``train_detector`` and ``split_dataset`` (from a ``CheckedNames``)."""
 
 
 def checked_names(domains) -> CheckedNames:

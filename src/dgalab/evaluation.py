@@ -87,26 +87,25 @@ def _scores_auc(benign_scores, agd_scores) -> RocCurve:
 
 def split_dataset(corpus: LabeledCorpus, ratio: float,
                   rng_seed: int) -> tuple[LabeledCorpus, LabeledCorpus]:
-    """Stratified, deterministic, disjoint train/test split."""
+    """Stratified, deterministic, disjoint train/test split; each part has
+    its class's type, so a part of a ``CheckedNames`` is one."""
     if not 0.0 < ratio < 1.0:
         raise ContractError("ratio must lie in (0, 1)")
 
     def one(items, label):
-        items = list(items)
         if len(items) < 2:
             raise DataError(f"class {label!r} too small to stratify")
         perm = stream("split", rng_seed, label).permutation(len(items))
         cut = int(round(len(items) * ratio))
         if cut == 0 or cut == len(items):
             raise DataError(f"class {label!r} too small for ratio {ratio}")
-        train = [items[i] for i in perm[:cut]]
-        test = [items[i] for i in perm[cut:]]
-        return train, test
+        part = type(items)
+        return (part(items[i] for i in perm[:cut]),
+                part(items[i] for i in perm[cut:]))
 
     b_train, b_test = one(corpus.benign, "benign")
     a_train, a_test = one(corpus.agd, "agd")
-    return (LabeledCorpus(tuple(b_train), tuple(a_train)),
-            LabeledCorpus(tuple(b_test), tuple(a_test)))
+    return LabeledCorpus(b_train, a_train), LabeledCorpus(b_test, a_test)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +160,8 @@ def _matrix_cell(row, kind, benign_train, agd_train, benign_eval,
     detector trained on ``benign_train`` against row ``row``'s ``agd_train``.
     """
     cell_seed = ("matrix-cell", master_seed, row, kind)
-    corpus = LabeledCorpus(tuple(benign_train), tuple(agd_train))
-    model = train_detector(kind, corpus, hp=cfg.detector_hp.get(kind),
+    model = train_detector(kind, LabeledCorpus(benign_train, agd_train),
+                           hp=cfg.detector_hp.get(kind),
                            rng_seed=cell_seed)
     # every test set of the cell is ranked against one scoring of the
     # cell's benign names

@@ -89,8 +89,7 @@ def _update_from_batch(params, seed_vecs, run, coeffs, lr):
 def train(env, cfg: TrainConfig, master_seed: int,
           dct: TokenDict = DEFAULT_TOKENS,
           space: SeedSpace | None = None,
-          params: P.PolicyParams | None = None,
-          on_epoch=None) -> TrainResult:
+          params: P.PolicyParams | None = None) -> TrainResult:
     """Feedback-only policy-gradient training against ``env``, which offers
     ``register_many``, ``query_count`` and ``budget``.
 
@@ -129,8 +128,6 @@ def train(env, cfg: TrainConfig, master_seed: int,
             stopped = "numeric"
             params = best_params
             break
-        if on_epoch:
-            on_epoch(epoch, curve[-1])
     return TrainResult(params, best_params, curve, best_epoch,
                        env.query_count, stopped, registered)
 

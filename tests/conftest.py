@@ -19,13 +19,15 @@ from dgalab.policy import params_from_tensors
 settings.register_profile("ci", derandomize=True, database=None)
 
 
-def count_validations(monkeypatch) -> list:
+def count_validations(monkeypatch, refuse: bool = False) -> list:
     """From now on, every name that ``validate_domain`` checks is appended
-    to the returned list; wrapped in every dgalab module that binds it."""
+    to the returned list, or with ``refuse`` fails the test; wrapped in
+    every dgalab module that binds it."""
     calls = []
     validate = domains.validate_domain
 
     def counted(name):
+        assert not refuse, f"{name!r} was checked"
         calls.append(name)
         return validate(name)
 

@@ -8,7 +8,7 @@ import pytest
 
 from dgalab import checkpoint, cli, evaluation, policy, training
 from dgalab.baselines import FAMILIES
-from dgalab.cli import main
+from dgalab.cli import DGA_NAMES, main
 from dgalab.config import parse_config, sha256_file
 from dgalab.corpora import LabeledCorpus
 from dgalab.detectors import KINDS, train_detector
@@ -924,6 +924,24 @@ class TestValidationCount:
         # one call per name, and the CLI's one check_tld of data.tld
         assert len(calls) == len(names) + 1 == 601
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_detector_train_validates_each_name_once(self, kind, workspace,
+                                                     tmp_path, monkeypatch):
+        # the split keeps load_domains' CheckedNames, which neither
+        # train_detector, the kind nor the AUC's score_many checks again
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("detector.epochs = 1\ndetector.trees = 3\n")
+        calls = count_validations(monkeypatch)
+        prep = workspace / "prep"
+        code, _ = run_cli("detector-train", "--kind", kind,
+                          "--benign", str(prep / "benign.txt"),
+                          "--agd", str(prep / "kraken.txt"),
+                          "--config", str(cfg), "--out", str(tmp_path / "d"))
+        assert code == 0
+        names = (prep / "benign.txt").read_text().split() \
+            + (prep / "kraken.txt").read_text().split()
+        assert len(calls) == len(names) + 1 == 601
+
 
 class TestGenerate:
     def test_deterministic_output(self):
@@ -940,6 +958,24 @@ class TestGenerate:
             code, out = run_cli("generate", "--dga", dga, "--seed", "2",
                                 "--count", "5")
             assert code == 0 and len(out.strip().split("\n")) == 5
+
+    @pytest.mark.parametrize("dga", DGA_NAMES)
+    def test_tld_flag_overrides_config(self, dga, tmp_path):
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text("data.tld = net\n")
+        ckpt = ["--ckpt", str(tiny_policy(tmp_path / "p.ckpt"))] \
+            if dga == "pkdga" else []
+        for flag, tld in (([], "net"), (["--tld", "org"], "org")):
+            out = tmp_path / f"gen-{tld}"
+            code, text = run_cli("generate", "--dga", dga, *ckpt, *flag,
+                                 "--count", "4", "--config", str(cfg),
+                                 "--out", str(out))
+            assert code == 0
+            names = text.split()
+            assert len(names) == 4
+            assert all(name.endswith(f".{tld}") for name in names)
+            assert read_manifest(out / "manifest.json")["options"]["tld"] \
+                == tld
 
     def test_pkdga_requires_ckpt(self, tmp_path):
         code, _ = run_cli("generate", "--dga", "pkdga", "--count", "3")

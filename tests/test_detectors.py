@@ -24,10 +24,10 @@ from dgalab.detectors import neural
 from dgalab.detectors.neural import VOCAB, NeuralDetector, encode
 from dgalab.detectors.forest import fit_forest
 from dgalab.detectors.statistics import CHUNK, StatisticsDetector
-from dgalab.domains import validate_domain
+from dgalab.domains import CheckedNames, validate_domain
 from dgalab.errors import DataError, NumericError, ScoringError
 from dgalab.rng import stream
-from conftest import extract_features, python_subprocess
+from conftest import count_validations, extract_features, python_subprocess
 
 
 def small_corpus(n=120, seed=4):
@@ -244,6 +244,23 @@ class TestDetectorContracts:
                                             "domain 'Good.com'$"):
             train_detector(kind, bad, hp={"epochs": 1}, rng_seed=0)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_class_is_checked_once(self, kind, monkeypatch):
+        # neither train_detector nor the kind checks a CheckedNames class
+        # again, and a tuple class is checked once per name
+        corpus = small_corpus(20)
+        hp = {"epochs": 1, "trees": 3}
+        count_validations(monkeypatch, refuse=True)
+        checked = LabeledCorpus(CheckedNames(corpus.benign),
+                                CheckedNames(corpus.agd))
+        want = train_detector(kind, checked, hp=hp, rng_seed=0).to_blobs()
+        monkeypatch.undo()
+        calls = count_validations(monkeypatch)
+        got = train_detector(kind, corpus, hp=hp, rng_seed=0).to_blobs()
+        assert calls == [*corpus.benign, *corpus.agd]
+        assert {key: bytes(value) for key, value in got.items()} \
+            == {key: bytes(value) for key, value in want.items()}
+
     def test_hyperparameter_casts(self, monkeypatch):
         hp = {"n": "3", "m": 4.0, "x": "0.25", "on": "Yes", "off": False,
               "frac": 2.5, "word": "abc", "flag": "maybe", "big": "1e3",
@@ -268,7 +285,8 @@ class TestDetectorContracts:
         got = {}
         monkeypatch.setattr(importlib.import_module("dgalab.detectors.fanci")
                             .FanciDetector, "train",
-                            lambda corpus, typed, seed: got.update(typed))
+                            lambda names, labels, typed, seed:
+                            got.update(typed))
         train_detector("fanci", small_corpus(20), hp={"trees": "3"})
         assert got == {"trees": 3, "max_depth": 12, "min_leaf": 2}
 
@@ -391,6 +409,23 @@ class TestStatisticsDetector:
         assert a.edit_refs == b.edit_refs
         probe = corpus.benign[:5] + corpus.agd[:5]
         assert np.allclose(a.score_many(probe), b.score_many(probe))
+        # a name in both classes stays in both: as an AGD under another TLD
+        # (same core, so the same distances) it trains the same model,
+        # whether or not either class repeats it
+        shared = corpus.benign[:10]
+        moved = tuple(name.rpartition(".")[0]
+                      + (".org" if not name.endswith(".org") else ".net")
+                      for name in shared)
+        want = train_detector("statistics", LabeledCorpus(
+            corpus.benign, corpus.agd + moved), rng_seed=1).to_blobs()
+        for benign, agd in ((corpus.benign, corpus.agd + shared),
+                            (corpus.benign + shared[::2],
+                             corpus.agd + shared + corpus.agd[:9] + shared)):
+            got = train_detector("statistics", LabeledCorpus(benign, agd),
+                                 rng_seed=1).to_blobs()
+            assert got.keys() == want.keys()
+            for key in want:
+                assert bytes(got[key]) == bytes(want[key]), key
 
     def test_chunked_batches_equal_whole_and_single(self):
         corpus = small_corpus(CHUNK + 2)
@@ -630,10 +665,9 @@ class TestNeuralDetector:
         hp = {**KIND_TABLE["neural"].hp, "d_e": d_e, "d_h": d_h,
               "layers": layers, "bidirectional": bidirectional,
               "max_len": max_len, "epochs": 0}
-        model = NeuralDetector.train(
-            LabeledCorpus(tuple(names[:half]), tuple(names[half:])), hp, seed)
-        want = copy.deepcopy(model)
         labels = [1.0] * half + [0.0] * (len(names) - half)
+        model = NeuralDetector.train(names, np.array(labels), hp, seed)
+        want = copy.deepcopy(model)
 
         def weight_bits(m):
             return {**{key: value.tobytes()
