@@ -78,10 +78,6 @@ def _build_parser() -> _Parser:
                        help="output directory (manifest + results)")
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for existing scripts and ignored: "
-                            "matrix runs one worker process per usable CPU, "
-                            "every other command one thread")
         return p
 
     p = command("prep", _cmd_prep, "write benign and baseline-DGA corpora")
@@ -120,6 +116,9 @@ def _build_parser() -> _Parser:
 
     p = command("matrix", _cmd_matrix, "anti-detection experiment matrix")
     p.add_argument("--benign", type=_InputFile, required=True)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: the benchmark's matrix-zoo "
+                        "command line passes it")
 
     p = command("game", _cmd_game, "game-based defense loop")
     p.add_argument("--detector", type=_InputFile, required=True,

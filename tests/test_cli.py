@@ -124,6 +124,31 @@ class TestExitCodes:
         code, _ = run_cli("generate", "--nonsense")
         assert code == 1
 
+    @pytest.mark.parametrize("command", [
+        "prep", "detector-train", "train", "generate", "eval", "game",
+        "bench"])
+    def test_only_matrix_takes_threads(self, command, tmp_path, capsys):
+        # the required options, so that --threads is the only error
+        argv = {
+            "prep": [],
+            "detector-train": ["--kind", "statistics", "--benign", "b.txt",
+                               "--agd", "a.txt"],
+            "train": ["--env", "d.ckpt", "--benign", "b.txt"],
+            "generate": ["--dga", "kraken"],
+            "eval": ["--detector", "d.ckpt", "--benign", "b.txt",
+                     "--agd", "a.txt"],
+            "game": ["--detector", "d.ckpt", "--benign", "b.txt"],
+            "bench": ["--ckpt", "p.ckpt"],
+        }[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code, _ = run_cli(command, *argv, "--out", str(out),
+                          "--threads", "2")
+        assert code == 1
+        assert usage_errors(capsys) == [
+            "usage error: unrecognized arguments: --threads 2"]
+        assert not out.exists()
+
     def test_missing_subcommand(self):
         code, _ = run_cli()
         assert code == 1
@@ -847,8 +872,8 @@ class TestManifestOptions:
                       "--agd", str(agd)],
                      {"detector": str(det), "benign": str(benign),
                       "agd": str(agd)}, [det, benign, agd]),
-            "matrix": (["--benign", str(benign)], {"benign": str(benign)},
-                       [benign]),
+            "matrix": (["--benign", str(benign), "--threads", "2"],
+                       {"benign": str(benign), "threads": 2}, [benign]),
             "game": (["--detector", str(det), "--benign", str(benign),
                       "--stages", "0"],
                      {"detector": str(det), "benign": str(benign),
@@ -869,8 +894,7 @@ class TestManifestOptions:
         assert manifest["command"] == command
         assert manifest["config"] == parse_config(cfg)
         assert manifest["options"] == {**options, "out": str(out),
-                                       "config": str(cfg), "seed": 5,
-                                       "threads": 1}
+                                       "config": str(cfg), "seed": 5}
         hyperparameters = {kind: dict(KIND_TABLE[kind].hp) for kind in KINDS}
         hyperparameters["fanci"]["trees"] = 3
         assert manifest["hyperparameters"] == hyperparameters

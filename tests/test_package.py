@@ -1,10 +1,12 @@
-"""The names outside code reaches into: the package exports and the
-functions the benchmark's tracer wraps (perfbench/tracer.py), and the
+"""The names outside code reaches into: the package exports, the
+functions the benchmark's tracer wraps (perfbench/tracer.py) and the
+command lines its workloads pass (perfbench/workloads.py), and the
 modules importing the CLI loads."""
 
 import importlib
 
 import dgalab
+from dgalab import cli
 from conftest import REPO_ROOT, python_subprocess
 
 
@@ -23,6 +25,22 @@ def test_benchmark_tracer_hooks_resolve(monkeypatch):
     finally:
         tracer.uninstall()
     assert not tracer._patches
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # only parsed, not run: a CLI change that breaks the benchmark's
+    # command lines fails here, not first in the benchmark's smoke test
+    monkeypatch.syspath_prepend(str(REPO_ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    parser = cli._build_parser()
+    for workload in workloads.SIZES["tiny"]:
+        commands = [
+            *workloads.setup_commands(workload, "tiny", 1, tmp_path),
+            *workloads.measured_commands(workload, "tiny", 1, tmp_path,
+                                         tmp_path / "rep",
+                                         tmp_path / "run.cfg")]
+        for phase, argv in commands:
+            assert parser.parse_args(argv).command == phase, (workload, argv)
 
 
 def test_cli_import_leaves_kind_modules_lazy():
