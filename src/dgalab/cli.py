@@ -269,11 +269,12 @@ def _cmd_train(args, settings, hp):
     detector = load_detector(args.env)
     benign = corpora.load_domains(args.benign)
     tc = _config(training.TrainConfig, settings)
+    audit = args.out / "audit.tsv" if settings["env.audit"] else None
+    if audit:
+        audit.unlink(missing_ok=True)  # the env appends; a rerun starts anew
     env = FeedbackEnv(detector, seed_corpus=benign,
                       threshold=settings["env.threshold"],
-                      budget=settings["env.budget"],
-                      audit_path=args.out / "audit.tsv"
-                      if settings["env.audit"] else None)
+                      budget=settings["env.budget"], audit_path=audit)
     space = SeedSpace(settings["seeds.start_date"], settings["seeds.end_date"])
     try:
         result = training.train(env, tc, master_seed=args.seed, space=space)

@@ -1,8 +1,9 @@
 """Common detector interface and the training entry point.
 
 Every detector scores a full domain name with P(benign) in [0, 1]; a domain
-is ruled legitimate when the score reaches the decision threshold (0.5 by
-default, calibrated into the score during training).
+is ruled legitimate when the score reaches the decision threshold, which
+``DetectorModel`` alone holds, saves and loads (0.5 by default, the point
+training calibrates every kind's scores to).
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ def _detector_class(kind: str) -> type:
 
 class DetectorModel:
     kind: str = "?"
-
-    def __init__(self, threshold: float = 0.5):
-        self.threshold = float(threshold)
+    threshold: float = 0.5
 
     def score(self, domain: str) -> float:
         """P(benign) of one name: ``score_many`` on a batch of one."""
@@ -70,7 +69,9 @@ class DetectorModel:
         raise NotImplementedError
 
     def save(self, path) -> None:
-        save_blobs(path, KIND_TABLE[self.kind].id, self.to_blobs())
+        blobs = self.to_blobs()  # neural places its threshold record itself
+        blobs.setdefault("threshold", np.array([self.threshold], np.float32))
+        save_blobs(path, KIND_TABLE[self.kind].id, blobs)
 
 
 def train_detector(kind: str, corpus: LabeledCorpus, hp: dict | None = None,
@@ -114,10 +115,17 @@ def typed_hp(kind: str, hp: dict | None = None) -> dict:
 
 
 def load_detector(path) -> DetectorModel:
+    """The detector a checkpoint holds, with its threshold; ``DataError``
+    names a threshold outside [0, 1], the range ``env.threshold`` keeps."""
     kind_id, blobs = load_blobs(path)
     for kind, entry in KIND_TABLE.items():
         if entry.id == kind_id:
-            return _detector_class(kind).from_blobs(blobs)
+            model = _detector_class(kind).from_blobs(blobs)
+            model.threshold = float(record(blobs, "threshold", F32, 1)[0])
+            if not 0 <= model.threshold <= 1:
+                raise DataError(f"{path}: threshold {model.threshold} "
+                                "outside [0, 1]")
+            return model
     raise DataError(f"{path}: kind id {kind_id} is not a detector kind")
 
 

@@ -14,8 +14,7 @@ from .forest import RandomForest, Tree, fit_forest
 class FanciDetector(DetectorModel):
     kind = "fanci"
 
-    def __init__(self, forest: RandomForest, threshold=0.5):
-        super().__init__(threshold)
+    def __init__(self, forest: RandomForest):
         self.forest = forest
 
     def score_many(self, domains) -> np.ndarray:
@@ -37,7 +36,6 @@ class FanciDetector(DetectorModel):
             "left": np.concatenate([t.left for t in self.forest.trees]),
             "right": np.concatenate([t.right for t in self.forest.trees]),
             "prob": np.concatenate([t.prob for t in self.forest.trees]),
-            "threshold": np.array([self.threshold], dtype=np.float32),
         }
 
     @classmethod
@@ -61,5 +59,4 @@ class FanciDetector(DetectorModel):
                     raise DataError("fanci checkpoint: tree child index "
                                     "out of order")
             trees.append(tree)
-        return cls(RandomForest(trees),
-                   float(record(blobs, "threshold", F32, 1)[0]))
+        return cls(RandomForest(trees))

@@ -113,8 +113,7 @@ class RandomForest:
         return acc / len(self.trees)
 
 
-def fit_forest(X, y, rng_seed, n_trees=25, max_depth=12,
-               min_leaf=2) -> RandomForest:
+def fit_forest(X, y, rng_seed, n_trees, max_depth, min_leaf) -> RandomForest:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, n_features = X.shape

@@ -68,8 +68,7 @@ def _reverse_within_length(idx, lengths):
 class NeuralDetector(DetectorModel):
     kind = "neural"
 
-    def __init__(self, embedding, stacks, w, b, max_len=32, threshold=0.5):
-        super().__init__(threshold)
+    def __init__(self, embedding, stacks, w, b, max_len):
         self.embedding = embedding          # (len(VOCAB)+1, d_e)
         self.stacks = stacks                # [(w_x, w_h, bias)] x 1 or 2
         self.w = w                          # (d_h * len(stacks),)
@@ -246,6 +245,7 @@ class NeuralDetector(DetectorModel):
             "embedding": self.embedding,
             "w": self.w,
             "b": np.array([self.b], dtype=np.float32),
+            # here, not last where save appends it: keeps neural's bytes
             "threshold": np.array([self.threshold], dtype=np.float32),
         }
         for s, (w_x, w_h, bias) in enumerate(self.stacks):
@@ -274,5 +274,4 @@ class NeuralDetector(DetectorModel):
             stacks.append((w_x, w_h, bias))
         return cls(embedding, stacks,
                    record(blobs, "w", F32, d_h * len(stacks)),
-                   float(record(blobs, "b", F32, 1)[0]), max_len,
-                   float(record(blobs, "threshold", F32, 1)[0]))
+                   float(record(blobs, "b", F32, 1)[0]), max_len)

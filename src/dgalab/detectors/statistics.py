@@ -52,9 +52,8 @@ class StatisticsDetector(DetectorModel):
     kind = "statistics"
 
     def __init__(self, profile, jaccard_refs, edit_refs,
-                 logistic: Logistic | None = None, threshold=0.5):
-        # logistic is None only for a probe that measures distances
-        super().__init__(threshold)
+                 logistic: Logistic | None = None):
+        # logistic is None only while train measures the distances it fits
         self.profile = np.asarray(profile, dtype=np.float64)
         if self.profile.shape != (N_CHARS,) or not np.all(self.profile > 0):
             raise DataError(f"statistics profile must hold {N_CHARS} "
@@ -106,9 +105,9 @@ class StatisticsDetector(DetectorModel):
         edit_refs = [cores[i][:_EDIT_CAP] for i in
                      rng.integers(0, len(cores), size=hp["edit_refs"])]
 
-        probe = cls(profile, jac_refs, edit_refs)
-        feats = probe.distances_many(names)
-        return cls(profile, jac_refs, edit_refs, fit_logistic(feats, labels))
+        model = cls(profile, jac_refs, edit_refs)
+        model.logistic = fit_logistic(model.distances_many(names), labels)
+        return model
 
     # -- serialization -----------------------------------------------------
     def to_blobs(self) -> dict:
@@ -117,7 +116,6 @@ class StatisticsDetector(DetectorModel):
             "jaccard_refs": "\n".join(self.jaccard_refs).encode("utf-8"),
             "edit_refs": "\n".join(self.edit_refs).encode("utf-8"),
             **self.logistic.to_blobs(),
-            "threshold": np.array([self.threshold], dtype=np.float32),
         }
 
     @classmethod
@@ -125,5 +123,4 @@ class StatisticsDetector(DetectorModel):
         logistic = Logistic.from_blobs(blobs, 3)
         return cls(record(blobs, "profile", F32, N_CHARS),
                    record(blobs, "jaccard_refs", TEXT).split("\n"),
-                   record(blobs, "edit_refs", TEXT).split("\n"), logistic,
-                   float(record(blobs, "threshold", F32, 1)[0]))
+                   record(blobs, "edit_refs", TEXT).split("\n"), logistic)

@@ -18,7 +18,7 @@ import re
 
 import numpy as np
 
-from ..checkpoint import F32, I64, TEXT, record
+from ..checkpoint import I64, TEXT, record
 from ..domains import LABEL_CHARS
 from ..errors import DataError
 from .base import DetectorModel, Logistic, fit_logistic
@@ -88,9 +88,7 @@ def _graph_stats(slots, degrees, max_degree: int) -> np.ndarray:
 class WordGraphDetector(DetectorModel):
     kind = "wordgraph"
 
-    def __init__(self, degrees: dict, max_degree: int, logistic: Logistic,
-                 threshold=0.5):
-        super().__init__(threshold)
+    def __init__(self, degrees: dict, max_degree: int, logistic: Logistic):
         self.degrees = degrees
         self.max_degree = max(1, int(max_degree))
         ids = string_ids(list(degrees))
@@ -152,7 +150,6 @@ class WordGraphDetector(DetectorModel):
             "degrees": np.array([self.degrees[s] for s in nodes], dtype=np.int64),
             "max_degree": np.array([self.max_degree], dtype=np.int64),
             **self.logistic.to_blobs(),
-            "threshold": np.array([self.threshold], dtype=np.float32),
         }
 
     @classmethod
@@ -174,5 +171,4 @@ class WordGraphDetector(DetectorModel):
             raise DataError("wordgraph checkpoint: max_degree is not the "
                             "largest degree")
         return cls(dict(zip(nodes, degrees.tolist())), max_degree,
-                   Logistic.from_blobs(blobs, 1),
-                   float(record(blobs, "threshold", F32, 1)[0]))
+                   Logistic.from_blobs(blobs, 1))

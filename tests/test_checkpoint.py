@@ -1,4 +1,5 @@
 import datetime as dt
+import inspect
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ from dgalab import checkpoint, policy
 from dgalab.baselines import kraken_generate
 from dgalab.corpora import LabeledCorpus, synthesize_benign
 from dgalab.detectors import KINDS, load_detector, train_detector
-from dgalab.detectors.base import KIND_TABLE
+from dgalab.detectors.base import KIND_TABLE, _detector_class
 from dgalab.errors import DataError, NumericError
 from dgalab.training import generate_domains
 
@@ -221,6 +222,9 @@ class TestBlobContainer:
         ("wordgraph", "nodes", node_edit(lambda n: n.__setitem__(1, n[0]))),
         ("wordgraph", "degrees", lambda a: a.__setitem__(0, -1)),
         ("wordgraph", "max_degree", lambda a: a.__setitem__(0, a[0] + 1)),
+        *(pytest.param(kind, "threshold", lambda a, v=value: np.full_like(a, v),
+                       id=f"{kind}-threshold-{value}")
+          for kind in KINDS for value in (1.5, -0.5)),
     ])
     def test_damaged_detector_records(self, tmp_path, checkpoints, kind,
                                       name, damage):
@@ -233,6 +237,44 @@ class TestBlobContainer:
         checkpoint.save_blobs(path, kind_id, blobs)
         with pytest.raises(DataError):
             load_detector(path)
+
+
+# each kind's records in the order it saves them; neural's threshold sits
+# before its layers, which keeps its checkpoints' bytes
+RECORDS = {
+    "statistics": ["profile", "jaccard_refs", "edit_refs", "logistic",
+                   "standardize", "threshold"],
+    "fanci": ["tree_sizes", "feature", "threshold_arr", "left", "right",
+              "prob", "threshold"],
+    "wordgraph": ["nodes", "degrees", "max_degree", "logistic",
+                  "standardize", "threshold"],
+    "neural": ["dims", "embedding", "w", "b", "threshold", "s0.l0.w_x",
+               "s0.l0.w_h", "s0.l0.b"],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestThreshold:
+    def test_record_names_in_order(self, tmp_path, checkpoints, kind):
+        path = tmp_path / "d.ckpt"
+        path.write_bytes(checkpoints[kind])
+        assert list(checkpoint.load_blobs(path)[1]) == RECORDS[kind]
+
+    @pytest.mark.parametrize("threshold", [0.25, 0.0, 1.0])
+    def test_saves_and_loads(self, tmp_path, checkpoints, kind, threshold):
+        path = tmp_path / "d.ckpt"
+        path.write_bytes(checkpoints[kind])
+        model = load_detector(path)
+        assert model.threshold == 0.5
+        model.save(path)
+        assert path.read_bytes() == checkpoints[kind]
+        model.threshold = threshold
+        model.save(path)
+        assert load_detector(path).threshold == threshold
+
+    def test_no_kind_takes_a_threshold(self, kind):
+        assert "threshold" not in inspect.signature(
+            _detector_class(kind)).parameters
 
 
 class TestRecord:

@@ -261,6 +261,29 @@ class TestExitCodes:
         assert code == 2
         assert len(err) == 1 and "'s0.l0.w_h' holds" in err[0]
 
+    @pytest.mark.parametrize("threshold", [1.5, -0.5])
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--env"), ("eval", "--detector"), ("game", "--detector")])
+    def test_threshold_outside_unit_interval(self, command, flag, threshold,
+                                             workspace, tmp_path, capsys):
+        # a verdict at 1.5 rejects every name, so train would score every
+        # epoch at reward 0 and exit 0
+        def move(blobs):
+            blobs["threshold"] = np.array([threshold], dtype=np.float32)
+        bad = resaved(workspace / "det" / "detector.ckpt",
+                      tmp_path / "bad.ckpt", move)
+        prep = workspace / "prep"
+        extra = {"train": [], "eval": ["--agd", str(prep / "kraken.txt")],
+                 "game": ["--stages", "1"]}[command]
+        capsys.readouterr()
+        code, _ = run_cli(command, flag, str(bad), *extra,
+                          "--benign", str(prep / "benign.txt"),
+                          "--config", str(workspace / "run.cfg"),
+                          "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {bad}: threshold {threshold} outside [0, 1]"]
+
     def test_unknown_matrix_detector(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "m.cfg"
         cfg.write_text("matrix.detectors = statistics,bogus\n"
@@ -1063,6 +1086,23 @@ class TestTrainCommand:
         assert logs[0] == logs[1]
         numbers = [line.split(b"\t")[0] for line in logs[0].splitlines()]
         assert numbers == [str(i).encode() for i in range(1, len(numbers) + 1)]
+
+    def test_rerun_into_one_out_starts_the_audit_afresh(self, workspace,
+                                                         tmp_path):
+        # the env appends to its log; a second run into one --out must not
+        # leave the first run's queries above its own
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(RUN_CFG.replace("train.epochs = 8", "train.epochs = 2")
+                       + "env.audit = true\n")
+        for out in ("fresh", "again", "again"):
+            code, _ = run_cli("train", "--env",
+                              str(workspace / "det" / "detector.ckpt"),
+                              "--benign", str(workspace / "prep" / "benign.txt"),
+                              "--out", str(tmp_path / out), "--config",
+                              str(cfg), "--seed", "4")
+            assert code == 0
+        assert (tmp_path / "again" / "audit.tsv").read_bytes() \
+            == (tmp_path / "fresh" / "audit.tsv").read_bytes()
 
     def test_budget_spent_before_the_first_epoch(self, workspace, tmp_path,
                                                  capsys):

@@ -182,7 +182,8 @@ class TestForest:
         x1 = rng.random(60) * 2.0 + 5.0    # class 1 in [5, 7]
         X = np.concatenate([x0, x1])[:, None]
         y = np.array([0.0] * 60 + [1.0] * 60)
-        forest = fit_forest(X, y, rng_seed=1, n_trees=1, max_depth=1)
+        forest = fit_forest(X, y, rng_seed=1, n_trees=1, max_depth=1,
+                            min_leaf=2)
         tree = forest.trees[0]
         assert tree.feature[0] == 0
         assert 2.0 < tree.threshold[0] < 5.0
@@ -193,8 +194,10 @@ class TestForest:
         rng = stream("forest-det")
         X = rng.random((80, 4))
         y = (X[:, 1] > 0.5).astype(float)
-        a = fit_forest(X, y, rng_seed=7, n_trees=5, max_depth=4)
-        b = fit_forest(X, y, rng_seed=7, n_trees=5, max_depth=4)
+        a = fit_forest(X, y, rng_seed=7, n_trees=5, max_depth=4,
+                       min_leaf=2)
+        b = fit_forest(X, y, rng_seed=7, n_trees=5, max_depth=4,
+                       min_leaf=2)
         assert np.array_equal(a.predict(X), b.predict(X))
 
     # one column of adjacent floats whose midpoint rounds onto the larger
