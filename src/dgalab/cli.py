@@ -150,13 +150,12 @@ _FIELD_KEYS = {
                                            pkdga=None),
 }
 # every config key some command reads -> its default, whose type is the
-# key's type (a comma list for a tuple, a float for None)
+# key's type (a comma list for a tuple)
 SETTINGS = {
     **{key: f.default for keyed in _FIELD_KEYS.values()
        for key, f in keyed.items()},
     "matrix.dgas": tuple(FAMILIES),
     "matrix.pkdga": True,
-    "env.threshold": None,          # the detector's own threshold
     "env.budget": 1_000_000,
     "env.audit": False,
     "seeds.start_date": _dt.date(2020, 1, 1),
@@ -196,9 +195,6 @@ def _load_cfg(path) -> tuple[dict, dict, dict]:
     check_tld(settings["data.tld"])
     if not 0 < settings["detector.split"] < 1:
         raise ContractError("detector.split must lie in (0, 1)")
-    if settings["env.threshold"] is not None \
-            and not 0 <= settings["env.threshold"] <= 1:
-        raise ContractError("env.threshold must lie in [0, 1]")
     if settings["env.budget"] < 0:
         raise ContractError("env.budget must be at least 0")
     for key, known, what in (("matrix.detectors", KINDS, "detector kind"),
@@ -273,7 +269,6 @@ def _cmd_train(args, settings, hp):
     if audit:
         audit.unlink(missing_ok=True)  # the env appends; a rerun starts anew
     env = FeedbackEnv(detector, seed_corpus=benign,
-                      threshold=settings["env.threshold"],
                       budget=settings["env.budget"], audit_path=audit)
     space = SeedSpace(settings["seeds.start_date"], settings["seeds.end_date"])
     try:

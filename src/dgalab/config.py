@@ -39,12 +39,18 @@ def read_text(path) -> str:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
+def content_lines(text: str):
+    """(line number, stripped line) for each line of ``text`` that is
+    neither blank nor a ``#`` comment."""
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield ln, line
+
+
 def parse_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    for ln, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in content_lines(read_text(path)):
         if "=" not in line:
             raise DataError(f"{path}:{ln}: expected key = value")
         key, _, value = line.partition("=")
@@ -86,13 +92,12 @@ def cast_value(name: str, value, cast):
 
 def cast_setting(key: str, text: str, default):
     """Config ``text`` for ``key`` as its default's type, or the default if
-    empty; a tuple default takes a comma list, and a ``None`` one a float."""
+    empty; a tuple default takes a comma list."""
     if text == "":
         return default
     if isinstance(default, tuple):
         return tuple(item.strip() for item in text.split(","))
-    return cast_value(f"config {key}", text,
-                      float if default is None else type(default))
+    return cast_value(f"config {key}", text, type(default))
 
 
 def resolve_data_path(path) -> Path:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_text
+from .config import content_lines, read_text
 from .domains import MAX_LABEL, CheckedNames, validate_domain
 from .errors import ContractError, DataError
 from .rng import stream
@@ -58,9 +58,7 @@ def _data_text(name: str) -> str:
 
 
 def load_wordlist(bundled: str = "words_a.txt") -> WordDict:
-    lines = _data_text(bundled).splitlines()
-    return WordDict(tuple(w for w in (line.strip() for line in lines)
-                          if w and not w.startswith("#")))
+    return WordDict(tuple(w for _, w in content_lines(_data_text(bundled))))
 
 
 @lru_cache(maxsize=1)
@@ -88,10 +86,7 @@ def _benign_pool() -> list[str]:
 def load_domains(path) -> CheckedNames:
     """One checked FQDN per line; malformed entries raise DataError."""
     out = CheckedNames()
-    for ln, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in content_lines(read_text(path)):
         if not validate_domain(line):
             raise DataError(f"{path}:{ln}: invalid domain {line!r}")
         out.append(line)

@@ -116,7 +116,7 @@ def typed_hp(kind: str, hp: dict | None = None) -> dict:
 
 def load_detector(path) -> DetectorModel:
     """The detector a checkpoint holds, with its threshold; ``DataError``
-    names a threshold outside [0, 1], the range ``env.threshold`` keeps."""
+    names a threshold outside [0, 1], the range of every score."""
     kind_id, blobs = load_blobs(path)
     for kind, entry in KIND_TABLE.items():
         if entry.id == kind_id:

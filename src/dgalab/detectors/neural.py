@@ -227,8 +227,8 @@ class NeuralDetector(DetectorModel):
                   lr=hp["lr"], rng_key=rng_seed)
         return model
 
-    def incremental_update(self, agd_domains, benign_domains, epochs=3,
-                           lr=0.2, batch=64, rng_key=1):
+    def incremental_update(self, agd_domains, benign_domains, epochs, lr,
+                           batch=64, rng_key=1):
         """Continue training on fresh adversarial names plus benign replay."""
         domains = list(benign_domains) + list(agd_domains)
         labels = [1.0] * len(benign_domains) + [0.0] * len(agd_domains)

@@ -32,11 +32,9 @@ def synthetic_address(fqdn: str) -> str:
 class FeedbackEnv:
     """Black-box registration endpoint over one detector."""
 
-    def __init__(self, detector, seed_corpus=(), threshold=None,
-                 budget: int = 1_000_000, audit_path=None):
+    def __init__(self, detector, seed_corpus=(), budget: int = 1_000_000,
+                 audit_path=None):
         self.__detector = detector
-        self.__threshold = float(detector.threshold if threshold is None
-                                 else threshold)
         self._registered = {d.lower() for d in seed_corpus}
         self._budget = int(budget)
         self._count = 0
@@ -56,13 +54,15 @@ class FeedbackEnv:
 
     def register_many(self, fqdns) -> np.recarray:
         """Sequential semantics: item k sees the registry as left by k-1.
-        Returns the batch's ``feedback_records``."""
+        A name is legitimate when its score reaches the detector's
+        ``threshold`` as it stands at the call.  Returns the batch's
+        ``feedback_records``."""
         fqdns = checked_names(fqdns)
         if self._count + len(fqdns) > self._budget:
             raise QueryBudgetError(
                 f"budget {self._budget} exhausted at {self._count} queries")
         scores = self.__detector.score_many(fqdns)
-        d = (np.asarray(scores) >= self.__threshold).tolist()
+        d = (np.asarray(scores) >= self.__detector.threshold).tolist()
         n = []
         for fqdn, legit in zip(fqdns, d):
             self._count += 1

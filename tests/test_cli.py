@@ -557,7 +557,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,line", [
         ("train", "train.lr = nan"),
-        ("train", "env.threshold = inf"),
         ("game", "game.incr_lr = nan"),
     ])
     def test_non_finite_setting(self, command, line, workspace, tmp_path,
@@ -683,8 +682,6 @@ class TestBadConfigWritesNothing:
             ("game.stage_budget", 0, "game", GAME_SIZES),
             ("game.incr_epochs", 0, "game", GAME_SIZES),
             ("game.incr_lr", 0, "game", "incr_lr must be positive"),
-            ("env.threshold", 1.5, "train",
-             "env.threshold must lie in [0, 1]"),
             ("env.budget", -5, "train", "env.budget must be at least 0"))])
     def test_unusable_size(self, workspace, tmp_path, capsys, key, value,
                            command, message):
@@ -728,6 +725,22 @@ class TestBadConfigWritesNothing:
             train_detector(kind, LabeledCorpus(("a.com",), ("b.com",)),
                            hp={key: value})
         assert str(refused.value) == f"detector hyperparameter {message}"
+
+    # every verdict rules at the detector's own threshold: no config key
+    # sets it, and a config that tries is refused before --out exists
+    @pytest.mark.parametrize("command", ["train", "game", "matrix"])
+    def test_removed_threshold_key(self, workspace, tmp_path, capsys,
+                                   command):
+        ckpt = str(workspace / "det" / "detector.ckpt")
+        code, err = self.run(capsys, tmp_path, "env.threshold = 0.5\n",
+                             command,
+                             *{"train": ["--env", ckpt], "matrix": [],
+                               "game": ["--detector", ckpt]}[command],
+                             "--benign", str(workspace / "prep" / "benign.txt"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == ("usage error: config key 'env.threshold' is not read "
+                       "by any command")
 
     def test_setting_the_command_does_not_read(self, tmp_path, capsys):
         code, err = self.run(capsys, tmp_path, "game.incr_lr = x\n",
@@ -783,8 +796,6 @@ class TestConfigKeys:
 def settings_table() -> str:
     """README's table of every setting: its key, default and type."""
     def shown(default):
-        if default is None:
-            return "the detector's threshold"
         if isinstance(default, bool):
             return f"`{str(default).lower()}`"
         if isinstance(default, tuple):
@@ -792,8 +803,6 @@ def settings_table() -> str:
         return f"`{default}`"
 
     def kind(default):
-        if default is None:
-            return "float"
         return "comma list" if isinstance(default, tuple) \
             else type(default).__name__
 
@@ -862,7 +871,6 @@ class TestManifestOptions:
         assert settings["matrix.detectors"] == ["statistics", "neural"]
         assert settings["seeds.start_date"] == "2020-01-01"
         assert settings["seeds.end_date"] == "2030-06-01"
-        assert settings["env.threshold"] is None
         assert manifest["config"]["train.lr"] == "2"
 
     @pytest.mark.parametrize("command", [

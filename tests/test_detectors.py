@@ -685,7 +685,7 @@ class TestNeuralDetector:
         oracle.neural_fit_oracle(want, names, labels, 2, batch, 0.2,
                                  ("incr", seed))
         assert weight_bits(model) == weight_bits(want)
-        model.incremental_update([], [], batch=batch)        # no step
+        model.incremental_update([], [], epochs=2, lr=0.2, batch=batch)
         assert weight_bits(model) == weight_bits(want)
 
     def test_toy_separable_by_first_char(self):

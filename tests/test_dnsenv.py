@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from dgalab.baselines import kraken_generate
@@ -98,6 +100,22 @@ class TestBlackBox:
         leaked = [a for a in vars(env)
                   if "detector" in a.lower() and not a.startswith("_FeedbackEnv__")]
         assert leaked == []
+
+
+class TestThreshold:
+    def test_env_neither_takes_nor_stores_a_threshold(
+            self, fixed_detector_factory):
+        assert "threshold" not in inspect.signature(FeedbackEnv).parameters
+        env = make_env(fixed_detector_factory)
+        assert not [a for a in vars(env) if "threshold" in a.lower()]
+
+    def test_verdict_follows_the_detector_at_each_call(
+            self, fixed_detector_factory):
+        det = fixed_detector_factory(lambda d: 0.6, threshold=0.7)
+        env = FeedbackEnv(det)
+        assert env.register("one.com").d_factor == 0
+        det.threshold = 0.5
+        assert env.register("one.com").d_factor == 1
 
 
 class TestAuditLog:

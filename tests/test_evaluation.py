@@ -17,7 +17,7 @@ from dgalab.evaluation import (GameConfig, MatrixConfig, anti_detection,
 from dgalab.rng import stream
 from dgalab.training import TrainConfig
 import scalar_oracles as oracle
-from conftest import pairwise_auc
+from conftest import FixedScoreDetector, pairwise_auc
 
 
 class TestRocAuc:
@@ -393,6 +393,24 @@ class TestGameLoop:
             det.incremental_update(agds, benign[:len(agds)], epochs=5, lr=0.3)
             after = detection_auc(det, benign[200:300], agds).auc
             assert after >= before - 1e-9
+
+    @pytest.mark.parametrize("threshold, rewarded", [(0.7, False),
+                                                     (0.5, True)])
+    def test_verdict_follows_the_detector_threshold(self, threshold,
+                                                    rewarded):
+        class Constant(FixedScoreDetector):
+            def incremental_update(self, *args, **kwargs):
+                pass
+
+        det = Constant(lambda d: 0.6, threshold=threshold)
+        benign = synthesize_benign(40, rng_seed=3)
+        cfg = GameConfig(train_cfg=TrainConfig(lr=1.0, batch=4, mc=2,
+                                               length=8, epochs=2),
+                         stage_budget=5_000, fresh_samples=20)
+        out = game_loop(det, benign[:20], benign[20:], stages=1, cfg=cfg)
+        assert out[1].stage == 1
+        reward = out[1].reward
+        assert reward > 0 if rewarded else reward == 0
 
     def test_non_incremental_kind_unsupported(self):
         corpus = LabeledCorpus(tuple(synthesize_benign(40, rng_seed=1)),
