@@ -21,11 +21,14 @@ from .config import (cast_setting, parse_config, resolve_data_path,
 from .detectors import KINDS, load_detector, train_detector
 from .detectors.base import KIND_TABLE, typed_hp
 from .dnsenv import FeedbackEnv
-from .domains import SeedSpace, check_tld
+from .domains import CheckedNames, SeedSpace, check_tld
 from .errors import ContractError, DataError, DgaLabError, NumericError
 from .rng import stream_key
 
 DGA_NAMES = (*FAMILIES, "pkdga")
+# generate's flags that only pkdga reads -> default; a baseline refuses them
+_PKDGA_FLAGS = {"ckpt": None, "start_date": _dt.date(2030, 1, 1),
+                "mode": "sample"}
 
 
 class UsageError(Exception):
@@ -105,9 +108,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=_count, default=10)
     p.add_argument("--ckpt", type=_InputFile,
                    help="policy checkpoint (pkdga only)")
-    p.add_argument("--start-date", type=_iso_date, default="2030-01-01")
+    p.add_argument("--start-date", type=_iso_date,
+                   help="first date seed (pkdga only); default 2030-01-01")
     p.add_argument("--tld", help="TLD of the names; default: data.tld")
-    p.add_argument("--mode", choices=("sample", "argmax"), default="sample")
+    p.add_argument("--mode", choices=("sample", "argmax"), help="pkdga only")
 
     p = command("eval", _cmd_eval, "score a corpus pair against a detector")
     p.add_argument("--detector", type=_InputFile, required=True)
@@ -162,13 +166,11 @@ SETTINGS = {
     "seeds.end_date": _dt.date(2039, 12, 31),
     "detector.split": 0.8,
 }
-# any key of a settings section that is neither a setting nor, under
-# detector., a hyperparameter some kind reads ends the run
-_SECTIONS = {key.partition(".")[0] for key in SETTINGS}
-_KNOWN_KEYS = {*SETTINGS, *(f"detector.{name}"
+# the config file's vocabulary: every setting, and detector.<kind>.<key>
+# for each hyperparameter of each kind; any other key ends the run
+_KNOWN_KEYS = {*SETTINGS, *(f"detector.{kind}.{key}"
                             for kind, entry in KIND_TABLE.items()
-                            for key in entry.hp
-                            for name in (key, f"{kind}.{key}"))}
+                            for key in entry.hp)}
 
 
 def _config(cls, settings: dict, **fields):
@@ -183,7 +185,7 @@ def _load_cfg(path) -> tuple[dict, dict, dict]:
     needs only the config has passed."""
     cfg = parse_config(path) if path else {}
     for key in cfg:
-        if key.partition(".")[0] in _SECTIONS and key not in _KNOWN_KEYS:
+        if key not in _KNOWN_KEYS:
             raise UsageError(f"config key {key!r} is not read by any command")
     settings = {key: cast_setting(key, cfg.get(key, ""), default)
                 for key, default in SETTINGS.items()}
@@ -208,20 +210,16 @@ def _load_cfg(path) -> tuple[dict, dict, dict]:
 
 
 def _detector_hp(cfg: dict, kind: str) -> dict:
-    """The config's values for ``kind``'s hyperparameters, as text;
-    ``detector.<kind>.<key>`` wins over ``detector.<key>`` on any line, and
-    a key with an empty value counts as absent."""
-    hp = {}
-    for key in KIND_TABLE[kind].hp:
-        for name in (f"detector.{kind}.{key}", f"detector.{key}"):
-            if cfg.get(name, "") != "":   # an empty value is an absent line
-                hp[key] = cfg[name]
-                break
-    return hp
+    """The config's ``detector.<kind>.<key>`` values, as text; a key with an
+    empty value counts as absent."""
+    return {key: value for key in KIND_TABLE[kind].hp
+            if (value := cfg.get(f"detector.{kind}.{key}", "")) != ""}
 
 
-def _baseline_names(family, seed, count, tld) -> list[str]:
-    return [f"{core}.{tld}" for core in FAMILIES[family](seed, count)]
+def _baseline_names(family, seed, count, tld) -> CheckedNames:
+    # every core is 1-63 characters of a-z and 0-9; check_tld passed tld
+    return CheckedNames(f"{core}.{tld}"
+                        for core in FAMILIES[family](seed, count))
 
 
 def _emit(path: Path, text: str) -> None:
@@ -283,9 +281,7 @@ def _cmd_train(args, settings, hp):
             f"{result.best_epoch}" if result.curve else "no epoch completed")
     print(f"{best}; {result.queries_used} register calls; stopped: "
           f"{result.stopped}", file=sys.stderr)
-    if result.stopped == "numeric":
-        return 3
-    return 0
+    return 3 if result.stopped == "numeric" else 0
 
 
 def _cmd_generate(args, settings, hp):
@@ -314,12 +310,6 @@ def _cmd_eval(args, settings, hp):
     return 0
 
 
-def _matrix_dgas(families, tld):
-    """{family: generator(count, rng_key) -> names} for ``families``."""
-    return {family: lambda count, key, family=family: _baseline_names(
-        family, stream_key(key) % 2 ** 31, count, tld) for family in families}
-
-
 def _cmd_matrix(args, settings, hp):
     benign = corpora.load_domains(args.benign)
     detectors = settings["matrix.detectors"]
@@ -327,9 +317,10 @@ def _cmd_matrix(args, settings, hp):
              if settings["matrix.pkdga"] else None)
     mc = _config(evaluation.MatrixConfig, settings, pkdga=pkdga,
                  detector_hp=hp)
-    matrix = evaluation.run_matrix(
-        _matrix_dgas(settings["matrix.dgas"], settings["data.tld"]), benign,
-        mc, master_seed=args.seed)
+    dgas = {family: lambda count, key, family=family: _baseline_names(
+        family, stream_key(key) % 2 ** 31, count, settings["data.tld"])
+        for family in settings["matrix.dgas"]}
+    matrix = evaluation.run_matrix(dgas, benign, mc, master_seed=args.seed)
     for det in detectors:
         _emit(args.out / f"matrix_{det}.tsv", matrix.fig_tsv(det))
     if mc.include_mixed:
@@ -375,6 +366,12 @@ def main(argv=None) -> int:
             parser.error("a subcommand is required")
         cfg, settings, hp = _load_cfg(args.config)
         if args.command == "generate":
+            for flag, default in _PKDGA_FLAGS.items():
+                if args.dga == "pkdga":
+                    setattr(args, flag, getattr(args, flag) or default)
+                elif getattr(args, flag) is not None:
+                    raise UsageError(f"--{flag.replace('_', '-')} applies "
+                                     "to --dga pkdga only")
             if args.dga == "pkdga" and not args.ckpt:
                 raise UsageError("--ckpt is required for --dga pkdga")
             if args.tld is None:        # the flag overrides the file

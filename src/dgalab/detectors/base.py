@@ -21,7 +21,7 @@ from ..errors import ContractError, DataError, ScoringError
 
 # kind -> its checkpoint kind id, the name of its class in the module named
 # after the kind (imported on first use), and the hyperparameters its
-# ``train`` reads with their defaults; a config's detector.* keys name these
+# ``train`` reads with their defaults, each set by detector.<kind>.<key>
 Kind = NamedTuple("Kind", [("id", int), ("class_name", str), ("hp", dict)])
 KIND_TABLE = {
     "statistics": Kind(1, "StatisticsDetector",

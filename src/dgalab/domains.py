@@ -124,7 +124,8 @@ def validate_domain(s: str) -> bool:
 
 class CheckedNames(list):
     """Checked names; built only by ``checked_names``, ``load_domains``,
-    ``train_detector`` and ``split_dataset`` (from a ``CheckedNames``)."""
+    ``train_detector``, ``split_dataset`` (from a ``CheckedNames``), and
+    ``_epoch_values`` and ``_baseline_names``, valid by construction."""
 
 
 def checked_names(domains) -> CheckedNames:

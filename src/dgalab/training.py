@@ -26,8 +26,8 @@ from itertools import compress
 import numpy as np
 
 from . import policy as P, recurrent
-from .domains import (DEFAULT_TOKENS, SeedSpace, TokenDict, check_tld,
-                      encode_seed)
+from .domains import (DEFAULT_TOKENS, CheckedNames, SeedSpace, TokenDict,
+                      check_tld, encode_seed)
 from .errors import ContractError, NumericError, QueryBudgetError
 from .rng import uniforms
 
@@ -175,7 +175,8 @@ def _epoch_values(env, params, cfg, dct, master_seed, epoch, run,
     names.append(dct.fqdns(run.tokens, cfg.tld))
     ends = np.cumsum([len(step) for step in names])
     fit = int(np.searchsorted(ends, env.budget - env.query_count, "right"))
-    batch = [name for step in names[:fit] for name in step]
+    # label tokens with no edge hyphen (run_batch masks it); a checked TLD
+    batch = CheckedNames(name for step in names[:fit] for name in step)
     outcome = env.register_many(batch).outcome if batch else []
     if registered is not None:
         registered.extend(compress(batch, outcome))

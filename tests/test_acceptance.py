@@ -209,7 +209,7 @@ class TestCriterion6Determinism:
         cfgfile.write_text(
             "train.lr = 1.0\ntrain.batch = 8\ntrain.mc = 2\n"
             "train.length = 10\ntrain.epochs = 6\nenv.budget = 20000\n"
-            "detector.epochs = 2\n"
+            "detector.neural.epochs = 2\n"
             "matrix.detectors = statistics\nmatrix.train_per_class = 120\n"
             "matrix.eval_benign = 60\nmatrix.eval_agd = 60\n"
             "matrix.dgas = kraken,suppobox\nmatrix.pkdga = true\n"

@@ -24,7 +24,7 @@ train.mc = 2
 train.length = 10
 train.epochs = 8
 env.budget = 20000
-detector.epochs = 3
+detector.neural.epochs = 3
 """
 
 
@@ -74,7 +74,7 @@ def statistics_ckpt(workspace):
 @pytest.fixture(scope="module")
 def fanci_ckpt(workspace):
     cfg = workspace / "fanci.cfg"
-    cfg.write_text("detector.trees = 3\n")
+    cfg.write_text("detector.fanci.trees = 3\n")
     code, _ = run_cli("detector-train", "--kind", "fanci",
                       "--benign", str(workspace / "prep" / "benign.txt"),
                       "--agd", str(workspace / "prep" / "kraken.txt"),
@@ -392,7 +392,11 @@ class TestExitCodes:
                                       "detector.epoch = 1",
                                       "detector.fanci.epochs = 1",
                                       "detector.forest.trees = 1",
-                                      "detector.neural = 1"])
+                                      "detector.neural = 1",
+                                      "detector.epochs = 1",
+                                      "detector.trees = 1",
+                                      "trian.epochs = 1", "Train.epochs = 1",
+                                      "benign = 300"])
     def test_unknown_config_key(self, line, workspace, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(RUN_CFG + line + "\n")
@@ -448,7 +452,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind,line,message", [
         ("fanci", "detector.fanci.trees = 2.5", "trees = '2.5': expected int"),
-        ("fanci", "detector.trees = -1.5", "trees = '-1.5': expected int"),
+        ("fanci", "detector.fanci.trees = -1.5",
+         "trees = '-1.5': expected int"),
         ("neural", "detector.neural.lr = nan",
          "lr = 'nan': expected a finite float"),
     ])
@@ -546,7 +551,7 @@ class TestExitCodes:
     def test_empty_detector_value_means_default(self, workspace, tmp_path,
                                                 capsys):
         cfg = tmp_path / "empty.cfg"
-        cfg.write_text("detector.epochs =\n")
+        cfg.write_text("detector.neural.epochs =\n")
         capsys.readouterr()
         code, _ = run_cli("detector-train", "--kind", "neural",
                           "--benign", str(workspace / "prep" / "benign.txt"),
@@ -765,29 +770,24 @@ class TestConfigKeys:
         read |= {key for keyed in cli._FIELD_KEYS.values() for key in keyed}
         assert set(cli.SETTINGS) == read
 
-    @pytest.mark.parametrize("lines", [
-        ("detector.neural.epochs = 2", "detector.epochs = 5"),
-        ("detector.epochs = 5", "detector.neural.epochs = 2")])
-    def test_kind_key_wins_in_either_order(self, lines, tmp_path):
-        cfg = tmp_path / "order.cfg"
-        cfg.write_text("\n".join(lines) + "\ndetector.trees = 4\n")
-        parsed = parse_config(cfg)
-        assert cli._detector_hp(parsed, "neural") == {"epochs": "2"}
-        assert cli._detector_hp(parsed, "fanci") == {"trees": "4"}
-        assert cli._detector_hp(parsed, "statistics") == {}
+    def test_one_key_per_value(self):
+        hp_keys = {f"detector.{kind}.{key}" for kind, entry in
+                   KIND_TABLE.items() for key in entry.hp}
+        assert cli._KNOWN_KEYS == set(cli.SETTINGS) | hp_keys
+        assert len(cli._KNOWN_KEYS) == len(cli.SETTINGS) + len(hp_keys) == 40
 
     def test_empty_value_counts_as_absent(self, tmp_path):
         cfg = tmp_path / "empty.cfg"
-        cfg.write_text("detector.neural.epochs =\ndetector.epochs = 2\n"
-                       "detector.fanci.trees =\ndetector.trees =\n")
-        parsed = parse_config(cfg)
-        assert cli._detector_hp(parsed, "neural") == {"epochs": "2"}
-        assert cli._detector_hp(parsed, "fanci") == {}
+        cfg.write_text("detector.neural.epochs =\ndetector.neural.d_e = 8\n"
+                       "detector.fanci.trees =\n")
+        assert cli._detector_hp(parse_config(cfg), "neural") == {"d_e": "8"}
+        _, _, hp = cli._load_cfg(cfg)
+        assert hp["neural"] == {**KIND_TABLE["neural"].hp, "d_e": 8}
+        assert hp["fanci"] == KIND_TABLE["fanci"].hp
 
-    def test_detector_and_unsectioned_keys_pass(self, tmp_path):
+    def test_split_and_kind_keys_pass(self, tmp_path):
         cfg = tmp_path / "open.cfg"
-        cfg.write_text("detector.split = 0.5\ndetector.epochs = 1\n"
-                       "detector.fanci.trees = 2\nbenign = 300\n")
+        cfg.write_text("detector.split = 0.5\ndetector.fanci.trees = 2\n")
         code, _ = run_cli("generate", "--dga", "kraken", "--count", "2",
                           "--config", str(cfg))
         assert code == 0
@@ -916,7 +916,7 @@ class TestManifestOptions:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("train.epochs = 1\ntrain.batch = 4\ntrain.mc = 1\n"
                        + MATRIX_CFG + "matrix.detectors = statistics\n"
-                       "detector.trees = 3\n")
+                       "detector.fanci.trees = 3\n")
         out = tmp_path / "out"
         code, _ = run_cli(command, *argv, "--config", str(cfg),
                           "--out", str(out), "--seed", "5")
@@ -950,7 +950,7 @@ class TestBooleans:
     @pytest.mark.parametrize("value", ["no", "Off"])
     def test_detector_flag_spellings(self, value, workspace, tmp_path):
         cfg = tmp_path / "bi.cfg"
-        cfg.write_text("detector.epochs = 1\n"
+        cfg.write_text("detector.neural.epochs = 1\n"
                        f"detector.neural.bidirectional = {value}\n")
         code, _ = run_cli("detector-train", "--kind", "neural",
                           "--benign", str(workspace / "prep" / "benign.txt"),
@@ -985,7 +985,8 @@ class TestValidationCount:
         # the split keeps load_domains' CheckedNames, which neither
         # train_detector, the kind nor the AUC's score_many checks again
         cfg = tmp_path / "small.cfg"
-        cfg.write_text("detector.epochs = 1\ndetector.trees = 3\n")
+        cfg.write_text("detector.neural.epochs = 1\n"
+                       "detector.fanci.trees = 3\n")
         calls = count_validations(monkeypatch)
         prep = workspace / "prep"
         code, _ = run_cli("detector-train", "--kind", kind,
@@ -1031,6 +1032,19 @@ class TestGenerate:
             assert all(name.endswith(f".{tld}") for name in names)
             assert read_manifest(out / "manifest.json")["options"]["tld"] \
                 == tld
+
+    @pytest.mark.parametrize("flag", ["--mode", "--ckpt", "--start-date"])
+    def test_baseline_refuses_pkdga_flags(self, flag, tmp_path, capsys):
+        value = {"--mode": "argmax", "--start-date": "2031-01-01",
+                 "--ckpt": str(tiny_policy(tmp_path / "p.ckpt"))}[flag]
+        for dga in FAMILIES:
+            capsys.readouterr()
+            code, out = run_cli("generate", "--dga", dga, "--count", "2",
+                                flag, value, "--out", str(tmp_path / "gen"))
+            assert code == 1 and out == ""
+            assert capsys.readouterr().err.splitlines() == [
+                f"usage error: {flag} applies to --dga pkdga only"]
+            assert not (tmp_path / "gen").exists()
 
     def test_pkdga_requires_ckpt(self, tmp_path):
         code, _ = run_cli("generate", "--dga", "pkdga", "--count", "3")

@@ -12,7 +12,8 @@ from dgalab.baselines import kraken_generate
 from dgalab.corpora import LabeledCorpus, synthesize_benign
 from dgalab.detectors import KINDS, train_detector
 from dgalab.dnsenv import FeedbackEnv
-from dgalab.domains import DEFAULT_TOKENS, SeedSpace, TokenDict, encode_seed
+from dgalab.domains import (DEFAULT_TOKENS, CheckedNames, SeedSpace,
+                            TokenDict, encode_seed, validate_domain)
 from dgalab.rng import stream
 from dgalab.errors import AssemblyError, ContractError, QueryBudgetError
 from dgalab.training import (TrainConfig, _epoch_values, _epoch_run,
@@ -348,8 +349,8 @@ def _even_a(fqdn):
 class TestValidationCount:
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_registered_name_is_validated_once(self, kind, monkeypatch):
-        # the env checks each name and hands the detector a CheckedNames,
-        # which its score_many does not check again
+        # each epoch registers its names as one CheckedNames, valid by
+        # construction, which neither the env nor the detector checks again
         corpus = LabeledCorpus(
             tuple(synthesize_benign(60, rng_seed=4)),
             tuple(core + ".com" for core in kraken_generate(4, 60)))
@@ -359,8 +360,31 @@ class TestValidationCount:
         cfg = TrainConfig(batch=8, mc=2, length=8, epochs=2, d_e=6, d_h=8)
         train(env, cfg, master_seed=1)
         assert env.query_count > 0
-        # one call per registered name, and train's one check_tld
-        assert len(calls) == env.query_count + 1
+        # train's one check_tld, and no call per registered name
+        assert len(calls) == 1
+
+    @settings(deadline=None, max_examples=30)
+    @given(tokens=st.sampled_from(["a-", "-ab", "ab-9", DEFAULT_TOKENS.tokens]),
+           length=st.integers(7, 24), seed=st.integers(0, 2 ** 16),
+           tld=st.sampled_from(["com", "co.uk", "x" * 63]))
+    def test_unchecked_batches_hold_valid_names(self, tokens, length, seed,
+                                                tld):
+        # the names each epoch registers unchecked, rollouts and episodes,
+        # pass the check they skip, hyphen-heavy alphabets included
+        batches = []
+
+        class RecordingEnv(StubEnv):
+            def register_many(self, names):
+                batches.append(names)
+                return super().register_many(names)
+
+        cfg = TrainConfig(batch=3, mc=2, length=length, epochs=2, d_e=4,
+                          d_h=6, tld=tld)
+        train(RecordingEnv(lambda name: True), cfg, master_seed=seed,
+              dct=TokenDict(tokens))
+        assert len(batches) == 2
+        assert all(isinstance(b, CheckedNames) for b in batches)
+        assert all(validate_domain(name) for b in batches for name in b)
 
 
 class TestEpochRegistration:
