@@ -450,16 +450,23 @@ class TestExitCodes:
             f"data error: detector hyperparameter {message}"]
         assert not (tmp_path / "d" / "detector.ckpt").exists()
 
-    @pytest.mark.parametrize("kind,line,message", [
-        ("fanci", "detector.fanci.trees = 2.5", "trees = '2.5': expected int"),
-        ("fanci", "detector.fanci.trees = -1.5",
-         "trees = '-1.5': expected int"),
-        ("neural", "detector.neural.lr = nan",
-         "lr = 'nan': expected a finite float"),
+    @pytest.mark.parametrize("kind,line,exit_code,error", [
+        ("fanci", "detector.fanci.trees = 2.5", 2,
+         "data error: detector hyperparameter trees = '2.5': expected int"),
+        ("fanci", "detector.fanci.trees = -1.5", 2,
+         "data error: detector hyperparameter trees = '-1.5': expected int"),
+        # the removed unsectioned spelling is refused as a key, just as early
+        ("fanci", "detector.trees = -1.5", 1,
+         "usage error: config key 'detector.trees' is not read by any "
+         "command"),
+        ("neural", "detector.neural.lr = nan", 2,
+         "data error: detector hyperparameter lr = 'nan': "
+         "expected a finite float"),
     ])
     def test_matrix_refuses_bad_hyperparameter_first(self, kind, line,
-                                                      message, workspace,
-                                                      tmp_path, capsys):
+                                                      exit_code, error,
+                                                      workspace, tmp_path,
+                                                      capsys):
         cfg = tmp_path / "hp.cfg"
         cfg.write_text(MATRIX_CFG + f"matrix.detectors = statistics,{kind}\n"
                        f"{line}\n")
@@ -467,9 +474,8 @@ class TestExitCodes:
         code, _ = run_cli("matrix", "--benign",
                           str(workspace / "prep" / "benign.txt"), "--config",
                           str(cfg), "--out", str(tmp_path / "mx"))
-        assert code == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"data error: detector hyperparameter {message}"]
+        assert code == exit_code
+        assert capsys.readouterr().err.splitlines() == [error]
         assert not (tmp_path / "mx").exists()
 
     def test_matrix_with_failed_cells_exits_2(self, workspace, tmp_path,
