@@ -9,9 +9,9 @@ reward climb and the detector's AUC on fresh generated names collapse.
 import datetime as dt
 import time
 
-from dgalab import (FeedbackEnv, LabeledCorpus, TrainConfig, bundled_benign,
+from dgalab import (LabeledCorpus, TrainConfig, bundled_benign, campaign,
                     detection_auc, generate_domains, kraken_generate,
-                    split_dataset, train, train_detector)
+                    split_dataset, train_detector)
 
 benign = bundled_benign(2500)
 agds = [core + ".com" for core in kraken_generate(9, 2500)]
@@ -22,12 +22,14 @@ detector = train_detector("neural", train_part, rng_seed=2)
 base = detection_auc(detector, test_part.benign, test_part.agd).auc
 print(f"detector AUC vs its training family (kraken): {base:.3f}")
 
-env = FeedbackEnv(detector, seed_corpus=train_part.benign, budget=200_000)
+budget = 200_000
 cfg = TrainConfig(lr=1.0, batch=32, mc=3, length=10, epochs=120)
 print(f"\ntraining: {cfg.epochs} epochs, batch {cfg.batch}, "
-      f"{cfg.mc} rollouts/step, budget {env.budget} register calls")
+      f"{cfg.mc} rollouts/step, budget {budget} register calls")
 t0 = time.time()
-result = train(env, cfg, master_seed=7)
+# campaign builds the black-box registration env over the detector, seeded
+# with the benign names, and trains against that env alone
+result = campaign(detector, train_part.benign, cfg, budget, master_seed=7)
 for e in range(0, len(result.curve), 20):
     print(f"  epoch {e:3d} mean reward {result.curve[e]:.3f}")
 print(f"done in {time.time() - t0:.0f}s, {result.queries_used} register calls")

@@ -17,18 +17,17 @@ from .evaluation import (GameConfig, MatrixConfig, anti_detection,
                          bench_inference, detection_auc, game_loop, roc_auc,
                          run_matrix, split_dataset)
 from .policy import PolicyParams, init_params
-from .training import TrainConfig, generate_domains, train
+from .training import TrainConfig, campaign, generate_domains, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOKENS", "FeedbackEnv", "GameConfig",
-    "LabeledCorpus", "MatrixConfig", "PolicyParams", "SeedSpace",
-    "TokenDict", "TrainConfig", "anti_detection", "assemble_fqdn",
-    "bench_inference", "bundled_benign", "detection_auc", "encode_seed",
-    "fluxing_round", "game_loop", "generate_domains", "gozi_generate",
-    "init_params", "kraken_generate", "load_detector",
-    "load_domains", "roc_auc", "run_matrix", "split_dataset",
-    "suppobox_generate", "synthesize_benign", "train", "train_detector",
-    "validate_domain",
+    "DEFAULT_TOKENS", "FeedbackEnv", "GameConfig", "LabeledCorpus",
+    "MatrixConfig", "PolicyParams", "SeedSpace", "TokenDict", "TrainConfig",
+    "anti_detection", "assemble_fqdn", "bench_inference", "bundled_benign",
+    "campaign", "detection_auc", "encode_seed", "fluxing_round", "game_loop",
+    "generate_domains", "gozi_generate", "init_params", "kraken_generate",
+    "load_detector", "load_domains", "roc_auc", "run_matrix",
+    "split_dataset", "suppobox_generate", "synthesize_benign", "train",
+    "train_detector", "validate_domain",
 ]

@@ -20,7 +20,6 @@ from .config import (cast_setting, parse_config, resolve_data_path,
                      write_manifest)
 from .detectors import KINDS, load_detector, train_detector
 from .detectors.base import KIND_TABLE, typed_hp
-from .dnsenv import FeedbackEnv
 from .domains import CheckedNames, SeedSpace, check_tld
 from .errors import ContractError, DataError, DgaLabError, NumericError
 from .rng import stream_key
@@ -260,19 +259,13 @@ def _cmd_detector_train(args, settings, hp):
 
 
 def _cmd_train(args, settings, hp):
-    detector = load_detector(args.env)
-    benign = corpora.load_domains(args.benign)
     tc = _config(training.TrainConfig, settings)
-    audit = args.out / "audit.tsv" if settings["env.audit"] else None
-    if audit:
-        audit.unlink(missing_ok=True)  # the env appends; a rerun starts anew
-    env = FeedbackEnv(detector, seed_corpus=benign,
-                      budget=settings["env.budget"], audit_path=audit)
-    space = SeedSpace(settings["seeds.start_date"], settings["seeds.end_date"])
-    try:
-        result = training.train(env, tc, master_seed=args.seed, space=space)
-    finally:
-        env.close()
+    result = training.campaign(
+        load_detector(args.env), corpora.load_domains(args.benign), tc,
+        settings["env.budget"], args.seed,
+        space=SeedSpace(settings["seeds.start_date"],
+                        settings["seeds.end_date"]),
+        audit=args.out / "audit.tsv" if settings["env.audit"] else None)
     checkpoint.save_policy(args.out / "policy.ckpt", result.best_params,
                            tc.length)
     curve = "".join(f"{i}\t{r:.6f}\n" for i, r in enumerate(result.curve))

@@ -24,11 +24,6 @@ def feedback_records(d, n) -> np.recarray:
     return np.rec.fromarrays([d * n, d, n], names="outcome,d_factor,n_factor")
 
 
-def synthetic_address(fqdn: str) -> str:
-    digest = hashlib.blake2b(fqdn.encode("utf-8"), digest_size=3).digest()
-    return f"10.{digest[0]}.{digest[1]}.{digest[2]}"
-
-
 class FeedbackEnv:
     """Black-box registration endpoint over one detector."""
 
@@ -38,7 +33,9 @@ class FeedbackEnv:
         self._registered = {d.lower() for d in seed_corpus}
         self._budget = int(budget)
         self._count = 0
-        self._audit = open(audit_path, "a", encoding="utf-8") if audit_path else None
+        self._audit = audit_path
+        if audit_path:  # the log exists once the env does
+            open(audit_path, "a", encoding="utf-8").close()
 
     # -- black-box surface ---------------------------------------------------
     @property
@@ -65,25 +62,23 @@ class FeedbackEnv:
         d = (np.asarray(scores) >= self.__detector.threshold).tolist()
         n = []
         for fqdn, legit in zip(fqdns, d):
-            self._count += 1
             novel = fqdn not in self._registered
             n.append(novel)
             if legit and novel:
                 self._registered.add(fqdn)
-            if self._audit:
-                self._audit.write(f"{self._count}\t{fqdn}\t{legit:d}\t"
-                                  f"{novel:d}\t{legit and novel:d}\n")
         if self._audit:
-            self._audit.flush()
+            with open(self._audit, "a", encoding="utf-8") as log:
+                log.writelines(f"{k}\t{name}\t{a:d}\t{b:d}\t{a and b:d}\n"
+                               for k, (name, a, b) in
+                               enumerate(zip(fqdns, d, n), self._count + 1))
+        self._count += len(fqdns)
         return feedback_records(d, n)
 
     def resolve(self, fqdn: str):
-        return synthetic_address(fqdn) if fqdn in self._registered else None
-
-    def close(self):
-        if self._audit:
-            self._audit.close()
-            self._audit = None
+        if fqdn not in self._registered:
+            return None
+        digest = hashlib.blake2b(fqdn.encode("utf-8"), digest_size=3).digest()
+        return f"10.{digest[0]}.{digest[1]}.{digest[2]}"
 
 
 def fluxing_round(env: FeedbackEnv, candidates: list[str]):

@@ -124,8 +124,12 @@ def validate_domain(s: str) -> bool:
 
 class CheckedNames(list):
     """Checked names; built only by ``checked_names``, ``load_domains``,
-    ``train_detector``, ``split_dataset`` (from a ``CheckedNames``), and
-    ``_epoch_values`` and ``_baseline_names``, valid by construction."""
+    ``train_detector``, ``_epoch_values``, ``_baseline_names``, and from
+    ``CheckedNames`` by slicing, ``split_dataset`` and ``run_matrix``."""
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        return CheckedNames(item) if isinstance(index, slice) else item
 
 
 def checked_names(domains) -> CheckedNames:

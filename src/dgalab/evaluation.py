@@ -22,8 +22,7 @@ from . import policy as P
 from . import training
 from .corpora import LabeledCorpus
 from .detectors import train_detector
-from .dnsenv import FeedbackEnv
-from .domains import DEFAULT_TOKENS
+from .domains import DEFAULT_TOKENS, CheckedNames
 from .errors import (ContractError, DataError, NumericError,
                      UnsupportedDetectorError)
 from .rng import stream
@@ -171,13 +170,11 @@ def _matrix_cell(row, kind, benign_train, agd_train, benign_eval,
         auc = _scores_auc(benign_scores, model.score_many(samples)).auc
         out[test] = anti_detection(auc)
     if cfg.pkdga is not None:
-        env = FeedbackEnv(model, seed_corpus=benign_train,
-                          budget=cfg.pkdga_budget)
-        result = training.train(env, cfg.pkdga, master_seed=cell_seed)
+        result = training.campaign(model, benign_train, cfg.pkdga,
+                                   cfg.pkdga_budget, cell_seed)
         fresh = training.generate_domains(
-            result.best_params, cfg.eval_agd,
-            start_date=_dt.date(2030, 1, 1), T=cfg.pkdga.length,
-            tld=cfg.pkdga.tld)
+            result.best_params, cfg.eval_agd, start_date=_dt.date(2030, 1, 1),
+            T=cfg.pkdga.length, tld=cfg.pkdga.tld)
         auc = _scores_auc(benign_scores, model.score_many(fresh)).auc
         out["pkdga"] = anti_detection(auc)
     return out
@@ -222,7 +219,6 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
     function of its inputs and results are collected in (row, detector)
     order, so the matrix does not depend on the worker count.
     """
-    benign_pool = list(benign_pool)
     need = cfg.train_per_class + cfg.eval_benign
     if len(benign_pool) < need:
         raise DataError(f"benign pool of {len(benign_pool)} < {need}")
@@ -239,10 +235,10 @@ def run_matrix(dgas: dict, benign_pool, cfg: MatrixConfig,
                                        ("matrix-train", master_seed, name))
     if cfg.include_mixed:
         per = cfg.train_per_class // max(1, len(names))
-        mixed = []
-        for name in names:
-            mixed.extend(row_samples[name][:per])
-        row_samples["mixed"] = mixed
+        parts = [row_samples[name][:per] for name in names]
+        checked = all(isinstance(part, CheckedNames) for part in parts)
+        row_samples["mixed"] = (CheckedNames if checked else list)(
+            name for part in parts for name in part)
     test_samples = {name: dgas[name](cfg.eval_agd,
                                      ("matrix-test", master_seed, name))
                     for name in names}
@@ -391,10 +387,9 @@ def game_loop(detector, benign_train, benign_eval, stages: int,
     benign_train = list(benign_train)
     shared_registry = set(benign_train)
     for stage in range(1, stages + 1):
-        env = FeedbackEnv(detector, seed_corpus=shared_registry,
-                          budget=cfg.stage_budget)
-        outcome = training.train(env, tc, master_seed=(master_seed, stage),
-                                 params=params)
+        outcome = training.campaign(detector, shared_registry, tc,
+                                    cfg.stage_budget, (master_seed, stage),
+                                    params=params)
         params = outcome.best_params
         shared_registry.update(outcome.registered)
         # stride-sample so the update set spans the whole stage, not its tail

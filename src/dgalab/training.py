@@ -22,10 +22,12 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass, field
 from itertools import compress
+from pathlib import Path
 
 import numpy as np
 
 from . import policy as P, recurrent
+from .dnsenv import FeedbackEnv
 from .domains import (DEFAULT_TOKENS, CheckedNames, SeedSpace, TokenDict,
                       check_tld, encode_seed)
 from .errors import ContractError, NumericError, QueryBudgetError
@@ -85,6 +87,17 @@ def _update_from_batch(params, seed_vecs, run, coeffs, lr):
 
 # ---------------------------------------------------------------------------
 # the training loop
+
+def campaign(detector, seed_corpus, cfg: TrainConfig, budget: int,
+             master_seed, space=None, params=None, audit=None) -> TrainResult:
+    """``train`` against a fresh ``FeedbackEnv`` over ``detector`` whose
+    registry starts as ``seed_corpus``; an ``audit`` log starts afresh."""
+    if audit:
+        Path(audit).unlink(missing_ok=True)
+    env = FeedbackEnv(detector, seed_corpus=seed_corpus, budget=budget,
+                      audit_path=audit)
+    return train(env, cfg, master_seed, space=space, params=params)
+
 
 def train(env, cfg: TrainConfig, master_seed: int,
           dct: TokenDict = DEFAULT_TOKENS,

@@ -13,6 +13,7 @@ from dgalab.config import parse_config, sha256_file
 from dgalab.corpora import LabeledCorpus
 from dgalab.detectors import KINDS, train_detector
 from dgalab.detectors.base import KIND_TABLE
+from dgalab.dnsenv import FeedbackEnv
 from dgalab.errors import ContractError, DataError
 from conftest import (cli_subprocess, count_validations, python_subprocess,
                       read_manifest)
@@ -1003,6 +1004,98 @@ class TestValidationCount:
         names = (prep / "benign.txt").read_text().split() \
             + (prep / "kraken.txt").read_text().split()
         assert len(calls) == len(names) + 1 == 601
+
+    def test_matrix_validates_each_name_once(self, tmp_path, monkeypatch):
+        # the cells' benign slices and the mixed row stay CheckedNames, so
+        # no cell checks its training, evaluation or mixed-row names again
+        code, _ = run_cli("prep", "--out", str(tmp_path / "prep"),
+                          "--benign", "400", "--agd", "100")
+        assert code == 0
+        cfg = tmp_path / "mx.cfg"
+        cfg.write_text("matrix.dgas = kraken,gozi\n"
+                       "matrix.include_mixed = true\n"
+                       "matrix.detectors = statistics\nmatrix.pkdga = false\n"
+                       "matrix.train_per_class = 100\n"
+                       "matrix.eval_benign = 50\nmatrix.eval_agd = 50\n")
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+        calls = count_validations(monkeypatch)
+        code, _ = run_cli("matrix", "--benign",
+                          str(tmp_path / "prep" / "benign.txt"),
+                          "--config", str(cfg), "--out", str(tmp_path / "mx"))
+        assert code == 0
+        assert (tmp_path / "mx" / "anti_detection_by_detector.tsv").exists()
+        # load_domains' 400 benign names and the CLI's one check_tld
+        assert len(calls) == 400 + 1
+
+
+class TestCampaignCallSites:
+    """Every feedback-training run builds its one registration env inside
+    ``training.campaign``."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        # "envs" holds, per env built, whether a campaign was running
+        seen = {"campaigns": 0, "envs": [], "depth": 0}
+        campaign, init = training.campaign, FeedbackEnv.__init__
+
+        def counted_campaign(*args, **kwargs):
+            seen["campaigns"] += 1
+            seen["depth"] += 1
+            try:
+                return campaign(*args, **kwargs)
+            finally:
+                seen["depth"] -= 1
+
+        def recorded_init(self, *args, **kwargs):
+            seen["envs"].append(seen["depth"] > 0)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(training, "campaign", counted_campaign)
+        monkeypatch.setattr(FeedbackEnv, "__init__", recorded_init)
+        return seen
+
+    @staticmethod
+    def _cfg(tmp_path, extra=""):
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_text(RUN_CFG.replace("train.epochs = 8", "train.epochs = 2")
+                       + extra)
+        return cfg
+
+    def test_train_builds_one_env(self, spy, workspace, tmp_path):
+        code, _ = run_cli("train", "--env",
+                          str(workspace / "det" / "detector.ckpt"),
+                          "--benign", str(workspace / "prep" / "benign.txt"),
+                          "--out", str(tmp_path / "rl"),
+                          "--config", str(self._cfg(tmp_path)))
+        assert code == 0
+        assert spy["envs"] == [True] and spy["campaigns"] == 1
+
+    def test_matrix_builds_one_env_per_pkdga_cell(self, spy, workspace,
+                                                  tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+        cfg = self._cfg(tmp_path, MATRIX_CFG.replace(
+            "matrix.pkdga = false", "matrix.pkdga = true")
+            + "matrix.detectors = statistics\nmatrix.pkdga_budget = 2000\n")
+        code, _ = run_cli("matrix", "--benign",
+                          str(workspace / "prep" / "benign.txt"),
+                          "--config", str(cfg), "--out", str(tmp_path / "mx"))
+        assert code == 0
+        # the kraken and mixed rows, one detector: two pkdga cells
+        assert spy["envs"] == [True, True] and spy["campaigns"] == 2
+
+    def test_game_builds_one_env_per_stage(self, spy, workspace, tmp_path):
+        code, _ = run_cli("game", "--detector",
+                          str(workspace / "det" / "detector.ckpt"),
+                          "--benign", str(workspace / "prep" / "benign.txt"),
+                          "--stages", "2", "--out", str(tmp_path / "game"),
+                          "--config", str(self._cfg(
+                              tmp_path, "game.stage_budget = 2000\n"
+                                        "game.fresh = 50\n")))
+        assert code == 0
+        # the baseline row and both stages: no early stop
+        stages = (tmp_path / "game" / "stages.tsv").read_text().splitlines()
+        assert len(stages) == 1 + 3
+        assert spy["envs"] == [True, True] and spy["campaigns"] == 2
 
 
 class TestGenerate:

@@ -124,10 +124,8 @@ class TestAuditLog:
         env = make_env(fixed_detector_factory, audit_path=path)
         env.register("one.com")
         env.register("one.com")
-        env.close()
         env2 = make_env(fixed_detector_factory, audit_path=path)
         env2.register("two.com")
-        env2.close()
         rows = [line.split("\t")
                 for line in path.read_text().strip().split("\n")]
         assert len(rows) == 3

@@ -406,8 +406,6 @@ class TestEpochRegistration:
             taken = epoch_values(env, p, cfg, dct, 5, 0, run, registered)
         except QueryBudgetError:
             taken = None
-        if isinstance(env, FeedbackEnv):
-            env.close()
         return taken, registered, env.query_count
 
     @settings(deadline=None, max_examples=40)
@@ -452,8 +450,6 @@ class TestEpochRegistration:
                 env = self._env(kind, budget, audit)
                 with mock.patch.object(training, "_epoch_values", fn):
                     results.append(train(env, cfg, seed, dct=dct))
-                if kind == "feedback":
-                    env.close()
             got, want = results
             assert (got.curve, got.best_epoch, got.queries_used, got.stopped,
                     got.registered) == (want.curve, want.best_epoch,
@@ -464,6 +460,25 @@ class TestEpochRegistration:
                 assert np.array_equal(a, b)
             if kind == "feedback":
                 assert audits[0].read_text() == audits[1].read_text()
+
+
+class TestCampaign:
+    def test_existing_audit_log_is_rewritten_from_query_one(self, tmp_path):
+        # a log left by an earlier run is replaced, not appended to, and
+        # the run logs what train against a fresh env logs
+        detector = FixedScoreDetector(lambda d: float(_even_a(d)))
+        cfg = TrainConfig(batch=2, mc=1, length=7, epochs=2, d_e=6, d_h=8)
+        path = tmp_path / "audit.tsv"
+        path.write_text("1\tstale.com\t1\t1\t1\n")
+        result = training.campaign(detector, (), cfg, 10_000, 5, audit=path)
+        numbers = [line.split("\t")[0]
+                   for line in path.read_text().splitlines()]
+        assert numbers == [str(i)
+                           for i in range(1, result.queries_used + 1)]
+        assert "stale.com" not in path.read_text()
+        fresh = tmp_path / "fresh.tsv"
+        train(FeedbackEnv(detector, budget=10_000, audit_path=fresh), cfg, 5)
+        assert path.read_bytes() == fresh.read_bytes()
 
 
 class TestGeneration:
