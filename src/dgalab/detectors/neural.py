@@ -175,8 +175,8 @@ class NeuralDetector(DetectorModel):
             d_tops = dp[None, :, :] * share[:, :, None]
             gw_x, gw_h, gbias, dxs = recurrent.stack_backward(
                 w_x, w_h, caches[direction], d_tops)
-            np.add.at(g_emb, seqs[direction].T.reshape(-1),
-                      dxs.reshape(-1, self.embedding.shape[1]))
+            recurrent.scatter_rows(g_emb, seqs[direction].T.reshape(-1),
+                                   dxs.reshape(-1, self.embedding.shape[1]))
             new_stacks.append(tuple(
                 [a - lr * g for a, g in zip(params, grads)] for params, grads
                 in zip((w_x, w_h, bias), (gw_x, gw_h, gbias))))

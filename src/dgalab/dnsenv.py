@@ -10,6 +10,7 @@ exposes scores or internals, so training code is black-box by construction.
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 
 import numpy as np
 
@@ -24,13 +25,103 @@ def feedback_records(d, n) -> np.recarray:
     return np.rec.fromarrays([d * n, d, n], names="outcome,d_factor,n_factor")
 
 
+def _name_keys(names: list[str]):
+    """The UTF-8 bytes of one or more ``names`` as one ``S`` array, and
+    their byte lengths; a name is exactly its (bytes, length) pair, since
+    the array pads with NULs."""
+    joined = "".join(names)
+    data = joined.encode("utf-8", "surrogatepass")
+    lens = np.fromiter(map(len, names), np.intp, len(names))
+    if len(data) == len(joined) and lens.min() == lens.max() > 0:
+        # ASCII names of one length: a byte per character, no padding
+        return np.frombuffer(data, f"S{lens[0]}"), lens
+    raw = [name.encode("utf-8", "surrogatepass") for name in names]
+    return np.array(raw, "S"), np.fromiter(map(len, raw), np.intp, len(raw))
+
+
+def _search(run, keys):
+    """Where the sorted ``keys`` go in the sorted ``run``, and which of them
+    it holds."""
+    at = np.searchsorted(run, keys)
+    if not len(run):
+        return at, np.zeros(len(keys), bool)
+    return at, run.take(at, mode="clip") == keys
+
+
+class Registry:
+    """An exact set of names held as bytes, not as ``str`` objects.
+
+    Names are bucketed by UTF-8 byte length.  A bucket is a sorted ``S{L}``
+    array plus a small sorted array of recent insertions, which is merged
+    into it once it holds an eighth as many names, as in a log-structured
+    merge tree (O'Neil et al., Acta Informatica 1996).
+    """
+
+    def __init__(self, names=()):
+        self._buckets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # in chunks, so that a large corpus never holds all its names as
+        # bytes objects at once
+        names = iter(names)
+        while chunk := list(islice(names, 1 << 16)):
+            self.register(chunk, np.ones(len(chunk), bool))
+
+    def __contains__(self, name: str) -> bool:
+        keys, lens = _name_keys([name])
+        return any(_search(run, keys)[1][0]
+                   for run in self._buckets.get(int(lens[0]), ()))
+
+    def register(self, names: list[str], legit) -> np.ndarray:
+        """Novelty of each of ``names``, inserting each one that is novel
+        and ``legit``: name k sees the registry as names 0..k-1 left it.
+
+        One stable sort by (length, bytes) brings each name's copies
+        together, in call order, for both the search and the rule that a
+        copy is not novel after a legitimate earlier one.
+        """
+        if not names:
+            return np.zeros(0, bool)
+        keys, lens = _name_keys(names)
+        # byte columns, last to first, then the length: the last key is the
+        # primary one, and each pass is a stable radix sort of small ints
+        columns = keys.view(np.uint8).reshape(len(keys), -1).T
+        order = np.lexsort((*columns[::-1], lens))
+        keys, lens = keys[order], lens[order]
+        legit = np.asarray(legit, bool)[order]
+        first = np.ones(len(keys), bool)
+        first[1:] = (keys[1:] != keys[:-1]) | (lens[1:] != lens[:-1])
+        starts = np.flatnonzero(first)
+        group = np.cumsum(first) - 1
+        legit_before = np.cumsum(legit) - legit
+        copied = legit_before > legit_before[starts][group]
+        known = np.empty(len(starts), bool)
+        inserts = np.logical_or.reduceat(legit, starts)
+        cuts = np.flatnonzero(np.diff(lens[starts])) + 1
+        for a, b in zip([0, *cuts], [*cuts, len(starts)]):
+            length = int(lens[starts[a]])
+            batch = keys[starts[a:b]].astype(f"S{max(length, 1)}",
+                                             copy=False)
+            main, recent = self._buckets.get(length, (batch[:0], batch[:0]))
+            at, held = _search(recent, batch)
+            known[a:b] = held | _search(main, batch)[1]
+            new = inserts[a:b] & ~known[a:b]
+            if new.any():
+                recent = np.insert(recent, at[new], batch[new])
+                if 8 * len(recent) >= len(main):
+                    main = np.insert(main, _search(main, recent)[0], recent)
+                    recent = main[:0]
+                self._buckets[length] = main, recent
+        novelty = np.empty(len(keys), bool)
+        novelty[order] = ~(known[group] | copied)
+        return novelty
+
+
 class FeedbackEnv:
     """Black-box registration endpoint over one detector."""
 
     def __init__(self, detector, seed_corpus=(), budget: int = 1_000_000,
                  audit_path=None):
         self.__detector = detector
-        self._registered = {d.lower() for d in seed_corpus}
+        self._registered = Registry(map(str.lower, seed_corpus))
         self._budget = int(budget)
         self._count = 0
         self._audit = audit_path
@@ -59,25 +150,22 @@ class FeedbackEnv:
             raise QueryBudgetError(
                 f"budget {self._budget} exhausted at {self._count} queries")
         scores = self.__detector.score_many(fqdns)
-        d = (np.asarray(scores) >= self.__detector.threshold).tolist()
-        n = []
-        for fqdn, legit in zip(fqdns, d):
-            novel = fqdn not in self._registered
-            n.append(novel)
-            if legit and novel:
-                self._registered.add(fqdn)
+        d = np.asarray(scores) >= self.__detector.threshold
+        n = self._registered.register(fqdns, d)
         if self._audit:
             with open(self._audit, "a", encoding="utf-8") as log:
                 log.writelines(f"{k}\t{name}\t{a:d}\t{b:d}\t{a and b:d}\n"
                                for k, (name, a, b) in
-                               enumerate(zip(fqdns, d, n), self._count + 1))
+                               enumerate(zip(fqdns, d.tolist(), n.tolist()),
+                                         self._count + 1))
         self._count += len(fqdns)
         return feedback_records(d, n)
 
     def resolve(self, fqdn: str):
         if fqdn not in self._registered:
             return None
-        digest = hashlib.blake2b(fqdn.encode("utf-8"), digest_size=3).digest()
+        digest = hashlib.blake2b(fqdn.encode("utf-8", "surrogatepass"),
+                                 digest_size=3).digest()
         return f"10.{digest[0]}.{digest[1]}.{digest[2]}"
 
 

@@ -387,13 +387,13 @@ def game_loop(detector, benign_train, benign_eval, stages: int,
     benign_train = list(benign_train)
     shared_registry = set(benign_train)
     for stage in range(1, stages + 1):
+        got: list[str] = []
         outcome = training.campaign(detector, shared_registry, tc,
                                     cfg.stage_budget, (master_seed, stage),
-                                    params=params)
+                                    params=params, registered=got)
         params = outcome.best_params
-        shared_registry.update(outcome.registered)
+        shared_registry.update(got)
         # stride-sample so the update set spans the whole stage, not its tail
-        got = outcome.registered
         step = max(1, len(got) // MAX_AGDS)
         agds = got[::step][:MAX_AGDS]
         if agds:

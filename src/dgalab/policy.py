@@ -235,8 +235,8 @@ def grad_from_coeffs(params: PolicyParams, seed_vecs, run: BatchRun,
     g_emb[:params.d_y] += sv.T @ dxs[0]
     g_emb[params.d_y] += dxs[0].sum(axis=0)
     if T > 1:
-        np.add.at(g_emb, tokens[:, :-1].T.reshape(-1),
-                  dxs[1:].reshape(-1, params.d_e))
+        recurrent.scatter_rows(g_emb, tokens[:, :-1].T.reshape(-1),
+                               dxs[1:].reshape(-1, params.d_e))
     grads = {"embedding": g_emb, "w_out": gw_out}
     for i in range(params.n_layers):
         grads[f"layer{i}.w_x"] = gw_x[i]

@@ -74,6 +74,16 @@ def stack_forward(w_x, w_h, b, xs, want_cache=False):
     return tops, hidden, all_caches
 
 
+def scatter_rows(table, ids, rows):
+    """``np.add.at(table, ids, rows)`` for a C-contiguous 2-D ``table``,
+    through the flat indices ``id * width + column``: numpy's fast 1-D
+    form, which adds to each element in the same order, so the bits are
+    equal."""
+    width = table.shape[1]
+    flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(table.reshape(-1, copy=False), flat, rows.reshape(-1))
+
+
 def stack_backward(w_x, w_h, caches, d_tops):
     """BPTT given per-step caches and (T, B, d_h) grads on the top-layer h.
 

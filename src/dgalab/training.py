@@ -20,7 +20,7 @@ function of (seed, config, corpora).
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
 
@@ -65,7 +65,6 @@ class TrainResult:
     best_epoch: int
     queries_used: int
     stopped: str = "epochs"                # epochs | budget | numeric
-    registered: list[str] = field(default_factory=list)
 
     @property
     def best_reward(self) -> float:
@@ -89,26 +88,31 @@ def _update_from_batch(params, seed_vecs, run, coeffs, lr):
 # the training loop
 
 def campaign(detector, seed_corpus, cfg: TrainConfig, budget: int,
-             master_seed, space=None, params=None, audit=None) -> TrainResult:
+             master_seed, space=None, params=None, audit=None,
+             registered=None) -> TrainResult:
     """``train`` against a fresh ``FeedbackEnv`` over ``detector`` whose
     registry starts as ``seed_corpus``; an ``audit`` log starts afresh."""
     if audit:
         Path(audit).unlink(missing_ok=True)
     env = FeedbackEnv(detector, seed_corpus=seed_corpus, budget=budget,
                       audit_path=audit)
-    return train(env, cfg, master_seed, space=space, params=params)
+    return train(env, cfg, master_seed, space=space, params=params,
+                 registered=registered)
 
 
 def train(env, cfg: TrainConfig, master_seed: int,
           dct: TokenDict = DEFAULT_TOKENS,
           space: SeedSpace | None = None,
-          params: P.PolicyParams | None = None) -> TrainResult:
+          params: P.PolicyParams | None = None,
+          registered: list[str] | None = None) -> TrainResult:
     """Feedback-only policy-gradient training against ``env``, which offers
     ``register_many``, ``query_count`` and ``budget``.
 
     Returns the final and best-reward parameters plus the per-epoch mean
     terminal reward curve.  A numeric abort or an exhausted query budget
-    stops the loop and leaves the last good checkpoint in place.
+    stops the loop and leaves the last good checkpoint in place.  Accepted
+    names are kept only when a ``registered`` list is given to append them
+    to.
     """
     check_tld(cfg.tld, cfg.length)
     space = space or SeedSpace()
@@ -119,7 +123,6 @@ def train(env, cfg: TrainConfig, master_seed: int,
     best_epoch = 0
     best_params = params
     stopped = "epochs"
-    registered: list[str] = []
 
     for epoch in range(cfg.epochs):
         seed_vecs, run = _epoch_run(params, cfg, dct, space, master_seed,
@@ -142,7 +145,7 @@ def train(env, cfg: TrainConfig, master_seed: int,
             params = best_params
             break
     return TrainResult(params, best_params, curve, best_epoch,
-                       env.query_count, stopped, registered)
+                       env.query_count, stopped)
 
 
 def _epoch_run(params, cfg, dct, space, master_seed, epoch):

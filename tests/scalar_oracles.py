@@ -14,7 +14,8 @@ pass along fixed tokens, whose caches ``run_batch(want_cache=True)`` must
 reproduce; the one-episode reward-weighted log-likelihood with its gradient,
 the pair that finite differences check ``policy.grad_from_coeffs`` through;
 the per-step reward estimate, one ``register_many`` per step, against
-``training._epoch_values``; the recursive CART grower against
+``training._epoch_values``; the registry as a Python set, one name at a
+time, against ``dnsenv.Registry``; the recursive CART grower against
 ``forest.fit_forest``; the item-by-item ROC sweep over sorted
 (score, label) tuples against ``evaluation.roc_auc``; and the step-by-step
 glibc LCG with the kraken,
@@ -273,6 +274,26 @@ def epoch_values(env, params, cfg, dct, master_seed, epoch, run,
         taken[t] = action_values(env, params, cfg, dct, run.tokens[:, :t],
                                  hidden, run.tokens[:, t], mc_u, registered)
     return taken
+
+
+class SetRegistry:
+    """The registration registry as a Python set of ``str``, walked one name
+    at a time: name k sees the set as names 0..k-1 left it."""
+
+    def __init__(self, names=()):
+        self._names = set(names)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._names
+
+    def register(self, names, legit) -> np.ndarray:
+        novelty = []
+        for name, ok in zip(names, legit):
+            novel = name not in self._names
+            novelty.append(novel)
+            if ok and novel:
+                self._names.add(name)
+        return np.array(novelty, bool)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 import inspect
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgalab.baselines import kraken_generate
 from dgalab.corpora import LabeledCorpus, synthesize_benign
 from dgalab.detectors import train_detector
 from dgalab.dnsenv import FeedbackEnv, fluxing_round
+from dgalab.domains import validate_domain
 from dgalab.errors import (DataError, FluxingRoundError, QueryBudgetError)
 from dgalab.rng import stream
+from conftest import FixedScoreDetector
+from scalar_oracles import SetRegistry
 
 
 def make_env(fixed_detector_factory, rule=lambda d: 0.9, **kw):
@@ -62,6 +67,16 @@ class TestRegister:
         assert fb.outcome == 0 and fb.n_factor == 0
         assert env.resolve("famous.net") is not None
 
+    def test_seed_corpus_of_several_chunks(self, fixed_detector_factory):
+        # the registry reads its seed names 65,536 at a time
+        seeds = [f"Seed{i}.com" for i in range(140_000)]
+        env = make_env(fixed_detector_factory, seed_corpus=seeds + seeds[:9])
+        assert all(env.resolve(f"seed{i}.com") is not None
+                   for i in (0, 65_535, 65_536, 131_072, 139_999))
+        assert env.resolve("seed140000.com") is None
+        assert env.register_many(["seed139999.com", "seed140000.com"]
+                                 ).n_factor.tolist() == [0, 1]
+
     def test_budget_enforced(self, fixed_detector_factory):
         env = make_env(fixed_detector_factory, budget=3)
         for i in range(3):
@@ -87,6 +102,53 @@ class TestRegister:
         batch = env2.register_many(names)
         assert [f.outcome for f in seq] == [f.outcome for f in batch]
         assert [f.n_factor for f in seq] == [f.n_factor for f in batch]
+
+
+# valid names over a two-letter alphabet, so that names are prefixes of
+# each other at several lengths
+NAMES = st.lists(st.text("ab", min_size=1, max_size=3), min_size=1,
+                 max_size=3).map(".".join)
+# seed names need not be valid: mixed case, NUL, characters of two and
+# three UTF-8 bytes, one of which lowercases to two characters, and a lone
+# surrogate
+SEEDS = st.one_of(NAMES, st.text("aAbB.\0\u00e9\u0130\u00df\u20ac\ud800",
+                                 max_size=5))
+# the valid five-byte names; those that begin with "a" make a bucket large
+# enough that a call's new five-byte names wait in its array of recent
+# insertions
+FIVE = [name for name in map("".join, product("ab.", repeat=5))
+        if validate_domain(name)]
+
+
+class TestRegistryOracle:
+    @settings(deadline=None, max_examples=300)
+    @given(seeds=st.lists(SEEDS, max_size=40), bucket=st.booleans(),
+           pool=st.lists(st.one_of(NAMES, st.sampled_from(FIVE)),
+                         min_size=1, max_size=10),
+           calls=st.lists(st.lists(st.tuples(st.integers(0, 9),
+                                             st.booleans()),
+                                   max_size=16), max_size=6))
+    def test_register_many_and_resolve_match_a_set(self, seeds, bucket,
+                                                   pool, calls):
+        # calls draw from a small pool, so they repeat names within a call
+        # and across calls; each call's verdicts are drawn, so copies of
+        # one name in one call can get different verdicts
+        seeds += [name for name in FIVE if name[0] == "a"] if bucket else []
+        verdicts = []
+        env = FeedbackEnv(FixedScoreDetector(lambda d: verdicts.pop(0)),
+                          seed_corpus=seeds, budget=10_000)
+        oracle = SetRegistry(d.lower() for d in seeds)
+        probes = sorted({*seeds, *(d.lower() for d in seeds), *pool})
+        for call in calls:
+            names = [pool[i % len(pool)] for i, _ in call]
+            legit = [ok for _, ok in call]
+            verdicts[:] = [float(ok) for ok in legit]
+            fb = env.register_many(names)
+            assert fb.d_factor.tolist() == legit
+            assert fb.n_factor.tolist() == oracle.register(names,
+                                                           legit).tolist()
+            assert ([env.resolve(name) is not None for name in probes]
+                    == [name in oracle for name in probes])
 
 
 class TestBlackBox:
@@ -146,7 +208,8 @@ class TestResolve:
         env = make_env(fixed_detector_factory, rule=lambda d: 0.0)
         candidates = [f"cand{i}.com" for i in range(100)]
         chosen = candidates[41]
-        env._registered.add(chosen)  # simulate an out-of-band registration
+        # simulate an out-of-band registration
+        env._registered.register([chosen], [True])
         hits = [c for c in candidates if env.resolve(c) is not None]
         assert hits == [chosen]
 

@@ -386,8 +386,9 @@ class TestGameLoop:
         from dgalab.dnsenv import FeedbackEnv
         from dgalab import training as tr
         env = FeedbackEnv(det, seed_corpus=benign[:200], budget=20_000)
-        outcome = tr.train(env, cfg.train_cfg, master_seed=(7, 1))
-        agds = outcome.registered[-500:]
+        registered = []
+        tr.train(env, cfg.train_cfg, master_seed=(7, 1), registered=registered)
+        agds = registered[-500:]
         if agds:
             before = detection_auc(det, benign[200:300], agds).auc
             det.incremental_update(agds, benign[:len(agds)], epochs=5, lr=0.3)

@@ -443,18 +443,19 @@ class TestEpochRegistration:
             if kind == "feedback":
                 assert audits[0].read_text() == audits[1].read_text()
 
-            results = []
-            for fn, audit in zip((_epoch_values, oracle.epoch_values),
-                                 audits):
+            results, accepted = [], ([], [])
+            for fn, audit, registered in zip(
+                    (_epoch_values, oracle.epoch_values), audits, accepted):
                 audit.unlink(missing_ok=True)
                 env = self._env(kind, budget, audit)
                 with mock.patch.object(training, "_epoch_values", fn):
-                    results.append(train(env, cfg, seed, dct=dct))
+                    results.append(train(env, cfg, seed, dct=dct,
+                                         registered=registered))
             got, want = results
             assert (got.curve, got.best_epoch, got.queries_used, got.stopped,
-                    got.registered) == (want.curve, want.best_epoch,
-                                        want.queries_used, want.stopped,
-                                        want.registered)
+                    accepted[0]) == (want.curve, want.best_epoch,
+                                     want.queries_used, want.stopped,
+                                     accepted[1])
             for a, b in zip(got.params.tensors().values(),
                             want.params.tensors().values()):
                 assert np.array_equal(a, b)
