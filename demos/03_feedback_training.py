@@ -12,6 +12,7 @@ import time
 from dgalab import (LabeledCorpus, TrainConfig, bundled_benign, campaign,
                     detection_auc, generate_domains, kraken_generate,
                     split_dataset, train_detector)
+from dgalab.dnsenv import Registry
 
 benign = bundled_benign(2500)
 agds = [core + ".com" for core in kraken_generate(9, 2500)]
@@ -27,9 +28,10 @@ cfg = TrainConfig(lr=1.0, batch=32, mc=3, length=10, epochs=120)
 print(f"\ntraining: {cfg.epochs} epochs, batch {cfg.batch}, "
       f"{cfg.mc} rollouts/step, budget {budget} register calls")
 t0 = time.time()
-# campaign builds the black-box registration env over the detector, seeded
-# with the benign names, and trains against that env alone
-result = campaign(detector, train_part.benign, cfg, budget, master_seed=7)
+# campaign builds the black-box registration env over the detector and a
+# registry seeded with the benign names, and trains against that env alone
+result = campaign(detector, Registry(train_part.benign), cfg, budget,
+                  master_seed=7)
 for e in range(0, len(result.curve), 20):
     print(f"  epoch {e:3d} mean reward {result.curve[e]:.3f}")
 print(f"done in {time.time() - t0:.0f}s, {result.queries_used} register calls")

@@ -10,7 +10,7 @@ import datetime as dt
 
 from dgalab import FeedbackEnv, bundled_benign, init_params, train_detector
 from dgalab import LabeledCorpus, kraken_generate
-from dgalab.dnsenv import fluxing_round
+from dgalab.dnsenv import Registry, fluxing_round
 from dgalab.training import candidate_list
 
 benign = bundled_benign(800)
@@ -27,7 +27,7 @@ assert cc_side == bot_side
 print(f"both sides derive {len(cc_side)} identical candidates for {date}")
 print("first three:", cc_side[:3])
 
-env = FeedbackEnv(detector, seed_corpus=benign)
+env = FeedbackEnv(detector, Registry(benign))
 registered, attempts = fluxing_round(env, cc_side)
 print(f"\nregistrar succeeded with: {registered}")
 print(f"bot resolved it on attempt {attempts} of {len(cc_side)}")

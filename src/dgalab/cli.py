@@ -221,8 +221,9 @@ def _baseline_names(family, seed, count, tld) -> CheckedNames:
                         for core in FAMILIES[family](seed, count))
 
 
-def _emit(path: Path, text: str) -> None:
-    path.write_text(text, "utf-8")
+def _emit(path: Path, text) -> None:     # a str, or str pieces
+    with path.open("w", encoding="utf-8") as out:
+        out.writelines([text] if isinstance(text, str) else text)
     print(f"wrote {path}", file=sys.stderr)
 
 
@@ -261,7 +262,8 @@ def _cmd_detector_train(args, settings, hp):
 def _cmd_train(args, settings, hp):
     tc = _config(training.TrainConfig, settings)
     result = training.campaign(
-        load_detector(args.env), corpora.load_domains(args.benign), tc,
+        load_detector(args.env),
+        training.Registry(corpora.load_domains(args.benign)), tc,
         settings["env.budget"], args.seed,
         space=SeedSpace(settings["seeds.start_date"],
                         settings["seeds.end_date"]),
@@ -291,11 +293,9 @@ def _cmd_generate(args, settings, hp):
 
 def _cmd_eval(args, settings, hp):
     model = load_detector(args.detector)
-    benign = corpora.load_domains(args.benign)
-    agd = corpora.load_domains(args.agd)
-    roc = evaluation.detection_auc(model, benign, agd)
-    points = "\n".join(f"{fpr:.6f},{tpr:.6f}" for fpr, tpr in roc.points)
-    _emit(args.out / "roc.csv", "fpr,tpr\n" + points + "\n")
+    roc = evaluation.detection_auc(model, corpora.load_domains(args.benign),
+                                   corpora.load_domains(args.agd))
+    _emit(args.out / "roc.csv", roc.csv())
     _emit(args.out / "summary.tsv",
           "auc\tanti_detection\n"
           f"{roc.auc:.6f}\t{1 - roc.auc:.6f}\n")

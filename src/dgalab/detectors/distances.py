@@ -162,18 +162,20 @@ def max_jaccard(codes, lengths, ref_bits) -> np.ndarray:
 
     The intersections are the row's bigram indicator times ``ref_bits``,
     taken as a sum of the reference rows of its distinct bigrams, so no
-    dense (B, N_CHARS**2) indicator is built.
+    dense (B, N_CHARS**2) indicator is built.  They count in bytes (a label
+    has at most 62 bigrams), and no (B, R) float64 quotient is built.
     """
     ids = bigram_ids(codes, lengths)
     size = (ids != NO_BIGRAM).sum(axis=1)
-    inter = np.zeros((len(codes), ref_bits.shape[1]), dtype=np.int64)
+    inter = np.zeros((len(codes), ref_bits.shape[1]), dtype=np.uint8)
     for col in ids.T[:size.max(initial=0)]:
         inter += ref_bits[col]
-    union = size[:, None] + ref_bits.sum(axis=0, dtype=np.int64) - inter
-    # union >= 1 wherever the row has a bigram; the floor keeps the short
-    # rows, zeroed below, from dividing 0 by 0
-    jac = (inter / np.maximum(union, 1)).max(axis=1)
-    return np.where(lengths >= 2, jac, 0.0)
+    best = np.zeros(len(codes))
+    for r, ref_size in enumerate(ref_bits.sum(axis=0, dtype=np.int64)):
+        # the floor keeps a row without bigrams at 0, not at 0 / 0
+        union = size + ref_size - inter[:, r]
+        np.maximum(best, inter[:, r] / np.maximum(union, 1), out=best)
+    return best
 
 
 def match_masks(refs) -> np.ndarray:

@@ -57,11 +57,11 @@ class Registry:
     merge tree (O'Neil et al., Acta Informatica 1996).
     """
 
-    def __init__(self, names=()):
+    def __init__(self, seed_corpus=()):
         self._buckets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # in chunks, so that a large corpus never holds all its names as
-        # bytes objects at once
-        names = iter(names)
+        # the lowercased seeds, in chunks, so that a large corpus never
+        # holds all its names as bytes objects at once
+        names = map(str.lower, seed_corpus)
         while chunk := list(islice(names, 1 << 16)):
             self.register(chunk, np.ones(len(chunk), bool))
 
@@ -116,12 +116,12 @@ class Registry:
 
 
 class FeedbackEnv:
-    """Black-box registration endpoint over one detector."""
+    """Black-box registration endpoint over one detector and a registry."""
 
-    def __init__(self, detector, seed_corpus=(), budget: int = 1_000_000,
+    def __init__(self, detector, registry=None, budget: int = 1_000_000,
                  audit_path=None):
         self.__detector = detector
-        self._registered = Registry(map(str.lower, seed_corpus))
+        self._registered = Registry() if registry is None else registry
         self._budget = int(budget)
         self._count = 0
         self._audit = audit_path

@@ -28,10 +28,20 @@ from .errors import (ContractError, DataError, NumericError,
 from .rng import stream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    points: tuple           # ordered (FPR, TPR) pairs from (0,0) to (1,1)
+    fpr: np.ndarray         # float64, rising from 0 to 1, one point per
+    tpr: np.ndarray         # distinct score, after the (0, 0) start
     auc: float
+    BLOCK = 4096            # points a piece of ``csv``
+
+    def csv(self):
+        """The text of ``roc.csv``, in pieces of ``BLOCK`` points."""
+        yield "fpr,tpr\n"
+        for lo in range(0, len(self.fpr), self.BLOCK):
+            pairs = zip(self.fpr[lo:lo + self.BLOCK].tolist(),
+                        self.tpr[lo:lo + self.BLOCK].tolist())
+            yield "".join(f"{x:.6f},{y:.6f}\n" for x, y in pairs)
 
 
 def roc_auc(scored) -> RocCurve:
@@ -62,7 +72,7 @@ def roc_auc(scored) -> RocCurve:
     fpr = np.append(0.0, (ends + 1 - tp) / (len(positive) - n_pos))
     tpr = np.append(0.0, tp / n_pos)
     auc = np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1]
-    return RocCurve(tuple(zip(fpr.tolist(), tpr.tolist())), float(auc))
+    return RocCurve(fpr, tpr, float(auc))
 
 
 def anti_detection(auc: float) -> float:
@@ -170,8 +180,8 @@ def _matrix_cell(row, kind, benign_train, agd_train, benign_eval,
         auc = _scores_auc(benign_scores, model.score_many(samples)).auc
         out[test] = anti_detection(auc)
     if cfg.pkdga is not None:
-        result = training.campaign(model, benign_train, cfg.pkdga,
-                                   cfg.pkdga_budget, cell_seed)
+        result = training.campaign(model, training.Registry(benign_train),
+                                   cfg.pkdga, cfg.pkdga_budget, cell_seed)
         fresh = training.generate_domains(
             result.best_params, cfg.eval_agd, start_date=_dt.date(2030, 1, 1),
             T=cfg.pkdga.length, tld=cfg.pkdga.tld)
@@ -385,14 +395,13 @@ def game_loop(detector, benign_train, benign_eval, stages: int,
     results = [StageResult(0, detection_auc(detector, benign_eval,
                                             fresh_names(params, 0)).auc, None)]
     benign_train = list(benign_train)
-    shared_registry = set(benign_train)
+    registry = training.Registry(benign_train)
     for stage in range(1, stages + 1):
         got: list[str] = []
-        outcome = training.campaign(detector, shared_registry, tc,
+        outcome = training.campaign(detector, registry, tc,
                                     cfg.stage_budget, (master_seed, stage),
                                     params=params, registered=got)
         params = outcome.best_params
-        shared_registry.update(got)
         # stride-sample so the update set spans the whole stage, not its tail
         step = max(1, len(got) // MAX_AGDS)
         agds = got[::step][:MAX_AGDS]

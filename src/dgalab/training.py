@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import policy as P, recurrent
-from .dnsenv import FeedbackEnv
+from .dnsenv import FeedbackEnv, Registry
 from .domains import (DEFAULT_TOKENS, CheckedNames, SeedSpace, TokenDict,
                       check_tld, encode_seed)
 from .errors import ContractError, NumericError, QueryBudgetError
@@ -87,15 +87,14 @@ def _update_from_batch(params, seed_vecs, run, coeffs, lr):
 # ---------------------------------------------------------------------------
 # the training loop
 
-def campaign(detector, seed_corpus, cfg: TrainConfig, budget: int,
+def campaign(detector, registry, cfg: TrainConfig, budget: int,
              master_seed, space=None, params=None, audit=None,
              registered=None) -> TrainResult:
-    """``train`` against a fresh ``FeedbackEnv`` over ``detector`` whose
-    registry starts as ``seed_corpus``; an ``audit`` log starts afresh."""
+    """``train`` against a fresh ``FeedbackEnv`` over ``detector`` and the
+    ``Registry`` ``registry``, shared in place; an audit log starts afresh."""
     if audit:
         Path(audit).unlink(missing_ok=True)
-    env = FeedbackEnv(detector, seed_corpus=seed_corpus, budget=budget,
-                      audit_path=audit)
+    env = FeedbackEnv(detector, registry, budget=budget, audit_path=audit)
     return train(env, cfg, master_seed, space=space, params=params,
                  registered=registered)
 

@@ -577,7 +577,15 @@ def roc_sweep(scored) -> RocCurve:
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0
-    return RocCurve(tuple(points), float(auc))
+    fpr, tpr = zip(*points)
+    return RocCurve(np.array(fpr), np.array(tpr), float(auc))
+
+
+def roc_csv_text(curve: RocCurve) -> str:
+    """``roc.csv`` as one string, a ``"\n".join`` of every point's line."""
+    points = zip(curve.fpr.tolist(), curve.tpr.tolist())
+    return ("fpr,tpr\n" + "\n".join(f"{fpr:.6f},{tpr:.6f}"
+                                     for fpr, tpr in points) + "\n")
 
 
 @dataclass

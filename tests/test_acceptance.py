@@ -18,7 +18,7 @@ from dgalab import evaluation, policy
 from dgalab.baselines import gozi_generate, kraken_generate, suppobox_generate
 from dgalab.corpora import LabeledCorpus, bundled_benign, load_wordlist
 from dgalab.detectors import train_detector
-from dgalab.dnsenv import FeedbackEnv
+from dgalab.dnsenv import FeedbackEnv, Registry
 from dgalab.domains import TokenDict, assemble_fqdn, validate_domain
 from dgalab.errors import QueryBudgetError
 from dgalab.evaluation import (GameConfig, detection_auc, game_loop, roc_auc,
@@ -61,7 +61,7 @@ def neural_detector(corpus_split):
 @pytest.fixture(scope="module")
 def evasion_run(neural_detector, corpus_split):
     train_part, _ = corpus_split
-    env = FeedbackEnv(neural_detector, seed_corpus=train_part.benign,
+    env = FeedbackEnv(neural_detector, Registry(train_part.benign),
                       budget=1_000_000)
     cfg = TrainConfig(lr=1.0, batch=32, mc=4, length=10, epochs=400)
     t0 = time.time()

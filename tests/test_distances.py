@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from dgalab.baselines import kraken_generate
 from dgalab.corpora import LabeledCorpus, synthesize_benign
 from dgalab.detectors import edit_distance, train_detector
-from dgalab.detectors.distances import (MAX_PACKED, add_one_smooth, encode,
-                                        id_strings, ngram_ids, string_ids)
+from dgalab.detectors.distances import (MAX_PACKED, add_one_smooth,
+                                        bigram_bitsets, encode, id_strings,
+                                        max_jaccard, ngram_ids, string_ids)
 from dgalab.detectors.features import split_core
-from dgalab.detectors.statistics import StatisticsDetector
+from dgalab.detectors.statistics import CHUNK, StatisticsDetector
 from dgalab.domains import LABEL_CHARS
 from dgalab.errors import ContractError
 from dgalab.rng import stream
@@ -143,6 +145,22 @@ class TestBatchedStatistics:
         model = StatisticsDetector(add_one_smooth(counts), jac_refs + cores,
                                    edit_refs + [c[:24] for c in cores])
         _assert_matches_oracle(model, names)
+
+    def test_jaccard_chunk_peaks_below_half_a_megabyte(self):
+        # one CHUNK of benign cores against 64 references: a (B, R) int64
+        # or float64 matrix alone would be 0.5 MB
+        cores = [split_core(d)[0] for d in synthesize_benign(CHUNK + 64,
+                                                             rng_seed=4)]
+        codes, lengths = encode(cores[:CHUNK])
+        refs = bigram_bitsets(cores[CHUNK:])
+        tracemalloc.start()
+        try:
+            jac = max_jaccard(codes, lengths, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert jac.shape == (CHUNK,) and 0 < jac.max() <= 1
+        assert peak < 500_000
 
     def test_trained_detector_on_generated_names(self):
         benign = synthesize_benign(1000, rng_seed=5)

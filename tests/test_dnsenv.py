@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dgalab.baselines import kraken_generate
 from dgalab.corpora import LabeledCorpus, synthesize_benign
 from dgalab.detectors import train_detector
-from dgalab.dnsenv import FeedbackEnv, fluxing_round
+from dgalab.dnsenv import FeedbackEnv, Registry, fluxing_round
 from dgalab.domains import validate_domain
 from dgalab.errors import (DataError, FluxingRoundError, QueryBudgetError)
 from dgalab.rng import stream
@@ -62,7 +62,7 @@ class TestRegister:
 
     def test_seeded_corpus_blocks_replay(self, fixed_detector_factory):
         env = make_env(fixed_detector_factory,
-                       seed_corpus=["popular.com", "famous.net"])
+                       registry=Registry(["popular.com", "famous.net"]))
         fb = env.register("popular.com")
         assert fb.outcome == 0 and fb.n_factor == 0
         assert env.resolve("famous.net") is not None
@@ -70,7 +70,8 @@ class TestRegister:
     def test_seed_corpus_of_several_chunks(self, fixed_detector_factory):
         # the registry reads its seed names 65,536 at a time
         seeds = [f"Seed{i}.com" for i in range(140_000)]
-        env = make_env(fixed_detector_factory, seed_corpus=seeds + seeds[:9])
+        env = make_env(fixed_detector_factory,
+                       registry=Registry(seeds + seeds[:9]))
         assert all(env.resolve(f"seed{i}.com") is not None
                    for i in (0, 65_535, 65_536, 131_072, 139_999))
         assert env.resolve("seed140000.com") is None
@@ -136,7 +137,7 @@ class TestRegistryOracle:
         seeds += [name for name in FIVE if name[0] == "a"] if bucket else []
         verdicts = []
         env = FeedbackEnv(FixedScoreDetector(lambda d: verdicts.pop(0)),
-                          seed_corpus=seeds, budget=10_000)
+                          Registry(seeds), budget=10_000)
         oracle = SetRegistry(d.lower() for d in seeds)
         probes = sorted({*seeds, *(d.lower() for d in seeds), *pool})
         for call in calls:

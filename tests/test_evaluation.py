@@ -1,19 +1,21 @@
 import datetime as dt
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgalab import policy
+from dgalab import cli, policy
 from dgalab.baselines import kraken_generate, suppobox_generate
 from dgalab.corpora import LabeledCorpus, load_wordlist, synthesize_benign
 from dgalab.detectors import train_detector
 from dgalab.errors import (ContractError, DataError, NumericError,
                            UnsupportedDetectorError)
-from dgalab.evaluation import (GameConfig, MatrixConfig, anti_detection,
-                               bench_inference, bench_tsv, detection_auc,
-                               game_loop, roc_auc, run_matrix, split_dataset)
+from dgalab.evaluation import (GameConfig, MatrixConfig, RocCurve,
+                               anti_detection, bench_inference, bench_tsv,
+                               detection_auc, game_loop, roc_auc, run_matrix,
+                               split_dataset)
 from dgalab.rng import stream
 from dgalab.training import TrainConfig
 import scalar_oracles as oracle
@@ -58,11 +60,10 @@ class TestRocAuc:
         labels = rng.integers(0, 2, size=40)
         labels[0], labels[1] = 0, 1
         curve = roc_auc(list(zip(scores, labels)))
-        xs = [p[0] for p in curve.points]
-        ys = [p[1] for p in curve.points]
-        assert xs == sorted(xs) and ys == sorted(ys)
-        assert curve.points[0] == (0.0, 0.0)
-        assert curve.points[-1] == (1.0, 1.0)
+        for axis in (curve.fpr, curve.tpr):
+            assert axis.dtype == np.float64
+            assert axis.tobytes() == np.sort(axis).tobytes()
+            assert axis[[0, -1]].tobytes() == np.array([0.0, 1.0]).tobytes()
 
     @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 1)),
                     min_size=4, max_size=40))
@@ -116,10 +117,40 @@ class TestRocAuc:
                 roc_auc(given_)
             return
         got = roc_auc(given_)
-        assert got.points == want.points
-        assert (np.array(got.points).tobytes()
-                == np.array(want.points).tobytes())
+        assert got.fpr.tobytes() == want.fpr.tobytes()
+        assert got.tpr.tobytes() == want.tpr.tobytes()
         assert got.auc.hex() == want.auc.hex()
+
+    def test_curve_of_distinct_scores_retains_two_arrays(self):
+        # 20,000 distinct scores give 20,001 points: two float64 arrays of
+        # 160 kB each, and no Python object per point
+        rng = stream("auc-memory")
+        pairs = np.column_stack([rng.permutation(20_000) / 20_000.0,
+                                 rng.integers(0, 2, 20_000)])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            curve = roc_auc(pairs)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(curve.fpr) == len(curve.tpr) == 20_001
+        assert retained < 1_000_000
+
+    @pytest.mark.parametrize("points", [
+        1, RocCurve.BLOCK - 1, RocCurve.BLOCK, RocCurve.BLOCK + 1,
+        3 * RocCurve.BLOCK])
+    def test_csv_equals_one_joined_string(self, tmp_path, points):
+        # eval writes roc.csv a block of points at a time; the file holds
+        # the bytes of the whole-text join, for random values and for
+        # values already on six decimals
+        rng = stream("roc-csv", points)
+        fpr = np.sort(rng.random(points))
+        fpr[::7] = np.round(fpr[::7], 6)
+        curve = RocCurve(fpr, np.sort(rng.random(points)) ** 3, 0.5)
+        path = tmp_path / "roc.csv"
+        cli._emit(path, curve.csv())
+        assert path.read_bytes() == oracle.roc_csv_text(curve).encode()
 
     @pytest.mark.parametrize("scored", [
         [0.5, 0.2], [(0.5, 1, 0), (0.2, 0, 0)], [(0.5, 1), (0.2,)],
@@ -383,9 +414,9 @@ class TestGameLoop:
                          stage_budget=20_000, fresh_samples=60,
                          incr_epochs=5, incr_lr=0.3)
         # capture stage AGDs by running the stage manually first
-        from dgalab.dnsenv import FeedbackEnv
+        from dgalab.dnsenv import FeedbackEnv, Registry
         from dgalab import training as tr
-        env = FeedbackEnv(det, seed_corpus=benign[:200], budget=20_000)
+        env = FeedbackEnv(det, Registry(benign[:200]), budget=20_000)
         registered = []
         tr.train(env, cfg.train_cfg, master_seed=(7, 1), registered=registered)
         agds = registered[-500:]
@@ -412,6 +443,45 @@ class TestGameLoop:
         assert out[1].stage == 1
         reward = out[1].reward
         assert reward > 0 if rewarded else reward == 0
+
+    def test_stages_share_one_registry(self, monkeypatch):
+        # every stage's env gets the one registry the game built from its
+        # benign training names, and each accepted name is inserted into
+        # it in place, so no stage copies the names of the stages before
+        from dgalab.dnsenv import FeedbackEnv, Registry
+
+        class Constant(FixedScoreDetector):
+            def incremental_update(self, *args, **kwargs):
+                pass
+
+        registries, accepted = [], []
+        init, register_many = FeedbackEnv.__init__, FeedbackEnv.register_many
+
+        def recorded_init(self, detector, registry=None, **kwargs):
+            registries.append(registry)
+            init(self, detector, registry, **kwargs)
+
+        def recorded_register_many(self, fqdns):
+            records = register_many(self, fqdns)
+            accepted.extend(name for name, outcome
+                            in zip(fqdns, records.outcome) if outcome)
+            return records
+
+        monkeypatch.setattr(FeedbackEnv, "__init__", recorded_init)
+        monkeypatch.setattr(FeedbackEnv, "register_many",
+                            recorded_register_many)
+        benign = synthesize_benign(40, rng_seed=3)
+        cfg = GameConfig(train_cfg=TrainConfig(lr=1.0, batch=4, mc=2,
+                                               length=8, epochs=2),
+                         stage_budget=5_000, fresh_samples=20)
+        out = game_loop(Constant(lambda d: 0.6), benign[:20], benign[20:],
+                        stages=2, cfg=cfg)
+        assert [r.stage for r in out] == [0, 1, 2]
+        assert len(registries) == 2 and registries[0] is registries[1]
+        assert isinstance(registries[0], Registry)
+        assert accepted
+        assert all(name in registries[0] for name in benign[:20] + accepted)
+        assert not any(name in registries[0] for name in benign[20:])
 
     def test_non_incremental_kind_unsupported(self):
         corpus = LabeledCorpus(tuple(synthesize_benign(40, rng_seed=1)),

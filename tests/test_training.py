@@ -11,7 +11,7 @@ from dgalab import policy, recurrent, training
 from dgalab.baselines import kraken_generate
 from dgalab.corpora import LabeledCorpus, synthesize_benign
 from dgalab.detectors import KINDS, train_detector
-from dgalab.dnsenv import FeedbackEnv
+from dgalab.dnsenv import FeedbackEnv, Registry
 from dgalab.domains import (DEFAULT_TOKENS, CheckedNames, SeedSpace,
                             TokenDict, encode_seed, validate_domain)
 from dgalab.rng import stream
@@ -471,7 +471,8 @@ class TestCampaign:
         cfg = TrainConfig(batch=2, mc=1, length=7, epochs=2, d_e=6, d_h=8)
         path = tmp_path / "audit.tsv"
         path.write_text("1\tstale.com\t1\t1\t1\n")
-        result = training.campaign(detector, (), cfg, 10_000, 5, audit=path)
+        result = training.campaign(detector, Registry(), cfg, 10_000, 5,
+                                   audit=path)
         numbers = [line.split("\t")[0]
                    for line in path.read_text().splitlines()]
         assert numbers == [str(i)
