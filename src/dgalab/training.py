@@ -154,9 +154,8 @@ def _epoch_run(params, cfg, dct, space, master_seed, epoch):
     dates = [space.date_at(epoch * B + i) for i in range(B)]
     seed_vecs = np.stack([encode_seed(d, dct, space)[0] for d in dates])
     run = P.run_batch(params, dct, T, seed_vecs=seed_vecs, want_cache=True,
-                      uniforms=np.stack([uniforms(T, "episode", master_seed,
-                                                  epoch, i)
-                                         for i in range(B)]))
+                      uniforms=uniforms(T, [("episode", master_seed, epoch, i)
+                                            for i in range(B)]))
     return seed_vecs, run
 
 
@@ -175,8 +174,8 @@ def _epoch_values(env, params, cfg, dct, master_seed, epoch, run,
     ``QueryBudgetError`` is raised.
     """
     T, B, m = cfg.length, cfg.batch, cfg.mc
-    mc_u = np.stack([uniforms((m, T, T), "mc-train", master_seed, epoch, i)
-                     for i in range(B)])
+    mc_u = uniforms((m, T, T), [("mc-train", master_seed, epoch, i)
+                                for i in range(B)])
     names = []
     for t in range(T - 1):
         heads = np.repeat(run.tokens[:, :t + 1], m, axis=0)
@@ -216,22 +215,32 @@ def candidate_list(params: P.PolicyParams, date: _dt.date, k: int,
     derives the same list.
     """
     check_tld(tld, T)
-    seed_vec, _ = encode_seed(date, dct, space)
-    run = P.run_batch(params, dct, T, seed_vecs=seed_vec[None, :])
-    return dct.fqdns(run.tokens, tld) + _sampled_candidates(
-        params, date, k - 1, T, dct, tld, space)
-
-
-def _sampled_candidates(params, date, count, T, dct, tld, space):
-    """Candidates 1..count of ``candidate_list``, without the argmax pass."""
-    if count < 1:
-        return []
     seed_vec, day_seed = encode_seed(date, dct, space)
-    run = P.run_batch(params, dct, T,
-                      uniforms=np.stack([uniforms(T, "candidate", day_seed, j)
-                                         for j in range(1, count + 1)]),
-                      seed_vecs=np.repeat(seed_vec[None, :], count, axis=0))
+    run = P.run_batch(params, dct, T, seed_vecs=seed_vec[None, :])
+    names = dct.fqdns(run.tokens, tld)
+    if k > 1:
+        names += _sampled_candidates(params, seed_vec,
+                                     _candidate_uniforms([day_seed], k - 1, T),
+                                     T, dct, tld)
+    return names
+
+
+def _candidate_uniforms(day_seeds, count, T) -> np.ndarray:
+    """The uniforms of candidates 1..count of each day seed's date, one row
+    per candidate, date-major."""
+    return uniforms(T, [("candidate", day_seed, j) for day_seed in day_seeds
+                        for j in range(1, count + 1)])
+
+
+def _sampled_candidates(params, seed_vec, u, T, dct, tld):
+    """The candidates of one date sampled with the rows of ``u``."""
+    run = P.run_batch(params, dct, T, uniforms=u,
+                      seed_vecs=np.repeat(seed_vec[None, :], len(u), axis=0))
     return dct.fqdns(run.tokens, tld)
+
+
+# dates whose candidate uniforms are drawn together: about one Philox pass
+_DRAW_WORDS = 4096
 
 
 def generate_domains(params: P.PolicyParams, count: int,
@@ -239,21 +248,34 @@ def generate_domains(params: P.PolicyParams, count: int,
                      dct: TokenDict = DEFAULT_TOKENS, tld: str = "com",
                      per_date: int = 50, mode: str = "sample",
                      space: SeedSpace | None = None) -> list[str]:
-    """Bulk generation: per_date seeded-sample candidates per calendar day.
+    """Bulk generation: per_date seeded-sample candidates per calendar day,
+    candidates 1..per_date of each date's ``candidate_list``, whose
+    uniforms are drawn for a chunk of dates at a time.
 
-    argmax mode emits the single deterministic name per date instead.
+    argmax mode emits the single deterministic name per date instead.  Any
+    other mode, or a per_date below 1, is a ``ContractError``.
     """
     check_tld(tld, T)
+    if mode not in ("sample", "argmax"):
+        raise ContractError(f"mode must be sample or argmax, not {mode!r}")
+    if per_date < 1:
+        raise ContractError("per_date must be >= 1")
     space = space or SeedSpace()
+    per = 1 if mode == "argmax" else per_date
+    dates = [start_date + _dt.timedelta(days=day)
+             for day in range(-(-count // per))]
+    if mode == "argmax":
+        return [candidate_list(params, date, 1, T, dct, tld, space)[0]
+                for date in dates]
     out: list[str] = []
-    day = 0
-    while len(out) < count:
-        date = start_date + _dt.timedelta(days=day)
-        if mode == "argmax":
-            got = candidate_list(params, date, 1, T, dct, tld, space)
-        else:
-            got = _sampled_candidates(params, date, per_date, T, dct, tld,
-                                      space)
-        out.extend(got[:count - len(out)])
-        day += 1
-    return out
+    chunk = max(1, _DRAW_WORDS // (per_date * T))
+    for lo in range(0, len(dates), chunk):
+        seeds = [encode_seed(date, dct, space)
+                 for date in dates[lo:lo + chunk]]
+        u = _candidate_uniforms([day_seed for _, day_seed in seeds],
+                                per_date, T)
+        for d, (seed_vec, _) in enumerate(seeds):
+            out += _sampled_candidates(params, seed_vec,
+                                       u[d * per_date:(d + 1) * per_date],
+                                       T, dct, tld)
+    return out[:count]

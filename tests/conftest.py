@@ -13,6 +13,7 @@ from dgalab.detectors.features import extract_many
 from dgalab.dnsenv import feedback_records
 from dgalab.errors import QueryBudgetError
 from dgalab.policy import params_from_tensors
+from dgalab.rng import stream_key
 
 # CI selects this with --hypothesis-profile=ci: the same examples on every
 # run, and no example database carried between runs
@@ -36,6 +37,12 @@ def count_validations(monkeypatch, refuse: bool = False) -> list:
                 and getattr(module, "validate_domain", None) is validate:
             monkeypatch.setattr(module, "validate_domain", counted)
     return calls
+
+
+def numpy_stream(*parts) -> np.random.Generator:
+    """numpy's own Generator over the Philox stream that ``rng.stream``
+    keys with ``parts``: its draws are the ones the package must make."""
+    return np.random.Generator(np.random.Philox(key=stream_key(*parts)))
 
 
 def extract_features(domain: str) -> np.ndarray:

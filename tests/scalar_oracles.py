@@ -8,13 +8,16 @@ assembly against ``TokenDict.fqdns``; the per-character neural ``encode``;
 the padded neural scorer, every row through every step, against the
 prefix-sharing ``NeuralDetector.score_many``; the neural fit that encodes
 each batch from its names and masks the input gradients past each row's
-end, against ``NeuralDetector.fit``, which reads its names into bytes once;
+end, against ``NeuralDetector.fit``, which reads its names into bytes once
+(its shuffles, like the recursive CART grower's bootstrap and feature
+draws, come from numpy's own Generator over the same Philox key, so the
+package's draws are checked too);
 the recurrent step with one sigmoid per gate; the teacher-forced policy
 pass along fixed tokens, whose caches ``run_batch(want_cache=True)`` must
 reproduce; the one-episode reward-weighted log-likelihood with its gradient,
 the pair that finite differences check ``policy.grad_from_coeffs`` through;
-the per-step reward estimate, one ``register_many`` per step, against
-``training._epoch_values``; the registry as a Python set, one name at a
+the per-step reward estimate, one ``register_many`` per step and rollout
+uniforms from numpy's Generator, against ``training._epoch_values``; the registry as a Python set, one name at a
 time, against ``dnsenv.Registry``; the recursive CART grower against
 ``forest.fit_forest``; the item-by-item ROC sweep over sorted
 (score, label) tuples against ``evaluation.roc_auc``; and the step-by-step
@@ -42,7 +45,7 @@ from dgalab.policy import (BatchRun, action_probs, embed_seed, embed_tokens,
                            grad_from_coeffs, masked_index_at, run_batch)
 from dgalab.recurrent import (cache_state, sigmoid, stack_backward,
                               stack_forward)
-from dgalab.rng import stream
+from conftest import numpy_stream
 
 _CHAR_INDEX = {c: i for i, c in enumerate(LABEL_CHARS)}
 EDIT_CAP = 24
@@ -128,7 +131,7 @@ def neural_fit_oracle(model, domains, labels, epochs, batch, lr, rng_key):
     domains = list(domains)
     labels = np.asarray(labels, dtype=np.float64)
     for epoch in range(epochs):
-        order = stream("neural-train", rng_key, epoch).permutation(
+        order = numpy_stream("neural-train", rng_key, epoch).permutation(
             len(domains))
         for lo in range(0, len(order), batch):
             rows = order[lo:lo + batch]
@@ -266,7 +269,7 @@ def epoch_values(env, params, cfg, dct, master_seed, epoch, run,
     """(T, B) values of one epoch's taken tokens, one ``action_values`` call
     and so one registration per step; the env raises the budget error."""
     T, B = cfg.length, cfg.batch
-    mc_u = np.stack([stream("mc-train", master_seed, epoch, i)
+    mc_u = np.stack([numpy_stream("mc-train", master_seed, epoch, i)
                      .random((cfg.mc, T, T)) for i in range(B)])
     taken = np.empty((T, B))
     for t in range(T):
@@ -541,7 +544,7 @@ def forest_trees(X, y, rng_seed, n_trees, max_depth, min_leaf) -> list:
     n_sub = max(1, int(round(math.sqrt(n_features))))
     trees = []
     for tree_idx in range(n_trees):
-        rng = stream("forest", rng_seed, tree_idx)
+        rng = numpy_stream("forest", rng_seed, tree_idx)
         boot = rng.integers(0, n, size=n)
         trees.append(_grow_tree(X[boot], y[boot], rng, max_depth, min_leaf,
                                 n_sub))

@@ -502,6 +502,28 @@ class TestGeneration:
         assert got == want[:20]
         assert calls == [True] * 3          # one sampled pass per date
 
+    def test_dates_past_one_draw_equal_candidate_lists(self):
+        # 600 candidates of 7 tokens a date: each date's uniforms are drawn
+        # on their own, and the last date's names are cut short
+        p = tiny_params(37)
+        start = dt.date(2031, 5, 6)
+        want = [name for day in range(3) for name in candidate_list(
+            p, start + dt.timedelta(days=day), 601, T=7,
+            space=SeedSpace())[1:]]
+        got = generate_domains(p, 1300, start, T=7, per_date=600)
+        assert got == want[:1300]
+
+    @pytest.mark.parametrize("per_date", [0, -2])
+    def test_per_date_below_one_is_refused(self, per_date):
+        with pytest.raises(ContractError, match="per_date"):
+            generate_domains(tiny_params(37), 5, EPOCH_DATE, T=10,
+                             per_date=per_date)
+
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ContractError, match="'argmx'"):
+            generate_domains(tiny_params(37), 5, EPOCH_DATE, T=10,
+                             mode="argmx")
+
     def test_argmax_mode_is_candidate_zero(self):
         p = tiny_params(37)
         start = dt.date(2031, 5, 6)
