@@ -26,7 +26,7 @@ from .rng import stream_key
 
 DGA_NAMES = (*FAMILIES, "pkdga")
 # generate's flags that only pkdga reads -> default; a baseline refuses them
-_PKDGA_FLAGS = {"ckpt": None, "start_date": _dt.date(2030, 1, 1),
+_PKDGA_FLAGS = {"ckpt": None, "start_date": training.PKDGA_START_DATE,
                 "mode": "sample"}
 
 
@@ -108,7 +108,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt", type=_InputFile,
                    help="policy checkpoint (pkdga only)")
     p.add_argument("--start-date", type=_iso_date,
-                   help="first date seed (pkdga only); default 2030-01-01")
+                   help="first date seed (pkdga only); default "
+                   f"{training.PKDGA_START_DATE}")
     p.add_argument("--tld", help="TLD of the names; default: data.tld")
     p.add_argument("--mode", choices=("sample", "argmax"), help="pkdga only")
 
@@ -253,8 +254,9 @@ def _cmd_detector_train(args, settings, hp):
     roc_test = evaluation.detection_auc(model, test_part.benign, test_part.agd)
     _emit(args.out / "metrics.tsv",
           "split\tauc\tanti_detection\n"
-          f"train\t{roc.auc:.6f}\t{1 - roc.auc:.6f}\n"
-          f"test\t{roc_test.auc:.6f}\t{1 - roc_test.auc:.6f}\n")
+          f"train\t{roc.auc:.6f}\t{evaluation.anti_detection(roc.auc):.6f}\n"
+          f"test\t{roc_test.auc:.6f}\t"
+          f"{evaluation.anti_detection(roc_test.auc):.6f}\n")
     print(f"wrote {args.out / 'detector.ckpt'}", file=sys.stderr)
     return 0
 
@@ -298,7 +300,7 @@ def _cmd_eval(args, settings, hp):
     _emit(args.out / "roc.csv", roc.csv())
     _emit(args.out / "summary.tsv",
           "auc\tanti_detection\n"
-          f"{roc.auc:.6f}\t{1 - roc.auc:.6f}\n")
+          f"{roc.auc:.6f}\t{evaluation.anti_detection(roc.auc):.6f}\n")
     print(f"auc {roc.auc:.6f}", file=sys.stderr)
     return 0
 

@@ -39,26 +39,15 @@ def _name_keys(names: list[str]):
     return np.array(raw, "S"), np.fromiter(map(len, raw), np.intp, len(raw))
 
 
-def _search(run, keys):
-    """Where the sorted ``keys`` go in the sorted ``run``, and which of them
-    it holds."""
-    at = np.searchsorted(run, keys)
-    if not len(run):
-        return at, np.zeros(len(keys), bool)
-    return at, run.take(at, mode="clip") == keys
-
-
 class Registry:
     """An exact set of names held as bytes, not as ``str`` objects.
 
-    Names are bucketed by UTF-8 byte length.  A bucket is a sorted ``S{L}``
-    array plus a small sorted array of recent insertions, which is merged
-    into it once it holds an eighth as many names, as in a log-structured
-    merge tree (O'Neil et al., Acta Informatica 1996).
+    Names are bucketed by UTF-8 byte length, and a bucket is one sorted
+    ``S{L}`` array.
     """
 
     def __init__(self, seed_corpus=()):
-        self._buckets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._buckets: dict[int, np.ndarray] = {}
         # the lowercased seeds, in chunks, so that a large corpus never
         # holds all its names as bytes objects at once
         names = map(str.lower, seed_corpus)
@@ -66,9 +55,7 @@ class Registry:
             self.register(chunk, np.ones(len(chunk), bool))
 
     def __contains__(self, name: str) -> bool:
-        keys, lens = _name_keys([name])
-        return any(_search(run, keys)[1][0]
-                   for run in self._buckets.get(int(lens[0]), ()))
+        return not self.register([name], [False])[0]
 
     def register(self, names: list[str], legit) -> np.ndarray:
         """Novelty of each of ``names``, inserting each one that is novel
@@ -100,16 +87,13 @@ class Registry:
             length = int(lens[starts[a]])
             batch = keys[starts[a:b]].astype(f"S{max(length, 1)}",
                                              copy=False)
-            main, recent = self._buckets.get(length, (batch[:0], batch[:0]))
-            at, held = _search(recent, batch)
-            known[a:b] = held | _search(main, batch)[1]
+            bucket = self._buckets.get(length, batch[:0])
+            at = np.searchsorted(bucket, batch)
+            # an empty bucket holds nothing, and ``take`` refuses it
+            known[a:b] = len(bucket) and bucket.take(at, mode="clip") == batch
             new = inserts[a:b] & ~known[a:b]
             if new.any():
-                recent = np.insert(recent, at[new], batch[new])
-                if 8 * len(recent) >= len(main):
-                    main = np.insert(main, _search(main, recent)[0], recent)
-                    recent = main[:0]
-                self._buckets[length] = main, recent
+                self._buckets[length] = np.insert(bucket, at[new], batch[new])
         novelty = np.empty(len(keys), bool)
         novelty[order] = ~(known[group] | copied)
         return novelty

@@ -183,7 +183,7 @@ def _matrix_cell(row, kind, benign_train, agd_train, benign_eval,
         result = training.campaign(model, training.Registry(benign_train),
                                    cfg.pkdga, cfg.pkdga_budget, cell_seed)
         fresh = training.generate_domains(
-            result.best_params, cfg.eval_agd, start_date=_dt.date(2030, 1, 1),
+            result.best_params, cfg.eval_agd, training.PKDGA_START_DATE,
             T=cfg.pkdga.length, tld=cfg.pkdga.tld)
         auc = _scores_auc(benign_scores, model.score_many(fresh)).auc
         out["pkdga"] = anti_detection(auc)

@@ -241,6 +241,8 @@ def _sampled_candidates(params, seed_vec, u, T, dct, tld):
 
 # dates whose candidate uniforms are drawn together: about one Philox pass
 _DRAW_WORDS = 4096
+# the first date that pkdga generates from unless told otherwise
+PKDGA_START_DATE = _dt.date(2030, 1, 1)
 
 
 def generate_domains(params: P.PolicyParams, count: int,

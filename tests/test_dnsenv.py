@@ -2,7 +2,7 @@ import inspect
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dgalab.baselines import kraken_generate
 from dgalab.corpora import LabeledCorpus, synthesize_benign
@@ -114,9 +114,8 @@ NAMES = st.lists(st.text("ab", min_size=1, max_size=3), min_size=1,
 # surrogate
 SEEDS = st.one_of(NAMES, st.text("aAbB.\0\u00e9\u0130\u00df\u20ac\ud800",
                                  max_size=5))
-# the valid five-byte names; those that begin with "a" make a bucket large
-# enough that a call's new five-byte names wait in its array of recent
-# insertions
+# the valid five-byte names; those that begin with "a" make a large sorted
+# bucket, so that a call's new five-byte names are inserted into its middle
 FIVE = [name for name in map("".join, product("ab.", repeat=5))
         if validate_domain(name)]
 
@@ -129,6 +128,14 @@ class TestRegistryOracle:
            calls=st.lists(st.lists(st.tuples(st.integers(0, 9),
                                              st.booleans()),
                                    max_size=16), max_size=6))
+    # one call inserts before, between and after a bucket's names, and
+    # repeats one name with the verdicts False, True, True
+    @example(seeds=["ab.ab", "ba.ba"], bucket=False,
+             pool=["aa.aa", "ab.ba", "bb.bb"],
+             calls=[[(0, True), (1, False), (1, True), (1, True),
+                     (2, True)]])
+    @example(seeds=["bb.bb"], bucket=True, pool=["ba.ba", "bbb.b"],
+             calls=[[(1, True), (0, False), (0, True), (0, True)]])
     def test_register_many_and_resolve_match_a_set(self, seeds, bucket,
                                                    pool, calls):
         # calls draw from a small pool, so they repeat names within a call
