@@ -4,8 +4,9 @@ Every checkpoint, policy or detector, is one little-endian layout: the magic
 ``PKDG``, u16 version 2, u32 kind id plus three reserved u32, then named
 records ``u32 name length | name | u8 tag | u64 count | payload`` with tag
 0 = f32, 1 = i64, 2 = UTF-8 text.  ``load_blobs`` bounds-checks every
-record and rejects non-finite f32 values; loaders read records through
-``record``, which checks presence, tag and element count.
+record and rejects a repeated record name and non-finite f32 values;
+loaders read records through ``record``, which checks presence, tag and
+element count.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ def load_blobs(path) -> tuple[int, dict]:
     while off < len(blob):
         (nlen,) = struct.unpack_from("<I", blob, take(4))
         name = blob[take(nlen):off].decode("utf-8", "replace")
+        if name in out:
+            raise DataError(f"{path}: repeated record {name!r}")
         tag, count = struct.unpack_from("<BQ", blob, take(9))
         if tag == TEXT:
             out[name] = blob[take(count):off]

@@ -50,11 +50,14 @@ def content_lines(text: str):
 
 def parse_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for ln, line in content_lines(read_text(path)):
         if "=" not in line:
             raise DataError(f"{path}:{ln}: expected key = value")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in lines:
+            raise DataError(f"{path}:{ln}: {key} repeats line {lines[key]}")
+        lines[key], out[key] = ln, value
     return out
 
 

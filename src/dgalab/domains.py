@@ -72,7 +72,7 @@ DEFAULT_TOKENS = TokenDict()
 
 @dataclass(frozen=True)
 class SeedSpace:
-    """Calendar range the date seeds are drawn from."""
+    """Calendar range that ``train`` draws its date seeds from."""
 
     start_date: _dt.date = _dt.date(1970, 1, 1)
     end_date: _dt.date = _dt.date(2099, 12, 31)
@@ -83,9 +83,6 @@ class SeedSpace:
         if self.start_date < EPOCH:
             raise ContractError("seed dates before 1970-01-01 are not supported")
 
-    def __contains__(self, date: _dt.date) -> bool:
-        return self.start_date <= date <= self.end_date
-
     @property
     def days(self) -> int:
         return (self.end_date - self.start_date).days + 1
@@ -94,16 +91,14 @@ class SeedSpace:
         return self.start_date + _dt.timedelta(days=int(offset) % self.days)
 
 
-def encode_seed(date: _dt.date, dct: TokenDict = DEFAULT_TOKENS,
-                space: SeedSpace | None = None) -> tuple[np.ndarray, int]:
-    """Encode a calendar date as (one-hot seed vector, derived RNG seed).
+def encode_seed(date: _dt.date,
+                dct: TokenDict = DEFAULT_TOKENS) -> tuple[np.ndarray, int]:
+    """Encode a date from the epoch on as (one-hot seed vector, RNG seed).
 
     The vector has the dictionary's dimension with a single 1.0 at index
     ``days_since_epoch mod n``; the RNG seed is the raw day count, so equal
     dates always produce identical encodings.
     """
-    if space is not None and date not in space:
-        raise SeedRangeError(f"{date} outside [{space.start_date}, {space.end_date}]")
     days = (date - EPOCH).days
     if days < 0:
         raise SeedRangeError(f"{date} precedes the 1970-01-01 epoch")

@@ -10,7 +10,7 @@ class DgaLabError(Exception):
 
 
 class SeedRangeError(DgaLabError):
-    """Seed date falls outside the configured seed space."""
+    """Seed date precedes the 1970-01-01 epoch."""
 
 
 class AssemblyError(DgaLabError):

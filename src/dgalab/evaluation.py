@@ -22,7 +22,7 @@ from . import policy as P
 from . import training
 from .corpora import LabeledCorpus
 from .detectors import train_detector
-from .domains import DEFAULT_TOKENS, CheckedNames
+from .domains import DEFAULT_TOKENS, EPOCH, CheckedNames, encode_seed
 from .errors import (ContractError, DataError, NumericError,
                      UnsupportedDetectorError)
 from .rng import stream
@@ -430,8 +430,8 @@ def bench_inference(params: P.PolicyParams, batch_sizes, T: int = 12,
     """
     rows = []
     for batch in batch_sizes:
-        seeds = np.zeros((batch, DEFAULT_TOKENS.n), dtype=params.dtype)
-        seeds[np.arange(batch), np.arange(batch) % DEFAULT_TOKENS.n] = 1.0
+        seeds = np.stack([encode_seed(EPOCH + _dt.timedelta(days=i))[0]
+                          for i in range(batch)]).astype(params.dtype)
         P.run_batch(params, DEFAULT_TOKENS, T, seed_vecs=seeds)  # warmup
         times = []
         for _ in range(runs):

@@ -152,7 +152,7 @@ def _epoch_run(params, cfg, dct, space, master_seed, epoch):
     the reward estimates resume from and the gradient reads."""
     T, B = cfg.length, cfg.batch
     dates = [space.date_at(epoch * B + i) for i in range(B)]
-    seed_vecs = np.stack([encode_seed(d, dct, space)[0] for d in dates])
+    seed_vecs = np.stack([encode_seed(d, dct)[0] for d in dates])
     run = P.run_batch(params, dct, T, seed_vecs=seed_vecs, want_cache=True,
                       uniforms=uniforms(T, [("episode", master_seed, epoch, i)
                                             for i in range(B)]))
@@ -206,8 +206,7 @@ def _epoch_values(env, params, cfg, dct, master_seed, epoch, run,
 
 def candidate_list(params: P.PolicyParams, date: _dt.date, k: int,
                    T: int = 12, dct: TokenDict = DEFAULT_TOKENS,
-                   tld: str = "com",
-                   space: SeedSpace | None = None) -> list[str]:
+                   tld: str = "com") -> list[str]:
     """k deterministic candidates for one date; identical on both sides.
 
     Candidate 0 is the argmax name; the rest are sampled from streams keyed
@@ -215,28 +214,25 @@ def candidate_list(params: P.PolicyParams, date: _dt.date, k: int,
     derives the same list.
     """
     check_tld(tld, T)
-    seed_vec, day_seed = encode_seed(date, dct, space)
-    run = P.run_batch(params, dct, T, seed_vecs=seed_vec[None, :])
+    seed = encode_seed(date, dct)
+    run = P.run_batch(params, dct, T, seed_vecs=seed[0][None, :])
     names = dct.fqdns(run.tokens, tld)
     if k > 1:
-        names += _sampled_candidates(params, seed_vec,
-                                     _candidate_uniforms([day_seed], k - 1, T),
-                                     T, dct, tld)
+        names += _candidates(params, [seed], k - 1, T, dct, tld)
     return names
 
 
-def _candidate_uniforms(day_seeds, count, T) -> np.ndarray:
-    """The uniforms of candidates 1..count of each day seed's date, one row
-    per candidate, date-major."""
-    return uniforms(T, [("candidate", day_seed, j) for day_seed in day_seeds
-                        for j in range(1, count + 1)])
-
-
-def _sampled_candidates(params, seed_vec, u, T, dct, tld):
-    """The candidates of one date sampled with the rows of ``u``."""
-    run = P.run_batch(params, dct, T, uniforms=u,
-                      seed_vecs=np.repeat(seed_vec[None, :], len(u), axis=0))
-    return dct.fqdns(run.tokens, tld)
+def _candidates(params, seeds, count, T, dct, tld) -> list[str]:
+    """Candidates 1..count of each date, date-major, from the dates'
+    ``encode_seed`` results: every uniform in one draw, one pass per date."""
+    u = uniforms(T, [("candidate", day_seed, j) for _, day_seed in seeds
+                     for j in range(1, count + 1)])
+    names: list[str] = []
+    for (seed_vec, _), rows in zip(seeds, np.split(u, len(seeds))):
+        run = P.run_batch(params, dct, T, uniforms=rows,
+                          seed_vecs=np.repeat(seed_vec[None, :], count, 0))
+        names += dct.fqdns(run.tokens, tld)
+    return names
 
 
 # dates whose candidate uniforms are drawn together: about one Philox pass
@@ -248,8 +244,7 @@ PKDGA_START_DATE = _dt.date(2030, 1, 1)
 def generate_domains(params: P.PolicyParams, count: int,
                      start_date: _dt.date, T: int = 12,
                      dct: TokenDict = DEFAULT_TOKENS, tld: str = "com",
-                     per_date: int = 50, mode: str = "sample",
-                     space: SeedSpace | None = None) -> list[str]:
+                     per_date: int = 50, mode: str = "sample") -> list[str]:
     """Bulk generation: per_date seeded-sample candidates per calendar day,
     candidates 1..per_date of each date's ``candidate_list``, whose
     uniforms are drawn for a chunk of dates at a time.
@@ -262,22 +257,16 @@ def generate_domains(params: P.PolicyParams, count: int,
         raise ContractError(f"mode must be sample or argmax, not {mode!r}")
     if per_date < 1:
         raise ContractError("per_date must be >= 1")
-    space = space or SeedSpace()
     per = 1 if mode == "argmax" else per_date
     dates = [start_date + _dt.timedelta(days=day)
              for day in range(-(-count // per))]
     if mode == "argmax":
-        return [candidate_list(params, date, 1, T, dct, tld, space)[0]
+        return [candidate_list(params, date, 1, T, dct, tld)[0]
                 for date in dates]
     out: list[str] = []
     chunk = max(1, _DRAW_WORDS // (per_date * T))
     for lo in range(0, len(dates), chunk):
-        seeds = [encode_seed(date, dct, space)
-                 for date in dates[lo:lo + chunk]]
-        u = _candidate_uniforms([day_seed for _, day_seed in seeds],
-                                per_date, T)
-        for d, (seed_vec, _) in enumerate(seeds):
-            out += _sampled_candidates(params, seed_vec,
-                                       u[d * per_date:(d + 1) * per_date],
-                                       T, dct, tld)
+        out += _candidates(params, [encode_seed(date, dct)
+                                    for date in dates[lo:lo + chunk]],
+                           per_date, T, dct, tld)
     return out[:count]

@@ -204,6 +204,20 @@ class TestBlobContainer:
         with pytest.raises(NumericError, match="'prob'"):
             checkpoint.load_blobs(path)
 
+    @pytest.mark.parametrize("kind", ("policy",) + KINDS)
+    def test_repeated_record_is_a_data_error(self, tmp_path, checkpoints,
+                                             kind):
+        # save_blobs takes a dict, so only damage repeats a name: here a
+        # copy of the first record, appended after the last
+        path = tmp_path / "d.ckpt"
+        path.write_bytes(checkpoints[kind])
+        kind_id, blobs = checkpoint.load_blobs(path)
+        name = next(iter(blobs))
+        checkpoint.save_blobs(path, kind_id, {name: blobs[name]})
+        path.write_bytes(checkpoints[kind] + path.read_bytes()[22:])
+        with pytest.raises(DataError, match=f"repeated record '{name}'"):
+            load_and_use(kind, path)
+
     @pytest.mark.parametrize("kind, name, damage", [
         ("neural", "dims", lambda a: a.__setitem__(4, 0)),       # max_len
         ("neural", "dims", lambda a: a.__setitem__(3, 2)),       # bidir

@@ -1,3 +1,4 @@
+import datetime as dt
 import json
 import re
 import struct
@@ -659,6 +660,29 @@ class TestBadConfigWritesNothing:
         assert code == 1
         assert err == "usage error: start_date must not exceed end_date"
 
+    def test_seed_dates_before_the_epoch(self, workspace, tmp_path, capsys):
+        code, err = self.run(capsys, tmp_path,
+                             "seeds.start_date = 1969-12-31\n",
+                             "train", "--env",
+                             str(workspace / "det" / "detector.ckpt"),
+                             "--benign", str(workspace / "prep" / "benign.txt"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == ("usage error: seed dates before 1970-01-01 are not "
+                       "supported")
+
+    def test_repeated_key(self, workspace, tmp_path, capsys):
+        code, err = self.run(capsys, tmp_path,
+                             "train.epochs = 2\n# a comment\n\n"
+                             "train.epochs=3\n",
+                             "train", "--env",
+                             str(workspace / "det" / "detector.ckpt"),
+                             "--benign", str(workspace / "prep" / "benign.txt"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err == (f"data error: {tmp_path / 'bad.cfg'}:4: train.epochs "
+                       "repeats line 1")
+
     def test_split_outside_unit_interval(self, workspace, tmp_path, capsys):
         code, err = self.run(capsys, tmp_path, "detector.split = 1\n",
                              "detector-train", "--kind", "statistics",
@@ -1144,6 +1168,29 @@ class TestGenerate:
             assert capsys.readouterr().err.splitlines() == [
                 f"usage error: {flag} applies to --dga pkdga only"]
             assert not (tmp_path / "gen").exists()
+
+    def test_pkdga_runs_past_2099(self, tmp_path):
+        # ten dates, the last three in 2100: candidates 1..50 of each
+        ckpt = tiny_policy(tmp_path / "p.ckpt")
+        code, out = run_cli("generate", "--dga", "pkdga", "--ckpt", str(ckpt),
+                            "--start-date", "2099-12-25", "--count", "500")
+        assert code == 0
+        params, T = checkpoint.load_policy(ckpt)
+        start = dt.date(2099, 12, 25)
+        assert out.split() == [
+            name for day in range(10) for name in training.candidate_list(
+                params, start + dt.timedelta(days=day), 51, T=T)[1:]]
+
+    @pytest.mark.parametrize("mode", ["sample", "argmax"])
+    def test_pkdga_start_before_the_epoch(self, mode, tmp_path, capsys):
+        capsys.readouterr()
+        code, out = run_cli("generate", "--dga", "pkdga", "--ckpt",
+                            str(tiny_policy(tmp_path / "p.ckpt")),
+                            "--start-date", "1969-12-31", "--mode", mode,
+                            "--count", "3")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: 1969-12-31 precedes the 1970-01-01 epoch"]
 
     def test_pkdga_requires_ckpt(self, tmp_path):
         code, _ = run_cli("generate", "--dga", "pkdga", "--count", "3")

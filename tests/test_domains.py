@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 import scalar_oracles as oracle
 from dgalab import domains
 from dgalab.domains import (DEFAULT_TOKENS, LABEL_CHARS, CheckedNames,
-                            SeedSpace, TokenDict, assemble_fqdn, check_tld,
+                            TokenDict, assemble_fqdn, check_tld,
                             checked_names, encode_seed, validate_domain)
 from dgalab.errors import (AssemblyError, ContractError, DataError,
                            ScoringError, SeedRangeError)
@@ -81,10 +81,10 @@ class TestEncodeSeed:
         assert a[1] == b[1] and np.array_equal(a[0], b[0])
 
     def test_range_error(self):
-        space = SeedSpace(dt.date(2016, 1, 1), dt.date(2016, 12, 31))
-        with pytest.raises(SeedRangeError):
-            encode_seed(dt.date(2017, 1, 1), space=space)
-        encode_seed(dt.date(2016, 6, 1), space=space)
+        # the epoch is the only bound: no calendar range limits a seed
+        with pytest.raises(SeedRangeError, match="1970-01-01 epoch"):
+            encode_seed(dt.date(1969, 12, 31))
+        assert encode_seed(dt.date(2100, 1, 1))[1] == 47482
 
 
 class TestAssemble:

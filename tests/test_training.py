@@ -488,8 +488,7 @@ class TestGeneration:
         p = tiny_params(37)
         start = dt.date(2031, 5, 6)
         want = [name for day in range(3) for name in candidate_list(
-            p, start + dt.timedelta(days=day), 9, T=10, tld="co.uk",
-            space=SeedSpace())[1:]]
+            p, start + dt.timedelta(days=day), 9, T=10, tld="co.uk")[1:]]
         calls = []
         run_batch = policy.run_batch
 
@@ -508,8 +507,7 @@ class TestGeneration:
         p = tiny_params(37)
         start = dt.date(2031, 5, 6)
         want = [name for day in range(3) for name in candidate_list(
-            p, start + dt.timedelta(days=day), 601, T=7,
-            space=SeedSpace())[1:]]
+            p, start + dt.timedelta(days=day), 601, T=7)[1:]]
         got = generate_domains(p, 1300, start, T=7, per_date=600)
         assert got == want[:1300]
 
@@ -529,7 +527,7 @@ class TestGeneration:
         start = dt.date(2031, 5, 6)
         got = generate_domains(p, 3, start, T=9, mode="argmax")
         assert got == [candidate_list(p, start + dt.timedelta(days=d), 1,
-                                      T=9, space=SeedSpace())[0]
+                                      T=9)[0]
                        for d in range(3)]
 
     @pytest.mark.parametrize("tld", ["C-", "X", "com\n"])
